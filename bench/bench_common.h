@@ -4,8 +4,7 @@
 /// Every bench binary prints the rows/series of one of the paper's
 /// tables or figures (Sec VII). Absolute times differ from the paper's
 /// 2014 testbed; the claims under reproduction are the *shapes*: who
-/// wins, by what rough factor, where the curves bend (see DESIGN.md §4
-/// and EXPERIMENTS.md).
+/// wins, by what rough factor, where the curves bend (see DESIGN.md §4).
 
 #ifndef DHTJOIN_BENCH_BENCH_COMMON_H_
 #define DHTJOIN_BENCH_BENCH_COMMON_H_

@@ -61,7 +61,7 @@ Row EvalDblp(const PaperDefaults& def) {
   // 3-clique prediction. The paper also uses the 2010 snapshot here; our
   // synthetic accretion produces too few NEW cross-area cliques for a
   // stable AUC, so we fall back to the Yeast/YouTube protocol (remove
-  // one edge per existing clique) — see EXPERIMENTS.md.
+  // one edge per existing clique) — see DESIGN.md §4.
   auto clique_t = Unwrap(
       datasets::RemoveCliqueEdges(ds.graph, db, ai, sys, 408), "perturb");
   auto clique = Unwrap(

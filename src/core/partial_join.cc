@@ -18,6 +18,7 @@ Result<std::vector<TupleAnswer>> PartialJoin::Run(
   // One top-m 2-way join per query edge (Alg. 1 Steps 2-4).
   std::vector<std::unique_ptr<PairStream>> streams;
   std::vector<PairStream*> stream_ptrs;
+  std::vector<const IncrementalTwoWayJoin*> incremental;
   for (const JoinEdge& e : query.edges()) {
     const NodeSet& P = query.set(e.left);
     const NodeSet& Q = query.set(e.right);
@@ -27,6 +28,7 @@ Result<std::vector<TupleAnswer>> PartialJoin::Run(
           IncrementalTwoWayJoin::Options{.bound = options_.bound,
                                          .snapshots = options_.snapshots});
       if (!join.ok()) return join.status();
+      incremental.push_back(join->get());
       streams.push_back(std::make_unique<IncrementalPairStream>(
           std::move(join).value()));
     } else {
@@ -49,6 +51,21 @@ Result<std::vector<TupleAnswer>> PartialJoin::Run(
     stats_.beyond_m_per_edge[e] =
         std::max<int64_t>(0, stats_.pulls_per_edge[e] -
                                  static_cast<int64_t>(options_.m));
+  }
+  stats_.ybound_cached =
+      options_.bound == UpperBoundKind::kY && !incremental.empty();
+  for (const IncrementalTwoWayJoin* join : incremental) {
+    const TwoWayJoinStats& st = join->stats();
+    stats_.join.walk_steps += st.walk_steps;
+    stats_.join.walks_started += st.walks_started;
+    stats_.join.pool_barriers += st.pool_barriers;
+    stats_.join.state_hits += st.state_hits;
+    stats_.join.state_misses += st.state_misses;
+    stats_.join.state_evictions += st.state_evictions;
+    stats_.join.state_resident_bytes += st.state_resident_bytes;
+    stats_.warm_targets += join->warm_targets();
+    stats_.cold_targets += join->cold_targets();
+    stats_.ybound_cached = stats_.ybound_cached && join->ybound_cached();
   }
   return result;
 }

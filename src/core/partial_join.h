@@ -49,6 +49,16 @@ class PartialJoin final : public NwayJoin {
     /// (getNextNodePair traffic).
     std::vector<int64_t> beyond_m_per_edge;
     PbrjStats rank_join;
+    /// PJ-i only: the per-edge enumerators' scalar counters, summed —
+    /// walk_steps (walks plus the Y-bound sweeps actually run),
+    /// walks_started, pool_barriers and the state_* pool counters.
+    TwoWayJoinStats join;
+    /// PJ-i only: targets first scored from a provider walk vs walked
+    /// from scratch (IncrementalTwoWayJoin::warm_targets), summed.
+    int64_t warm_targets = 0;
+    int64_t cold_targets = 0;
+    /// PJ-i with the Y bound: every edge's table came from the provider.
+    bool ybound_cached = false;
   };
 
   PartialJoin() = default;

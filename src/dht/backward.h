@@ -34,6 +34,9 @@
 
 namespace dhtjoin {
 
+class NodeSet;      // graph/node_set.h
+class YBoundTable;  // dht/bounds.h
+
 /// Snapshot of one in-flight backward walk (target, depth, propagation
 /// mass, score deltas). O(touched) memory, not O(n).
 struct BackwardWalkerState {
@@ -49,11 +52,13 @@ struct BackwardWalkerState {
   }
 };
 
-/// Cross-query source of saved backward walks, implemented by the
-/// serving cache (src/serve/). The provider's key context (graph,
-/// params) is fixed at construction; a fetched state is a walk of
-/// `target` at some depth `state->level` in [1, d] and may be resumed
-/// from exactly that level with bit-identical results (DESIGN.md §3).
+/// Cross-query source of saved backward walks and Y-bound tables,
+/// implemented by the serving cache (src/serve/). The provider's key
+/// context (graph, params) is fixed at construction; a fetched state is
+/// a walk of `target` at some depth `state->level` in [1, d]. It may be
+/// resumed from exactly that level, or — when that level is at or past
+/// the one a caller needs — scored at that level directly from its
+/// `score_delta` (DESIGN.md §3, §6), with bit-identical results.
 /// Fetch returning nullptr, and Store discarding its argument, are both
 /// always legal — the provider is a cache, not a store of record.
 /// Implementations must be thread-safe: concurrent query sessions share
@@ -78,6 +83,22 @@ class BackwardSnapshotProvider {
     (void)target;
     (void)level;
     return true;
+  }
+
+  /// Y-bound table of (P, Q) at depth d, shared with other queries
+  /// (two-way ones included) over the same sets. On success `*cached`
+  /// says whether it was already held; false means this call ran the
+  /// sweep, whose edges the caller charges. nullptr (the default) means
+  /// the caller builds its own table.
+  virtual std::shared_ptr<const YBoundTable> SharedYBound(const NodeSet& P,
+                                                          const NodeSet& Q,
+                                                          int d,
+                                                          bool* cached) {
+    (void)P;
+    (void)Q;
+    (void)d;
+    (void)cached;
+    return nullptr;
   }
 };
 

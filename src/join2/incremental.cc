@@ -1,6 +1,7 @@
 #include "join2/incremental.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 
 #include "dht/backward_batch.h"
@@ -11,7 +12,20 @@
 namespace dhtjoin {
 
 namespace {
+
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
+
+/// Margin below a score within which another pair's bound counts as a
+/// possible tie. The bounds are exact in real arithmetic (DESIGN.md §1)
+/// but computed in floating point: a Y bound that is tight (one source
+/// carrying all of S_i, as on a directed cycle) can land an ulp or so
+/// under the walk's own sum. The margin, ~4500 ulps at the scores'
+/// magnitude, makes such a pair count as a possible tie; resolving it
+/// costs a walk, never the order.
+double TieMargin(double s, double beta) {
+  return 1e-12 * (std::abs(s) + std::abs(beta));
+}
+
 }  // namespace
 
 IncrementalTwoWayJoin::IncrementalTwoWayJoin(const Graph& g,
@@ -31,12 +45,20 @@ IncrementalTwoWayJoin::IncrementalTwoWayJoin(const Graph& g,
                          : AutotuneStateBudgetBytes(g.num_nodes())),
       autotune_budget_(options.state_budget_bytes == 0) {
   if (options_.bound == UpperBoundKind::kY) {
-    ybound_ = std::make_unique<YBoundTable>(g, params, d, P, Q);
+    if (options_.snapshots != nullptr) {
+      ybound_ = options_.snapshots->SharedYBound(P, Q, d, &ybound_cached_);
+    }
+    if (ybound_ == nullptr) {
+      ybound_cached_ = false;
+      ybound_ = std::make_shared<const YBoundTable>(g, params, d, P, Q);
+    }
     // Charge what the S_i(P, q) sweep actually relaxed (it runs on the
-    // shared adaptive engine now, so a flat d * |E| would overcount).
-    stats_.walk_steps += ybound_->edges_relaxed();
+    // shared adaptive engine now, so a flat d * |E| would overcount) —
+    // and nothing when the table was served from the cache.
+    if (!ybound_cached_) stats_.walk_steps += ybound_->edges_relaxed();
   }
   q_level_.assign(Q_.size(), 0);
+  q_pmax_.assign(Q_.size(), params_.beta);
   residual_handle_.resize(Q_.size());
   for (std::size_t qi = 0; qi < Q_.size(); ++qi) {
     residual_handle_[qi] =
@@ -70,6 +92,10 @@ double IncrementalTwoWayJoin::Remainder(int l, std::size_t qi) const {
                                               : params_.XBound(l);
 }
 
+int IncrementalTwoWayJoin::NextLevel(int l) const {
+  return l == 0 ? 1 : std::min(2 * l, d_);
+}
+
 void IncrementalTwoWayJoin::DeepenTarget(std::size_t qi, int new_level) {
   DHTJOIN_CHECK_GT(new_level, q_level_[qi]);
   DHTJOIN_CHECK_LE(new_level, d_);
@@ -82,33 +108,56 @@ void IncrementalTwoWayJoin::DeepenTarget(std::size_t qi, int new_level) {
     walker_states_.Retune();
   }
   ExtNodeId q = Q_[qi];
-  int64_t edges_before = walker_.edges_relaxed();
-  // Resume from the target's saved state when the pool still holds it
-  // at the current level; failing that, try the cross-query provider
-  // (the serving cache); otherwise restart (bit-identical scores by
-  // DESIGN.md §3, just 2x the steps for that target).
+  // The deepest walk of q on hand: the local pool's (valid only at
+  // exactly the current level) or the cross-query provider's (the
+  // serving cache), whichever is deeper. A provider walk past d_ would
+  // overshoot the truncated measure, so it is not used.
+  const BackwardWalkerState* from = nullptr;
   BackwardWalkerState* saved = walker_states_.Find(static_cast<uint64_t>(qi));
   if (saved != nullptr && saved->level == q_level_[qi] &&
       q_level_[qi] > 0) {
-    walker_.Restore(params_, *saved);
-    walker_.Advance(new_level - saved->level);
+    from = saved;
+  }
+  std::shared_ptr<const BackwardWalkerState> external;
+  if (options_.snapshots != nullptr) {
+    external = options_.snapshots->Fetch(q);
+    if (external != nullptr && external->target == q &&
+        external->level <= d_ &&
+        external->level > (from == nullptr ? 0 : from->level)) {
+      from = external.get();
+    }
+  }
+  if (q_level_[qi] == 0) {
+    if (from != nullptr) {
+      ++warm_targets_;
+    } else {
+      ++cold_targets_;
+    }
+  }
+
+  if (from != nullptr && from->level >= new_level) {
+    // Stored at or past the requested depth (only a provider walk can
+    // be): score q at the walk's own level, whose remainder is tighter
+    // (DESIGN.md §1, §6), straight from its deltas — no restore, no
+    // step.
+    stats_.state_hits++;
+    ReadRow(*from);
+    ApplyRow(qi, from->level, row_buffer_.data());
+    return;
+  }
+
+  // Resume the deepest walk, or restart (bit-identical scores by
+  // DESIGN.md §3, just more steps for that target).
+  int64_t edges_before = walker_.edges_relaxed();
+  if (from != nullptr) {
+    walker_.Restore(params_, *from);
+    walker_.Advance(new_level - from->level);
     stats_.state_hits++;
   } else {
-    std::shared_ptr<const BackwardWalkerState> external;
-    if (options_.snapshots != nullptr) {
-      external = options_.snapshots->Fetch(q);
-    }
-    if (external != nullptr && external->target == q && external->level > 0 &&
-        external->level <= new_level) {
-      walker_.Restore(params_, *external);
-      walker_.Advance(new_level - external->level);
-      stats_.state_hits++;
-    } else {
-      walker_.Reset(params_, q);
-      walker_.Advance(new_level);
-      stats_.walks_started++;
-      stats_.state_misses++;
-    }
+    walker_.Reset(params_, q);
+    walker_.Advance(new_level);
+    stats_.walks_started++;
+    stats_.state_misses++;
   }
   stats_.walk_steps += walker_.edges_relaxed() - edges_before;
   // One Save serves both consumers; the provider copy is skipped
@@ -141,17 +190,37 @@ void IncrementalTwoWayJoin::DeepenTarget(std::size_t qi, int new_level) {
   ApplyRow(qi, new_level, row_buffer_.data());
 }
 
+void IncrementalTwoWayJoin::ReadRow(const BackwardWalkerState& state) {
+  if (p_slot_.empty()) {
+    p_slot_.assign(static_cast<std::size_t>(g_.num_nodes()), -1);
+    for (std::size_t pi = 0; pi < P_.size(); ++pi) {
+      p_slot_[static_cast<std::size_t>(g_.ToInternal(P_[pi]).value())] =
+          static_cast<int32_t>(pi);
+    }
+  }
+  // Deltas are keyed by INTERNAL id in touched order; untouched nodes
+  // hold an exact 0.0, as in the walker's dense vector.
+  row_buffer_.assign(P_.size(), 0.0);
+  for (const auto& [u, delta] : state.score_delta) {
+    const int32_t pi = p_slot_[static_cast<std::size_t>(u)];
+    if (pi >= 0) row_buffer_[static_cast<std::size_t>(pi)] = delta;
+  }
+  for (double& cell : row_buffer_) cell = params_.beta + cell;
+}
+
 void IncrementalTwoWayJoin::ApplyRow(std::size_t qi, int new_level,
                                      const double* row) {
   DHTJOIN_CHECK_GT(new_level, q_level_[qi]);
   DHTJOIN_CHECK_LE(new_level, d_);
   ExtNodeId q = Q_[qi];
   const double remainder = Remainder(new_level, qi);
+  double pmax = params_.beta;
   for (std::size_t pi = 0; pi < P_.size(); ++pi) {
     ExtNodeId p = P_[pi];
     if (p == q) continue;
     double s = row[pi];
     if (s <= params_.beta) continue;
+    pmax = std::max(pmax, s);
     uint64_t key = PairKey(p.value(), q.value());
     if (returned_.contains(key)) continue;
     double upper = s + remainder;
@@ -170,6 +239,7 @@ void IncrementalTwoWayJoin::ApplyRow(std::size_t qi, int new_level,
   }
 
   q_level_[qi] = new_level;
+  q_pmax_[qi] = pmax;
   if (new_level >= d_) {
     residual_.Erase(residual_handle_[qi]);
   } else {
@@ -195,40 +265,41 @@ void IncrementalTwoWayJoin::RunInitialSchedule(std::size_t m) {
   for (std::size_t qi = 0; qi < Q_.size(); ++qi) live[qi] = qi;
   stats_.live_per_iteration.push_back(static_cast<int64_t>(live.size()));
 
+  // The round's prune: a target survives while max_p h + U^+ at its
+  // current level (>= the round's, when a cached walk put it deeper —
+  // a valid, tighter bound by DESIGN.md §1) reaches the m-th best
+  // lower bound.
+  auto prune = [&](obs::ScopedSpan& round_span) {
+    const double tm = LowerThreshold(m);
+    std::vector<std::size_t> survivors;
+    survivors.reserve(live.size());
+    for (std::size_t qi : live) {
+      if (q_pmax_[qi] + Remainder(q_level_[qi], qi) >= tm) {
+        survivors.push_back(qi);
+      }
+    }
+    stats_.pruned_fraction_per_iteration.push_back(
+        1.0 - static_cast<double>(survivors.size()) /
+                  static_cast<double>(Q_.size()));
+    live.swap(survivors);
+    stats_.live_per_iteration.push_back(static_cast<int64_t>(live.size()));
+    round_span.SetAttr("survivors", static_cast<int64_t>(live.size()));
+  };
+
   if (options_.snapshots != nullptr) {
     // Scalar schedule, kept for the serving path: the provider's
     // snapshots are scalar walks with a full score surface (reusable
     // under ANY query's P), which only the scalar walker can produce
-    // and consume — DeepenTarget imports/offers them per target.
+    // and consume — DeepenTarget imports/offers them per target. A
+    // target already at or past the round's level is not walked.
     for (int l = 1; l < d_; l *= 2) {
       obs::ScopedSpan round_span(trace, "round");
       round_span.SetAttr("level", int64_t{l});
       round_span.SetAttr("frontier", static_cast<int64_t>(live.size()));
-      std::vector<double> q_upper(live.size(), kNegInf);
-      for (std::size_t i = 0; i < live.size(); ++i) {
-        std::size_t qi = live[i];
-        DeepenTarget(qi, l);
-        // qUpper = max_p h_l(p, q) + U_l^+; the walker still holds the
-        // scores of this target.
-        double pmax = params_.beta;
-        for (ExtNodeId p : P_) {
-          if (p == Q_[qi]) continue;
-          pmax = std::max(pmax, walker_.Score(p));
-        }
-        q_upper[i] = pmax + Remainder(l, qi);
+      for (std::size_t qi : live) {
+        if (q_level_[qi] < l) DeepenTarget(qi, l);
       }
-      double tm = LowerThreshold(m);
-      std::vector<std::size_t> survivors;
-      survivors.reserve(live.size());
-      for (std::size_t i = 0; i < live.size(); ++i) {
-        if (q_upper[i] >= tm) survivors.push_back(live[i]);
-      }
-      stats_.pruned_fraction_per_iteration.push_back(
-          1.0 - static_cast<double>(survivors.size()) /
-                    static_cast<double>(Q_.size()));
-      live.swap(survivors);
-      stats_.live_per_iteration.push_back(static_cast<int64_t>(live.size()));
-      round_span.SetAttr("survivors", static_cast<int64_t>(live.size()));
+      prune(round_span);
     }
     obs::ScopedSpan final_span(trace, "final");
     final_span.SetAttr("level", int64_t{d_});
@@ -249,6 +320,8 @@ void IncrementalTwoWayJoin::RunInitialSchedule(std::size_t m) {
   // scores, just 2x the steps for that target (DESIGN.md §3, §8).
   BackwardWalkerBatch batch(g_);
   BackwardBatchStates batch_states(Q_.size(), walker_states_.max_bytes());
+  // Every target's first walk starts here, from scratch.
+  cold_targets_ += static_cast<int64_t>(Q_.size());
   // All counter folds from the batch run through this one delta-based
   // accountant, called once per deepening round. The engine counters
   // (edges, barriers, resume hits/misses) are cumulative on the batch
@@ -281,32 +354,11 @@ void IncrementalTwoWayJoin::RunInitialSchedule(std::size_t m) {
     round_span.SetAttr("frontier", static_cast<int64_t>(live.size()));
     std::vector<ExtNodeId> nodes(live.size());
     for (std::size_t i = 0; i < live.size(); ++i) nodes[i] = Q_[live[i]];
-    std::vector<double> q_upper(live.size(), kNegInf);
     stats_.walks_started += batch.AdvanceChunked(
         params_, l, nodes, live, P_.nodes(), batch_states,
-        [&](std::size_t i, const double* row) {
-          const std::size_t qi = live[i];
-          ApplyRow(qi, l, row);
-          double pmax = params_.beta;
-          for (std::size_t pi = 0; pi < P_.size(); ++pi) {
-            if (P_[pi] == Q_[qi]) continue;
-            pmax = std::max(pmax, row[pi]);
-          }
-          q_upper[i] = pmax + Remainder(l, qi);
-        });
+        [&](std::size_t i, const double* row) { ApplyRow(live[i], l, row); });
     account();
-    double tm = LowerThreshold(m);
-    std::vector<std::size_t> survivors;
-    survivors.reserve(live.size());
-    for (std::size_t i = 0; i < live.size(); ++i) {
-      if (q_upper[i] >= tm) survivors.push_back(live[i]);
-    }
-    stats_.pruned_fraction_per_iteration.push_back(
-        1.0 - static_cast<double>(survivors.size()) /
-                  static_cast<double>(Q_.size()));
-    live.swap(survivors);
-    stats_.live_per_iteration.push_back(static_cast<int64_t>(live.size()));
-    round_span.SetAttr("survivors", static_cast<int64_t>(live.size()));
+    prune(round_span);
     // Same feedback autotuning the scalar pool gets: grow the schedule's
     // state budget on thrash, shrink on idle (never changes a result).
     if (autotune_budget_) batch_states.Retune();
@@ -339,10 +391,53 @@ void IncrementalTwoWayJoin::RunInitialSchedule(std::size_t m) {
   stats_.state_evictions = walker_states_.evictions() + schedule_evictions_;
 }
 
+ScoredPair IncrementalTwoWayJoin::EmitTieRun(double s) {
+  const double floor = s - TieMargin(s, params_.beta);
+  // Pull every pair whose bound still reaches the floor: deepen the
+  // blocking residual targets and the inexact F entries until all that
+  // remain above the floor are exact, then take those out of F.
+  std::vector<PairEntry> run;
+  std::vector<PairEntry> below;  // exact, within the margin under s
+  while (true) {
+    const double unseen =
+        residual_.empty() ? kNegInf : residual_.TopPriority();
+    const double top = f_.empty() ? kNegInf : f_.TopPriority();
+    if (unseen >= floor && unseen >= top) {
+      const std::size_t qi = residual_.Get(residual_.TopHandle());
+      DeepenTarget(qi, NextLevel(q_level_[qi]));
+      continue;
+    }
+    if (top < floor) break;
+    const PairEntry e = f_.Get(f_.TopHandle());
+    if (e.level < d_) {
+      DeepenTarget(e.qi, d_);
+      continue;
+    }
+    f_.Pop();
+    index_.erase(PairKey(e.p, Q_[e.qi].value()));
+    (e.lower >= s ? run : below).push_back(e);
+  }
+  // Exact pairs under s wait in F for their own turn (their targets are
+  // at depth d, so no later walk touches them).
+  for (const PairEntry& e : below) {
+    index_.emplace(PairKey(e.p, Q_[e.qi].value()), f_.Push(e.lower, e));
+  }
+  tie_run_.clear();
+  for (const PairEntry& e : run) {
+    tie_run_.push_back(ScoredPair{e.p, Q_[e.qi].value(), e.lower});
+    returned_.insert(PairKey(e.p, Q_[e.qi].value()));
+  }
+  std::sort(tie_run_.begin(), tie_run_.end(), ScoredPairGreater);
+  tie_pos_ = 1;
+  ++num_returned_;
+  return tie_run_[0];
+}
+
 std::optional<ScoredPair> IncrementalTwoWayJoin::Next() {
-  auto next_level = [this](int l) {
-    return l == 0 ? 1 : std::min(2 * l, d_);
-  };
+  if (tie_pos_ < tie_run_.size()) {
+    ++num_returned_;
+    return tie_run_[tie_pos_++];
+  }
   while (true) {
     const double unseen =
         residual_.empty() ? kNegInf : residual_.TopPriority();
@@ -352,7 +447,7 @@ std::optional<ScoredPair> IncrementalTwoWayJoin::Next() {
       // the floor means every remaining pair is unreachable.
       if (unseen <= params_.beta) return std::nullopt;
       std::size_t qi = residual_.Get(residual_.TopHandle());
-      DeepenTarget(qi, next_level(q_level_[qi]));
+      DeepenTarget(qi, NextLevel(q_level_[qi]));
       continue;
     }
 
@@ -368,6 +463,11 @@ std::optional<ScoredPair> IncrementalTwoWayJoin::Next() {
         DeepenTarget(e1.qi, d_);
         continue;
       }
+      // A blocker within the margin may hide a pair of equal score:
+      // emit the whole run of them in key order (canonical order).
+      if (blocker >= e1.lower - TieMargin(e1.lower, params_.beta)) {
+        return EmitTieRun(e1.lower);
+      }
       f_.Pop();
       uint64_t key = PairKey(e1.p, Q_[e1.qi].value());
       index_.erase(key);
@@ -380,12 +480,12 @@ std::optional<ScoredPair> IncrementalTwoWayJoin::Next() {
     // second <= e1.lower, so the blocker must be a residual target.
     if (unseen >= second && unseen > e1.lower) {
       std::size_t qi = residual_.Get(residual_.TopHandle());
-      DeepenTarget(qi, next_level(q_level_[qi]));
+      DeepenTarget(qi, NextLevel(q_level_[qi]));
     } else {
       // Refine the top pair's target (paper rule: min(2 l, d) steps).
       // q_level_[e1.qi] == e1.level by construction (every walk of a
       // target refreshes all of its entries); read the authoritative one.
-      DeepenTarget(e1.qi, next_level(q_level_[e1.qi]));
+      DeepenTarget(e1.qi, NextLevel(q_level_[e1.qi]));
     }
   }
 }

@@ -26,6 +26,14 @@
 /// walked deeper. This closes the gap the paper leaves open (pairs of
 /// pruned targets are absent from F) and makes the enumerator exact over
 /// the full valid pair space — see DESIGN.md §2.
+///
+/// The emission order is canonical: descending h_d, ties by ascending
+/// (p, q) — ScoredPairGreater. When the exact top pair only ties its
+/// blocker (up to a floating-point margin), every pair that can still
+/// reach that score is resolved and the run of equal scores is emitted
+/// in key order, so the stream (and PBRJ's answer over it) depends only
+/// on the exact scores, never on which walks happened to be cached or
+/// at what depth (DESIGN.md §2).
 
 #ifndef DHTJOIN_JOIN2_INCREMENTAL_H_
 #define DHTJOIN_JOIN2_INCREMENTAL_H_
@@ -54,10 +62,14 @@ class IncrementalTwoWayJoin {
     /// Byte budget for the per-target resume pool; 0 means autotune
     /// from graph size (AutotuneStateBudgetBytes).
     std::size_t state_budget_bytes = 0;
-    /// Optional cross-query snapshot source (the serving cache). On a
-    /// local pool miss, DeepenTarget resumes from the provider's saved
-    /// walk instead of restarting, and offers its own walks back —
-    /// bit-identical either way (DESIGN.md §3). Must outlive the join.
+    /// Optional cross-query source of walks and Y-bound tables (the
+    /// serving cache). DeepenTarget takes the deeper of the local pool's
+    /// and the provider's walk of q: one at or past the requested level
+    /// is scored at its own level straight from its stored deltas, a
+    /// shallower one is resumed; its own walks are offered back. The
+    /// Y-bound table of (P, Q) comes from the provider when it has one.
+    /// Bit-identical either way (DESIGN.md §3, §6). Must outlive the
+    /// join.
     BackwardSnapshotProvider* snapshots = nullptr;
     /// Used for TRACING only (obs::TraceOf): the initial schedule
     /// records per-round spans (level, frontier, survivors) on the
@@ -79,14 +91,25 @@ class IncrementalTwoWayJoin {
       const Graph& g, const DhtParams& params, int d, const NodeSet& P,
       const NodeSet& Q, std::size_t m);
 
-  /// Next pair in descending score order; nullopt when every valid pair
-  /// has been returned.
+  /// Next pair in canonical order (descending score, then ascending
+  /// (p, q)); nullopt when every valid pair has been returned.
   std::optional<ScoredPair> Next();
 
   /// Number of pairs returned so far.
   std::size_t num_returned() const { return num_returned_; }
 
+  /// Walk and pool counters; walk_steps includes the Y-bound sweep when
+  /// this join ran it (not when the provider supplied the table).
   const TwoWayJoinStats& stats() const { return stats_; }
+
+  /// Targets whose first walk in this join started from a provider walk
+  /// (scored from it or resumed) vs from scratch.
+  int64_t warm_targets() const { return warm_targets_; }
+  int64_t cold_targets() const { return cold_targets_; }
+
+  /// True when the Y-bound table came from the provider, so this join
+  /// ran no sweep.
+  bool ybound_cached() const { return ybound_cached_; }
 
  private:
   struct PairEntry {
@@ -102,15 +125,33 @@ class IncrementalTwoWayJoin {
   /// Remainder bound U_l^+ for target index qi at depth l.
   double Remainder(int l, std::size_t qi) const;
 
-  /// Walks target qi to depth `new_level` (> current), inserting /
-  /// tightening F entries and refreshing the residual bound.
+  /// The paper's refinement rule: a target at depth l is next walked to
+  /// min(2l, d) (to 1 when never walked).
+  int NextLevel(int l) const;
+
+  /// Brings target qi to depth >= `new_level` (> current), inserting /
+  /// tightening F entries and refreshing the residual bound. A cached
+  /// walk at or past `new_level` is scored at its own level without a
+  /// step; otherwise the deepest cached walk is resumed, or q restarts.
   void DeepenTarget(std::size_t qi, int new_level);
+
+  /// Fills row_buffer_ with h_l(P[pi], q) read from a saved walk's
+  /// score deltas — the same arithmetic as BackwardWalker::Score, so
+  /// bit-identical to restoring the walk, without the restore.
+  void ReadRow(const BackwardWalkerState& state);
 
   /// The F-maintenance half of a deepening: folds target qi's score row
   /// over P (h_{new_level}(P[pi], Q[qi]) at row[pi]) into the candidate
-  /// heap and residual bound, and records the new level. Shared by the
-  /// scalar DeepenTarget and the batch-driven initial schedule.
+  /// heap and residual bound, and records the new level and the row's
+  /// best score. Shared by DeepenTarget and the batch-driven initial
+  /// schedule.
   void ApplyRow(std::size_t qi, int new_level, const double* row);
+
+  /// Resolves every pair whose bound still reaches `s` (the exact top
+  /// pair's score, which its blocker ties) less a rounding margin, then
+  /// emits the pairs scoring >= s in ScoredPairGreater order — the
+  /// first now, the rest from tie_run_ on the following Next() calls.
+  ScoredPair EmitTieRun(double s);
 
   /// Runs the B-IDJ deepening schedule with pruning threshold from the
   /// m-th best lower bound. Driven by the fused batch engine
@@ -119,8 +160,9 @@ class IncrementalTwoWayJoin {
   /// when a cross-query snapshot provider is attached: provider
   /// snapshots are SCALAR walks (a full score surface, reusable under
   /// any P), which a batch row over this query's P cannot produce, so
-  /// that path keeps the scalar walker and its cache import/export.
-  /// Scores are identical either way (DESIGN.md §3).
+  /// that path keeps the scalar walker and its cache import/export, and
+  /// its rounds skip targets a cached walk already put at or past the
+  /// round's level. Scores are identical either way (DESIGN.md §3, §6).
   void RunInitialSchedule(std::size_t m);
 
   /// m-th largest lower bound currently in F (-inf when |F| < m).
@@ -132,7 +174,8 @@ class IncrementalTwoWayJoin {
   const NodeSet P_;  // copies: the enumerator outlives caller temporaries
   const NodeSet Q_;
   Options options_;
-  std::unique_ptr<YBoundTable> ybound_;
+  std::shared_ptr<const YBoundTable> ybound_;  // own sweep or provider's
+  bool ybound_cached_ = false;
   BackwardWalker walker_;
   // Saved per-target walk states so DeepenTarget resumes from a
   // target's current level instead of replaying it from scratch (the
@@ -147,6 +190,11 @@ class IncrementalTwoWayJoin {
   int64_t deepen_calls_ = 0;
   int64_t schedule_evictions_ = 0;  // from the batch-driven top-m setup
   std::vector<double> row_buffer_;  // scratch: one score row over P_
+  // Internal node id -> index into P_ (-1 when not in P), built on the
+  // first ReadRow.
+  std::vector<int32_t> p_slot_;
+  int64_t warm_targets_ = 0;
+  int64_t cold_targets_ = 0;
 
   MutableHeap<PairEntry> f_;  // keyed by upper bound h+
   std::unordered_map<uint64_t, MutableHeap<PairEntry>::Handle> index_;
@@ -157,6 +205,13 @@ class IncrementalTwoWayJoin {
   MutableHeap<std::size_t> residual_;
   std::vector<MutableHeap<std::size_t>::Handle> residual_handle_;
   std::vector<int> q_level_;  // walked depth per target (0 = never)
+  // max(beta, max_{p != q} h(p, q)) of each target's latest row: the
+  // schedule's per-target upper bound is this plus U^+ at q_level_.
+  std::vector<double> q_pmax_;
+
+  // The rest of the current run of equal scores, in emission order.
+  std::vector<ScoredPair> tie_run_;
+  std::size_t tie_pos_ = 0;
 
   std::size_t num_returned_ = 0;
   TwoWayJoinStats stats_;

@@ -53,6 +53,15 @@ class DhtJoinService::SnapshotAdapter final : public BackwardSnapshotProvider {
     return existing == nullptr || existing->state.level < level;
   }
 
+  std::shared_ptr<const YBoundTable> SharedYBound(const NodeSet& P,
+                                                  const NodeSet& Q, int d,
+                                                  bool* cached) override {
+    // The cache holds tables of the service depth only.
+    if (d != service_->d_) return nullptr;
+    auto entry = service_->YBoundFor(P, Q, /*exec=*/nullptr, cached);
+    return {entry, &entry->table};
+  }
+
  private:
   DhtJoinService* service_;
 };
@@ -65,27 +74,18 @@ class DhtJoinService::TableAdapter final : public EdgeScoreTableProvider {
 
   std::shared_ptr<const std::vector<double>> Fetch(
       const NodeSet& L, const NodeSet& R) override {
-    auto entry = service_->cache_.GetAs<CachedTable>(Key(L, R));
+    auto entry = service_->cache_.GetAs<CachedTable>(
+        service_->SetsKey(CachePayload::kEdgeTable, L, R));
     return entry == nullptr ? nullptr : entry->table;
   }
 
   void Store(const NodeSet& L, const NodeSet& R,
              std::shared_ptr<const std::vector<double>> table) override {
-    service_->cache_.Put(Key(L, R),
+    service_->cache_.Put(service_->SetsKey(CachePayload::kEdgeTable, L, R),
                          std::make_shared<CachedTable>(std::move(table)));
   }
 
  private:
-  CacheKey Key(const NodeSet& L, const NodeSet& R) const {
-    CacheKey key = service_->BaseKey(CachePayload::kEdgeTable);
-    key.d = service_->d_;
-    key.set_a = std::make_shared<const std::vector<ExtNodeId>>(L.nodes());
-    key.set_b = std::make_shared<const std::vector<ExtNodeId>>(R.nodes());
-    key.digest_a = DigestNodes(*key.set_a);
-    key.digest_b = DigestNodes(*key.set_b);
-    return key;
-  }
-
   DhtJoinService* service_;
 };
 
@@ -140,6 +140,33 @@ CacheKey DhtJoinService::BaseKey(CachePayload kind) const {
   key.kind = kind;
   key.params = params_;
   return key;
+}
+
+CacheKey DhtJoinService::SetsKey(CachePayload kind, const NodeSet& A,
+                                 const NodeSet& B) const {
+  CacheKey key = BaseKey(kind);
+  key.d = d_;
+  key.set_a = std::make_shared<const std::vector<ExtNodeId>>(A.nodes());
+  key.set_b = std::make_shared<const std::vector<ExtNodeId>>(B.nodes());
+  key.digest_a = DigestNodes(*key.set_a);
+  key.digest_b = DigestNodes(*key.set_b);
+  return key;
+}
+
+std::shared_ptr<const CachedYBound> DhtJoinService::YBoundFor(
+    const NodeSet& P, const NodeSet& Q, const ExecContext* exec,
+    bool* cached) {
+  const CacheKey key = SetsKey(CachePayload::kYBound, P, Q);
+  std::shared_ptr<const CachedYBound> hit = cache_.GetAs<CachedYBound>(key);
+  *cached = hit != nullptr;
+  if (hit != nullptr) return hit;
+  auto fresh = std::make_shared<CachedYBound>(
+      YBoundTable(g_, params_, d_, P, Q, exec));
+  fresh->num_targets_hint = Q.size();
+  // A construction abandoned by a cooperative stop is NEVER cached: the
+  // table would be invalid for every later query.
+  if (fresh->table.complete()) cache_.Put(key, fresh);
+  return fresh;
 }
 
 Result<std::vector<ScoredPair>> DhtJoinService::TwoWay(const NodeSet& P,
@@ -388,32 +415,16 @@ Result<std::vector<ScoredPair>> DhtJoinService::RunTwoWay(
   QueryStats qs;
 
   auto p_nodes = std::make_shared<const std::vector<ExtNodeId>>(P.nodes());
-  auto q_nodes = std::make_shared<const std::vector<ExtNodeId>>(Q.nodes());
   const uint64_t p_digest = DigestNodes(*p_nodes);
 
-  // Y-bound table: cached whole per (P, Q, d). A construction abandoned
-  // by a cooperative stop is NEVER cached (the table would be invalid
-  // for every later query); the run then degrades with the X fallback.
+  // Y-bound table: cached whole per (P, Q, d), shared with PJ-i. An
+  // abandoned construction is returned uncached; the run then degrades
+  // with the X fallback.
   std::shared_ptr<const CachedYBound> ybound;
   if (options_.bound == UpperBoundKind::kY) {
     obs::ScopedSpan ybound_span(trace, "ybound");
-    CacheKey ykey = BaseKey(CachePayload::kYBound);
-    ykey.d = d_;
-    ykey.set_a = p_nodes;
-    ykey.set_b = q_nodes;
-    ykey.digest_a = p_digest;
-    ykey.digest_b = DigestNodes(*q_nodes);
-    ybound = cache_.GetAs<CachedYBound>(ykey);
-    if (ybound == nullptr) {
-      auto fresh = std::make_shared<CachedYBound>(
-          YBoundTable(g_, params_, d_, P, Q, exec));
-      fresh->num_targets_hint = Q.size();
-      qs.join.walk_steps += fresh->table.edges_relaxed();
-      if (fresh->table.complete()) cache_.Put(ykey, fresh);
-      ybound = std::move(fresh);
-    } else {
-      qs.ybound_cached = true;
-    }
+    ybound = YBoundFor(P, Q, exec, &qs.ybound_cached);
+    if (!qs.ybound_cached) qs.join.walk_steps += ybound->table.edges_relaxed();
     ybound_span.SetAttr("cached", int64_t{qs.ybound_cached ? 1 : 0});
   }
   const bool y_usable = ybound != nullptr && ybound->table.complete();
@@ -707,6 +718,11 @@ Result<std::vector<TupleAnswer>> DhtJoinService::Nway(const QueryGraph& query,
                                             .bound = options_.bound,
                                             .snapshots = snapshots_.get()});
       result = join.Run(g_, params_, d_, query, f, k);
+      const PartialJoin::Stats& js = join.stats();
+      qs->join = js.join;
+      qs->warm_targets = js.warm_targets;
+      qs->cold_targets = js.cold_targets;
+      qs->ybound_cached = js.ybound_cached;
     }
   }
   m_queries_nway_->Increment();

@@ -18,7 +18,9 @@
 /// byte-identical (DESIGN.md §6). The Y-bound table of each (P, Q) is
 /// cached whole. N-way queries route NL's per-edge tables and PJ-i's
 /// backward walk snapshots through the same cache via the provider
-/// hooks in core/nl_join.h and dht/backward.h.
+/// hooks in core/nl_join.h and dht/backward.h; PJ-i scores a target
+/// straight from a cached walk already at or past the level it needs,
+/// and shares each (P, Q) Y-bound table with the two-way executor.
 
 #ifndef DHTJOIN_SERVE_SESSION_H_
 #define DHTJOIN_SERVE_SESSION_H_
@@ -75,13 +77,17 @@ struct ServiceStats {
 struct QueryStats {
   double seconds = 0.0;
   /// Two-way: targets resumed from cached batch states vs started cold.
+  /// PJ-i: targets first scored from (or resumed from) a cached walk vs
+  /// walked from scratch, summed over the query edges.
   int64_t warm_targets = 0;
   int64_t cold_targets = 0;
-  /// Two-way with the Y bound: whether the (P, Q) sweep was cached.
+  /// With the Y bound: whether the (P, Q) sweep was cached — for PJ-i,
+  /// whether every query edge's was.
   bool ybound_cached = false;
   /// N-way NL: per-edge tables served from the cache.
   int64_t table_hits = 0;
-  /// Walk/pool counters of the underlying executor.
+  /// Walk/pool counters of the underlying executor (PJ-i: summed over
+  /// the query edges; walk_steps counts the Y-bound sweeps actually run).
   TwoWayJoinStats join;
   /// Trace rollups (all 0 unless Options::trace_queries was on and the
   /// build has observability): span count and the sums of the engine
@@ -247,6 +253,20 @@ class DhtJoinService {
   class TableAdapter;     // EdgeScoreTableProvider over the cache
 
   CacheKey BaseKey(CachePayload kind) const;
+
+  /// Key of a depth-d_ payload over two node sets (NL edge tables,
+  /// Y-bound tables): both sets compared by content.
+  CacheKey SetsKey(CachePayload kind, const NodeSet& A,
+                   const NodeSet& B) const;
+
+  /// The Y-bound table of (P, Q) at depth d_, shared by two-way and
+  /// PJ-i queries through the cache's kYBound entry: a hit, or a fresh
+  /// sweep under `exec`, cached only when complete (an abandoned sweep
+  /// is invalid for every later query). `*cached` reports which.
+  std::shared_ptr<const CachedYBound> YBoundFor(const NodeSet& P,
+                                                const NodeSet& Q,
+                                                const ExecContext* exec,
+                                                bool* cached);
 
   Result<std::vector<ScoredPair>> RunTwoWay(const NodeSet& P,
                                             const NodeSet& Q, std::size_t k,

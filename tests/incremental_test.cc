@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
+#include <string>
+
 #include "join2/incremental.h"
 #include "testing/reference.h"
 
@@ -225,6 +229,156 @@ TEST(IncrementalTest, ScalarPathCountsOneMissPerColdTarget) {
   EXPECT_EQ(st.state_evictions, 0);
   EXPECT_EQ(st.state_misses, 16);  // |Q|: every target cold exactly once
   EXPECT_GT(st.state_hits, 0);     // deeper levels resume, never restart
+}
+
+// ------------------------------------------------ canonical order on ties
+
+/// Single-threaded BackwardSnapshotProvider keeping the deepest walk per
+/// target, like the serving cache.
+class MapProvider final : public BackwardSnapshotProvider {
+ public:
+  std::shared_ptr<const BackwardWalkerState> Fetch(ExtNodeId target) override {
+    auto it = walks_.find(target.value());
+    return it == walks_.end() ? nullptr : it->second;
+  }
+  void Store(ExtNodeId target, BackwardWalkerState state) override {
+    auto& slot = walks_[target.value()];
+    if (slot == nullptr || slot->level < state.level) {
+      slot = std::make_shared<const BackwardWalkerState>(std::move(state));
+    }
+  }
+
+ private:
+  std::map<NodeId, std::shared_ptr<const BackwardWalkerState>> walks_;
+};
+
+struct TieGraph {
+  std::string name;
+  Graph g;
+};
+
+/// Graphs whose pair scores tie heavily (symmetric or unit-weight
+/// structure), plus seeded unit-weight random graphs.
+std::vector<TieGraph> TieHeavyGraphs() {
+  std::vector<TieGraph> out;
+  out.push_back({"complete14", testing::CompleteGraph(14)});
+  out.push_back({"star30", testing::StarGraph(30)});
+  out.push_back({"cycle40", testing::CycleGraph(40)});
+  for (uint64_t seed : {301, 302, 303}) {
+    out.push_back({"random" + std::to_string(seed),
+                   RandomGraph(36, 90, seed, /*undirected=*/true)});
+  }
+  return out;
+}
+
+std::vector<ScoredPair> Drain(IncrementalTwoWayJoin& join) {
+  std::vector<ScoredPair> out;
+  while (auto next = join.Next()) out.push_back(*next);
+  return out;
+}
+
+TEST(IncrementalTest, TieHeavyStreamsAreCanonical) {
+  // Next() must emit exactly the full join in ScoredPairGreater order:
+  // non-increasing scores, and strictly ascending (p, q) inside every
+  // run of equal scores — whatever m, bound, or graph symmetry.
+  const int d = 8;
+  int64_t ties = 0;
+  for (const TieGraph& tg : TieHeavyGraphs()) {
+    const NodeId n = tg.g.num_nodes();
+    NodeSet P = Range("P", 0, n * 2 / 3);
+    NodeSet Q = Range("Q", n / 3, n);
+    for (double lambda : {0.2, 0.6}) {
+      DhtParams p = DhtParams::Lambda(lambda);
+      auto want = RefTwoWayJoin(tg.g, p, d, P, Q, static_cast<std::size_t>(-1));
+      for (UpperBoundKind bound : {UpperBoundKind::kY, UpperBoundKind::kX}) {
+        for (std::size_t m : {std::size_t{0}, std::size_t{5}, std::size_t{50}}) {
+          SCOPED_TRACE(tg.name + " lambda=" + std::to_string(lambda) +
+                       " m=" + std::to_string(m) +
+                       (bound == UpperBoundKind::kY ? " Y" : " X"));
+          auto join = IncrementalTwoWayJoin::Create(
+              tg.g, p, d, P, Q, m, IncrementalTwoWayJoin::Options{bound});
+          ASSERT_TRUE(join.ok());
+          std::vector<ScoredPair> got = Drain(**join);
+          for (std::size_t i = 1; i < got.size(); ++i) {
+            ASSERT_LE(got[i].score, got[i - 1].score) << "rank " << i;
+            if (got[i].score == got[i - 1].score) {
+              ++ties;
+              ASSERT_TRUE(got[i - 1].p < got[i].p ||
+                          (got[i - 1].p == got[i].p && got[i - 1].q < got[i].q))
+                  << "rank " << i;
+            }
+          }
+          // ScoredPair::operator== compares scores exactly.
+          ASSERT_EQ(got, want);
+        }
+      }
+    }
+  }
+  EXPECT_GT(ties, 0);  // the fixtures really are tie-heavy
+}
+
+TEST(IncrementalTest, TightYBoundTiesStayCanonical) {
+  // On a directed cycle each walk is deterministic, so a target whose
+  // only source in P sits at distance i has a one-term Y bound equal in
+  // real arithmetic to that pair's score — and, with beta = 0 (PPR),
+  // an ulp under it in floating point for some lambda. Ties must still
+  // come out in key order: (0, q) leads every pair of its score.
+  Graph g = testing::CycleGraph(60);
+  std::vector<NodeId> sources = {0};
+  for (NodeId u = 20; u < 40; ++u) sources.push_back(u);
+  NodeSet P("P", sources);
+  NodeSet Q = Range("Q", 1, 60);
+  for (double c : {0.2, 0.3}) {
+    DhtParams p = DhtParams::PersonalizedPageRank(c);
+    for (int d : {4, 8}) {
+      auto want = RefTwoWayJoin(g, p, d, P, Q, static_cast<std::size_t>(-1));
+      for (std::size_t m : {std::size_t{0}, std::size_t{3}}) {
+        SCOPED_TRACE("c=" + std::to_string(c) + " d=" + std::to_string(d) +
+                     " m=" + std::to_string(m));
+        auto join = IncrementalTwoWayJoin::Create(g, p, d, P, Q, m);
+        ASSERT_TRUE(join.ok());
+        EXPECT_EQ(Drain(**join), want);
+      }
+    }
+  }
+}
+
+TEST(IncrementalTest, ProviderWarmedStreamEqualsColdStream) {
+  // A provider holding walks at assorted levels (left by a query with a
+  // wider P over the same targets) changes which walks run, never the
+  // stream; and the warm enumerator really scores from those walks.
+  const int d = 8;
+  for (const TieGraph& tg : TieHeavyGraphs()) {
+    const NodeId n = tg.g.num_nodes();
+    NodeSet P = Range("P", 0, n / 2);
+    NodeSet wide = Range("W", 0, n);
+    NodeSet Q = Range("Q", n / 4, n);
+    for (double lambda : {0.2, 0.6}) {
+      SCOPED_TRACE(tg.name + " lambda=" + std::to_string(lambda));
+      DhtParams p = DhtParams::Lambda(lambda);
+      auto cold = IncrementalTwoWayJoin::Create(tg.g, p, d, P, Q, 5);
+      ASSERT_TRUE(cold.ok());
+      const std::vector<ScoredPair> want = Drain(**cold);
+
+      MapProvider provider;
+      IncrementalTwoWayJoin::Options opts{.snapshots = &provider};
+      auto prewarm = IncrementalTwoWayJoin::Create(tg.g, p, d, wide, Q, 5, opts);
+      ASSERT_TRUE(prewarm.ok());
+      for (int i = 0; i < 7 && (*prewarm)->Next().has_value(); ++i) {
+      }
+      auto warm = IncrementalTwoWayJoin::Create(tg.g, p, d, P, Q, 5, opts);
+      ASSERT_TRUE(warm.ok());
+      EXPECT_EQ(Drain(**warm), want);
+      EXPECT_GT((*warm)->warm_targets(), 0);
+
+      // A repeat reads every target straight from its stored walk.
+      auto again = IncrementalTwoWayJoin::Create(tg.g, p, d, P, Q, 5, opts);
+      ASSERT_TRUE(again.ok());
+      EXPECT_EQ(Drain(**again), want);
+      EXPECT_EQ((*again)->cold_targets(), 0);
+      EXPECT_LT((*again)->stats().walk_steps, (*cold)->stats().walk_steps);
+    }
+  }
 }
 
 }  // namespace

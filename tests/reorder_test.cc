@@ -248,6 +248,23 @@ TEST(ReorderTest, NwayJoinsByteIdenticalOnReorderedGraph) {
       EXPECT_EQ((*want)[i].f, (*got)[i].f) << join->Name();
     }
   }
+
+  // The service's PJ-i scores warm targets from cached walks, whose
+  // deltas are keyed by layout id: cold and warm runs on the reordered
+  // graph must match the library run on the original one.
+  auto want = pji.Run(g, params, 5, query, min_f, 12);
+  ASSERT_TRUE(want.ok());
+  serve::DhtJoinService service(rg, params, 5, {.num_threads = 1});
+  for (int round = 0; round < 2; ++round) {
+    auto got = service.Nway(query, min_f, 12);
+    ASSERT_TRUE(got.ok());
+    ASSERT_EQ(want->size(), got->size()) << "round " << round;
+    for (std::size_t i = 0; i < want->size(); ++i) {
+      EXPECT_EQ((*want)[i].nodes, (*got)[i].nodes) << "round " << round;
+      EXPECT_EQ((*want)[i].edge_scores, (*got)[i].edge_scores)
+          << "round " << round;
+    }
+  }
 }
 
 TEST(ReorderTest, RestrictedSweepBitIdenticalAndCheaper) {

@@ -10,7 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <future>
+#include <string>
 #include <vector>
 
 #include "core/nl_join.h"
@@ -339,9 +341,11 @@ TEST(DhtJoinServiceTest, PartialJoinIncrementalThroughSnapshotCache) {
   ASSERT_TRUE(reference.ok());
 
   DhtJoinService service(g, p, 8, {.num_threads = 1});
+  serve::QueryStats round_stats[2];
   for (int round = 0; round < 2; ++round) {
     auto result = service.Nway(
-        query, f, 10, DhtJoinService::NwayAlgo::kPartialJoinIncremental);
+        query, f, 10, DhtJoinService::NwayAlgo::kPartialJoinIncremental,
+        &round_stats[round]);
     ASSERT_TRUE(result.ok());
     ASSERT_EQ(reference->size(), result->size());
     for (std::size_t i = 0; i < reference->size(); ++i) {
@@ -349,10 +353,139 @@ TEST(DhtJoinServiceTest, PartialJoinIncrementalThroughSnapshotCache) {
       EXPECT_EQ((*reference)[i].f, (*result)[i].f);
     }
   }
-  // The deepening walks left snapshots behind and reused them.
-  CacheStats stats = service.cache_stats();
-  EXPECT_GT(stats.insertions, 0);
-  EXPECT_GT(stats.hits, 0);
+  // The cold round walked every target it touched and swept the Y
+  // bound; the warm round reused the walks it left behind — scoring
+  // targets from them — and the cached table, so it walked strictly less.
+  const serve::QueryStats& cold = round_stats[0];
+  const serve::QueryStats& warm = round_stats[1];
+  EXPECT_EQ(cold.warm_targets, 0);
+  EXPECT_GT(cold.cold_targets, 0);
+  EXPECT_FALSE(cold.ybound_cached);
+  EXPECT_GT(cold.join.walk_steps, 0);
+  EXPECT_GT(warm.warm_targets, 0);
+  EXPECT_EQ(warm.cold_targets, 0);
+  EXPECT_EQ(warm.join.walks_started, 0);  // no target restarted
+  EXPECT_TRUE(warm.ybound_cached);
+  EXPECT_LT(warm.join.walk_steps, cold.join.walk_steps);
+  EXPECT_GT(warm.join.state_hits, 0);
+}
+
+/// Exact equality of two n-way answers (nodes, edge scores, aggregate);
+/// returns a description of the first difference, empty when equal.
+std::string TupleDiff(const std::vector<TupleAnswer>& want,
+                      const std::vector<TupleAnswer>& got) {
+  if (want.size() != got.size()) {
+    return "size " + std::to_string(want.size()) + " vs " +
+           std::to_string(got.size());
+  }
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    if (want[i].nodes != got[i].nodes ||
+        want[i].edge_scores != got[i].edge_scores || want[i].f != got[i].f) {
+      return "rank " + std::to_string(i);
+    }
+  }
+  return "";
+}
+
+TEST(DhtJoinServiceTest, PartialJoinIncrementalTieHeavyByteIdentity) {
+  // PJ-i through the service must answer exactly as a cold library
+  // PartialJoin::Run — cold, warm, and after another query left walks at
+  // other levels and a two-way query left the shared Y-bound table —
+  // on graphs whose pair scores tie heavily (canonical emission order,
+  // DESIGN.md §2, §6).
+  struct Case {
+    std::string name;
+    Graph g;
+  };
+  std::vector<Case> graphs;
+  graphs.push_back({"complete14", testing::CompleteGraph(14)});
+  graphs.push_back({"star30", testing::StarGraph(30)});
+  graphs.push_back({"cycle40", testing::CycleGraph(40)});
+  for (uint64_t seed : {601, 602, 603, 604, 605, 606, 607}) {
+    graphs.push_back({"random" + std::to_string(seed),
+                      RandomGraph(36, 90, seed, /*undirected=*/true)});
+  }
+  enum Shape { kChain, kStar, kTriangle };
+  const int d = 8;
+  MinAggregate min_f;
+  SumAggregate sum_f;
+  int64_t cases = 0;
+  std::vector<std::string> mismatches;
+  for (const Case& c : graphs) {
+    const NodeId n = c.g.num_nodes();
+    std::vector<NodeSet> sets = {Range("A", 0, n / 2),
+                                 Range("B", n / 4, n * 3 / 4),
+                                 Range("C", n / 2, n)};
+    NodeSet wide = Range("W", 0, n);
+    for (double lambda : {0.2, 0.6}) {
+      DhtParams p = DhtParams::Lambda(lambda);
+      // One service per measure; clearing its cache makes it cold again.
+      DhtJoinService service(c.g, p, d, {.num_threads = 1});
+      for (Shape shape : {kChain, kStar, kTriangle}) {
+        QueryGraph query;
+        for (const NodeSet& set : sets) query.AddNodeSet(set);
+        if (shape == kChain) {
+          ASSERT_TRUE(query.AddEdge(0, 1).ok());
+          ASSERT_TRUE(query.AddEdge(1, 2).ok());
+        } else if (shape == kStar) {  // both edges into A: shared targets
+          ASSERT_TRUE(query.AddEdge(1, 0).ok());
+          ASSERT_TRUE(query.AddEdge(2, 0).ok());
+        } else {
+          ASSERT_TRUE(query.AddBidirectionalEdge(0, 1).ok());
+          ASSERT_TRUE(query.AddBidirectionalEdge(1, 2).ok());
+          ASSERT_TRUE(query.AddBidirectionalEdge(2, 0).ok());
+        }
+        // The pre-warming query: a wider P into every target set.
+        QueryGraph prewarm;
+        prewarm.AddNodeSet(wide);
+        std::vector<int> targets;
+        for (const JoinEdge& e : query.edges()) targets.push_back(e.right);
+        std::sort(targets.begin(), targets.end());
+        targets.erase(std::unique(targets.begin(), targets.end()),
+                      targets.end());
+        for (int t : targets) {
+          ASSERT_TRUE(prewarm.AddEdge(0, prewarm.AddNodeSet(sets[t])).ok());
+        }
+        const JoinEdge first = query.edges()[0];
+        for (const Aggregate* f : {static_cast<const Aggregate*>(&min_f),
+                                   static_cast<const Aggregate*>(&sum_f)}) {
+          for (std::size_t k : {std::size_t{1}, std::size_t{5},
+                                std::size_t{20}}) {
+            const std::string label =
+                c.name + " lambda=" + std::to_string(lambda) +
+                " shape=" + std::to_string(shape) +
+                (f == &min_f ? " min" : " sum") + " k=" + std::to_string(k);
+            PartialJoin reference_join(
+                PartialJoin::Options{.incremental = true});
+            auto want = reference_join.Run(c.g, p, d, query, *f, k);
+            ASSERT_TRUE(want.ok()) << label;
+            auto check = [&](const char* phase,
+                             const Result<std::vector<TupleAnswer>>& got) {
+              ++cases;
+              ASSERT_TRUE(got.ok()) << label << " " << phase;
+              std::string diff = TupleDiff(*want, *got);
+              if (!diff.empty()) {
+                mismatches.push_back(label + " " + phase + ": " + diff);
+              }
+            };
+            service.cache().Clear();
+            check("cold", service.Nway(query, *f, k));
+            check("warm", service.Nway(query, *f, k));
+            service.cache().Clear();
+            ASSERT_TRUE(service.Nway(prewarm, *f, 7).ok());
+            ASSERT_TRUE(service
+                            .TwoWay(query.set(first.left),
+                                    query.set(first.right), k)
+                            .ok());
+            check("prewarmed", service.Nway(query, *f, k));
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 10 * 2 * 3 * 2 * 3 * 3);
+  EXPECT_TRUE(mismatches.empty())
+      << mismatches.size() << " mismatches, first: " << mismatches.front();
 }
 
 // ------------------------------------------------- concurrent sessions
@@ -395,6 +528,61 @@ TEST(DhtJoinServiceTest, ConcurrentSessionsAreDeterministic) {
       auto result = futures[i].get();
       ASSERT_TRUE(result.ok());
       ExpectBitIdentical(*result, expected[which[i]], "concurrent session");
+    }
+  }
+  EXPECT_GT(service.cache_stats().hits, 0);
+}
+
+TEST(DhtJoinServiceTest, ConcurrentPartialJoinIncrementalSessions) {
+  // PJ-i sessions racing on shared targets, (P, Q) edges and Y-bound
+  // tables (the TSan CI job runs this suite): every answer must equal a
+  // cold library run, round after round as the cache warms.
+  Graph g = RandomGraph(80, 300, 37, true, true);
+  DhtParams p = DhtParams::Lambda(0.2);
+  const int d = 8;
+  NodeSet A = Range("A", 0, 30);
+  NodeSet B = Range("B", 20, 50);
+  NodeSet C = Range("C", 40, 70);
+  NodeSet D = Range("D", 10, 45);
+  auto make = [](std::vector<NodeSet> sets,
+                 std::vector<std::pair<int, int>> edges) {
+    QueryGraph q;
+    for (NodeSet& s : sets) q.AddNodeSet(std::move(s));
+    for (auto [a, b] : edges) DHTJOIN_CHECK(q.AddEdge(a, b).ok());
+    return q;
+  };
+  // A->B is shared by three templates; B and C are targets of several.
+  std::vector<QueryGraph> templates = {
+      make({A, B, C}, {{0, 1}, {1, 2}}),
+      make({A, B, D}, {{0, 1}, {2, 1}}),
+      make({A, B}, {{0, 1}, {1, 0}}),
+      make({D, C, B}, {{0, 1}, {0, 2}}),
+  };
+  MinAggregate f;
+  const std::size_t k = 10;
+  std::vector<std::vector<TupleAnswer>> expected;
+  for (const QueryGraph& q : templates) {
+    PartialJoin join(PartialJoin::Options{.incremental = true});
+    auto r = join.Run(g, p, d, q, f, k);
+    ASSERT_TRUE(r.ok());
+    expected.push_back(*r);
+  }
+
+  DhtJoinService service(g, p, d, {.num_threads = 4});
+  for (int round = 0; round < 3; ++round) {
+    std::vector<std::future<Result<std::vector<TupleAnswer>>>> futures;
+    std::vector<std::size_t> which;
+    for (int rep = 0; rep < 3; ++rep) {
+      for (std::size_t t = 0; t < templates.size(); ++t) {
+        futures.push_back(service.SubmitNway(templates[t], f, k));
+        which.push_back(t);
+      }
+    }
+    for (std::size_t i = 0; i < futures.size(); ++i) {
+      auto result = futures[i].get();
+      ASSERT_TRUE(result.ok());
+      EXPECT_EQ(TupleDiff(expected[which[i]], *result), "")
+          << "round " << round << " template " << which[i];
     }
   }
   EXPECT_GT(service.cache_stats().hits, 0);
