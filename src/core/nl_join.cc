@@ -1,9 +1,11 @@
 #include "core/nl_join.h"
 
+#include <algorithm>
+#include <limits>
+
 #include "dht/forward.h"
 #include "dht/forward_batch.h"
 #include "util/timer.h"
-#include "util/top_k.h"
 
 namespace dhtjoin {
 
@@ -15,7 +17,14 @@ Result<std::vector<TupleAnswer>> NestedLoopJoin::Run(
   if (k == 0) return Status::InvalidArgument("k must be positive");
   stats_ = Stats();
 
+  // The clock is read only under a budget that can run out (the
+  // default +inf never does), at every step of the nested loops.
   WallTimer timer;
+  const bool timed = options_.time_budget_seconds <
+                     std::numeric_limits<double>::infinity();
+  auto out_of_time = [&] {
+    return timed && timer.Seconds() > options_.time_budget_seconds;
+  };
   const int n = query.num_sets();
   const auto& edges = query.edges();
 
@@ -38,7 +47,7 @@ Result<std::vector<TupleAnswer>> NestedLoopJoin::Run(
   // byte-equal by the engine's determinism (DESIGN.md §3).
   ForwardWalkerBatch batch(g);
   std::vector<std::shared_ptr<const std::vector<double>>> tables(edges.size());
-  bool budget_exceeded = timer.Seconds() > options_.time_budget_seconds;
+  bool budget_exceeded = out_of_time();
   for (std::size_t e = 0; use_tables && e < edges.size() && !budget_exceeded;
        ++e) {
     const NodeSet& L = query.set(edges[e].left);
@@ -77,9 +86,7 @@ Result<std::vector<TupleAnswer>> NestedLoopJoin::Run(
                     table->data() + (sb + li) * R.size() + tb);
         }
         stats_.dht_computations += static_cast<int64_t>(scount * tcount);
-        if (timer.Seconds() > options_.time_budget_seconds) {
-          budget_exceeded = true;
-        }
+        budget_exceeded = out_of_time();
       }
     }
     tables[e] = table;
@@ -91,63 +98,74 @@ Result<std::vector<TupleAnswer>> NestedLoopJoin::Run(
   }
 
   ForwardWalker walker(g);  // the per-tuple fallback scorer
-  TopK<TupleAnswer, TupleAnswerPrefer> best(k);
+  TupleTopK best(k);
   std::vector<NodeId> tuple(static_cast<std::size_t>(n), kInvalidNode);
   std::vector<std::size_t> tuple_index(static_cast<std::size_t>(n), 0);
   std::vector<double> edge_scores(edges.size(), 0.0);
 
-  // n nested loops, expressed recursively over attribute position.
-  auto enumerate = [&](auto&& self, int attr) -> void {
-    if (budget_exceeded) return;
-    if (attr == n) {
-      stats_.tuples_enumerated++;
-      bool valid = true;
-      for (std::size_t e = 0; e < edges.size() && valid; ++e) {
-        NodeId u = tuple[static_cast<std::size_t>(edges[e].left)];
-        NodeId v = tuple[static_cast<std::size_t>(edges[e].right)];
-        if (u == v) {
-          valid = false;  // self pair: h undefined
-          break;
-        }
-        double score;
-        if (use_tables) {
-          score =
-              (*tables[e])[tuple_index[static_cast<std::size_t>(
-                               edges[e].left)] *
-                               query.set(edges[e].right).size() +
-                           tuple_index[static_cast<std::size_t>(
-                               edges[e].right)]];
-        } else {
-          score = walker.Compute(params, d, ExtNodeId(u), ExtNodeId(v));
-          stats_.dht_computations++;
-        }
-        if (score <= params.beta) {
-          valid = false;  // unreachable within d steps
-          break;
-        }
-        edge_scores[e] = score;
+  // Edge e is scored at the loop of its later-bound endpoint, once per
+  // binding of that prefix, and a prefix holding an invalid pair is
+  // skipped whole: block[a] tuples share each prefix bound through a.
+  std::vector<std::vector<std::size_t>> edges_at(static_cast<std::size_t>(n));
+  for (std::size_t e = 0; e < edges.size(); ++e) {
+    edges_at[static_cast<std::size_t>(
+                 std::max(edges[e].left, edges[e].right))]
+        .push_back(e);
+  }
+  std::vector<int64_t> block(static_cast<std::size_t>(n), 1);
+  for (int a = n - 2; a >= 0; --a) {
+    block[static_cast<std::size_t>(a)] =
+        block[static_cast<std::size_t>(a) + 1] *
+        static_cast<int64_t>(query.set(a + 1).size());
+  }
+
+  // Scores the edges bound last at `attr`; false once one is invalid.
+  auto score_level = [&](int attr) -> bool {
+    for (std::size_t e : edges_at[static_cast<std::size_t>(attr)]) {
+      const auto l = static_cast<std::size_t>(edges[e].left);
+      const auto r = static_cast<std::size_t>(edges[e].right);
+      if (tuple[l] == tuple[r]) return false;  // self pair: h undefined
+      double score;
+      if (use_tables) {
+        const std::size_t row = query.set(edges[e].right).size();
+        score = (*tables[e])[tuple_index[l] * row + tuple_index[r]];
+      } else {
+        score = walker.Compute(params, d, ExtNodeId(tuple[l]),
+                               ExtNodeId(tuple[r]));
+        stats_.dht_computations++;
       }
-      if (valid) {
-        TupleAnswer answer;
-        answer.nodes = tuple;
-        answer.edge_scores = edge_scores;
-        answer.f = f.Apply(edge_scores);
-        best.Offer(answer.f, answer);
-      }
-      if (timer.Seconds() > options_.time_budget_seconds) {
-        budget_exceeded = true;
-      }
-      return;
+      if (score <= params.beta) return false;  // unreachable within d steps
+      edge_scores[e] = score;
     }
+    return true;
+  };
+
+  // n nested loops, expressed recursively over attribute position. Every
+  // valid tuple is scored and tested against the heap; an answer is
+  // built only for one the heap keeps (TopK::Rejects is Offer's test).
+  auto enumerate = [&](auto&& self, int attr) -> void {
     const NodeSet& set = query.set(attr);
     for (std::size_t i = 0; i < set.size(); ++i) {
       tuple[static_cast<std::size_t>(attr)] = set[i].value();
       tuple_index[static_cast<std::size_t>(attr)] = i;
-      self(self, attr + 1);
-      if (budget_exceeded) return;
+      if (!score_level(attr)) {
+        stats_.tuples_enumerated += block[static_cast<std::size_t>(attr)];
+      } else if (attr + 1 < n) {
+        self(self, attr + 1);
+      } else {
+        stats_.tuples_enumerated++;
+        const double score = f.Apply(edge_scores);
+        if (!best.Rejects(score, tuple)) {
+          best.Offer(score, TupleAnswer{tuple, edge_scores, score});
+        }
+      }
+      if (budget_exceeded || out_of_time()) {
+        budget_exceeded = true;
+        return;
+      }
     }
   };
-  enumerate(enumerate, 0);
+  if (!budget_exceeded) enumerate(enumerate, 0);
 
   if (budget_exceeded) {
     return Status::OutOfRange(
@@ -156,12 +174,12 @@ Result<std::vector<TupleAnswer>> NestedLoopJoin::Run(
   }
   stats_.completed = true;
 
+  // At most k answers, already in TupleAnswerGreater order (key f, ties
+  // by node vector).
   std::vector<TupleAnswer> out;
   for (auto& entry : best.TakeSortedDescending()) {
     out.push_back(std::move(entry.item));
   }
-  std::sort(out.begin(), out.end(), TupleAnswerGreater);
-  if (out.size() > k) out.resize(k);
   return out;
 }
 

@@ -13,6 +13,19 @@
 /// hanging. When the dense per-edge tables would exceed
 /// Options::max_table_bytes, NL falls back to the seed's O(1)-memory
 /// per-tuple walker instead of risking an OOM.
+///
+/// The enumeration does no per-tuple work it can share. Each query edge
+/// is scored at the loop of its later-bound endpoint, once per binding
+/// of that prefix, and a prefix holding an invalid pair (u == v, or
+/// h_d <= beta) is skipped as a block whose tuples still count in
+/// Stats::tuples_enumerated, which is therefore always Pi |R_i|. Every
+/// valid tuple gets its f and is tested with TopK::Rejects, the test
+/// Offer itself applies; a TupleAnswer is built only for a tuple the
+/// heap keeps, so the heap passes through the same states as if every
+/// tuple were built and offered, and the answer bytes do not depend on
+/// any of this. The per-tuple fallback walks each edge once per prefix
+/// too, so its Stats::dht_computations counts walks per prefix, not
+/// per tuple.
 
 #ifndef DHTJOIN_CORE_NL_JOIN_H_
 #define DHTJOIN_CORE_NL_JOIN_H_

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "util/top_k.h"
-
 namespace dhtjoin {
 
 namespace {
@@ -76,89 +74,87 @@ void Pbrj::Init() {
 }
 
 void Pbrj::ExpandCandidates(std::size_t edge_index, const ScoredPair& pair,
-                            std::vector<TupleAnswer>& out) const {
-  std::vector<NodeId> bindings(static_cast<std::size_t>(num_attrs_),
-                               kInvalidNode);
-  std::vector<double> edge_scores(edges_.size(), 0.0);
-  bindings[static_cast<std::size_t>(edges_[edge_index].left)] = pair.p;
-  bindings[static_cast<std::size_t>(edges_[edge_index].right)] = pair.q;
-  edge_scores[edge_index] = pair.score;
-  ExpandRec(expand_order_[edge_index], 0, bindings, edge_scores, out);
+                            TupleTopK& output) {
+  const auto left_attr = static_cast<std::size_t>(edges_[edge_index].left);
+  const auto right_attr = static_cast<std::size_t>(edges_[edge_index].right);
+  bindings_[left_attr] = pair.p;
+  bindings_[right_attr] = pair.q;
+  edge_scores_[edge_index] = pair.score;
+  ExpandRec(expand_order_[edge_index], 0, output);
+  bindings_[left_attr] = kInvalidNode;
+  bindings_[right_attr] = kInvalidNode;
 }
 
 void Pbrj::ExpandRec(const std::vector<std::size_t>& order,
-                     std::size_t depth, std::vector<NodeId>& bindings,
-                     std::vector<double>& edge_scores,
-                     std::vector<TupleAnswer>& out) const {
+                     std::size_t depth, TupleTopK& output) {
   if (depth == order.size()) {
-    TupleAnswer tuple;
-    tuple.nodes = bindings;
-    tuple.edge_scores = edge_scores;
-    tuple.f = aggregate_->Apply(edge_scores);
-    out.push_back(std::move(tuple));
+    stats_.tuples_generated++;
+    const double f = aggregate_->Apply(edge_scores_);
+    if (!output.Rejects(f, bindings_)) {
+      output.Offer(f, TupleAnswer{bindings_, edge_scores_, f});
+    }
     return;
   }
   const std::size_t e = order[depth];
   const auto left_attr = static_cast<std::size_t>(edges_[e].left);
   const auto right_attr = static_cast<std::size_t>(edges_[e].right);
-  const NodeId lb = bindings[left_attr];
-  const NodeId rb = bindings[right_attr];
+  const NodeId lb = bindings_[left_attr];
+  const NodeId rb = bindings_[right_attr];
   const CandidateBuffer& buf = buffers_[e];
 
   if (lb != kInvalidNode && rb != kInvalidNode) {
     auto score = buf.Lookup(lb, rb);
     if (!score.has_value()) return;  // partial answer cannot complete
-    edge_scores[e] = *score;
-    ExpandRec(order, depth + 1, bindings, edge_scores, out);
+    edge_scores_[e] = *score;
+    ExpandRec(order, depth + 1, output);
     return;
   }
   if (lb != kInvalidNode) {
     for (const ScoredPair& entry : buf.ByLeft(lb)) {
-      bindings[right_attr] = entry.q;
-      edge_scores[e] = entry.score;
-      ExpandRec(order, depth + 1, bindings, edge_scores, out);
+      bindings_[right_attr] = entry.q;
+      edge_scores_[e] = entry.score;
+      ExpandRec(order, depth + 1, output);
     }
-    bindings[right_attr] = kInvalidNode;
+    bindings_[right_attr] = kInvalidNode;
     return;
   }
   if (rb != kInvalidNode) {
     for (const ScoredPair& entry : buf.ByRight(rb)) {
-      bindings[left_attr] = entry.p;
-      edge_scores[e] = entry.score;
-      ExpandRec(order, depth + 1, bindings, edge_scores, out);
+      bindings_[left_attr] = entry.p;
+      edge_scores_[e] = entry.score;
+      ExpandRec(order, depth + 1, output);
     }
-    bindings[left_attr] = kInvalidNode;
+    bindings_[left_attr] = kInvalidNode;
     return;
   }
   // Disconnected query graph: no endpoint bound yet.
   for (const ScoredPair& entry : buf.All()) {
-    bindings[left_attr] = entry.p;
-    bindings[right_attr] = entry.q;
-    edge_scores[e] = entry.score;
-    ExpandRec(order, depth + 1, bindings, edge_scores, out);
+    bindings_[left_attr] = entry.p;
+    bindings_[right_attr] = entry.q;
+    edge_scores_[e] = entry.score;
+    ExpandRec(order, depth + 1, output);
   }
-  bindings[left_attr] = kInvalidNode;
-  bindings[right_attr] = kInvalidNode;
+  bindings_[left_attr] = kInvalidNode;
+  bindings_[right_attr] = kInvalidNode;
 }
 
-double Pbrj::CornerBound(std::size_t* arg_edge) const {
+double Pbrj::CornerBound(std::size_t* arg_edge) {
   // tau = max over edges e (with unseen pairs remaining) of
   //   f(top_1, ..., last_e, ..., top_1)
   // — an upper bound on the score of any tuple not yet generated, valid
   // for monotone f over descending streams (HRJN corner bound).
   double tau = kNegInf;
   if (arg_edge != nullptr) *arg_edge = static_cast<std::size_t>(-1);
-  std::vector<double> corner(edges_.size());
   for (std::size_t e = 0; e < edges_.size(); ++e) {
     if (exhausted_[e]) continue;  // no unseen pair can come from e
     for (std::size_t i = 0; i < edges_.size(); ++i) {
       if (i == e) {
-        corner[i] = pulled_any_[i] ? last_score_[i] : kPosInf;
+        corner_[i] = pulled_any_[i] ? last_score_[i] : kPosInf;
       } else {
-        corner[i] = pulled_any_[i] ? top_score_[i] : kPosInf;
+        corner_[i] = pulled_any_[i] ? top_score_[i] : kPosInf;
       }
     }
-    double bound = aggregate_->Apply(corner);
+    double bound = aggregate_->Apply(corner_);
     if (bound > tau || (arg_edge != nullptr &&
                         *arg_edge == static_cast<std::size_t>(-1))) {
       tau = std::max(tau, bound);
@@ -184,13 +180,15 @@ Result<std::vector<TupleAnswer>> Pbrj::Run(
   last_score_.assign(edges_.size(), kNegInf);
   exhausted_.assign(edges_.size(), false);
   pulled_any_.assign(edges_.size(), false);
+  bindings_.assign(static_cast<std::size_t>(num_attrs_), kInvalidNode);
+  edge_scores_.assign(edges_.size(), 0.0);
+  corner_.assign(edges_.size(), 0.0);
   stats_ = PbrjStats();
   stats_.pulls_per_edge.assign(edges_.size(), 0);
 
   // TupleAnswerPrefer keeps the retained set at a tied k-th boundary
   // enumeration-order independent, matching NL and the 2-way joins.
-  TopK<TupleAnswer, TupleAnswerPrefer> output(k_);
-  std::vector<TupleAnswer> generated;
+  TupleTopK output(k_);
 
   auto pull = [&](std::size_t e) {
     auto pair = streams[e]->Next();
@@ -205,12 +203,7 @@ Result<std::vector<TupleAnswer>> Pbrj::Run(
     }
     last_score_[e] = pair->score;
     buffers_[e].Insert(pair->p, pair->q, pair->score);
-    generated.clear();
-    ExpandCandidates(e, *pair, generated);
-    stats_.tuples_generated += static_cast<int64_t>(generated.size());
-    for (TupleAnswer& t : generated) {
-      output.Offer(t.f, t);
-    }
+    ExpandCandidates(e, *pair, output);
   };
 
   // Prime every stream once so top_1 scores exist for the corner bound.
@@ -247,12 +240,13 @@ Result<std::vector<TupleAnswer>> Pbrj::Run(
     }
   }
 
+  // The heap holds at most k answers and hands them back in
+  // TupleAnswerGreater order: its key is f and its tie policy is the
+  // same node-vector order.
   std::vector<TupleAnswer> result;
   for (auto& entry : output.TakeSortedDescending()) {
     result.push_back(std::move(entry.item));
   }
-  std::sort(result.begin(), result.end(), TupleAnswerGreater);
-  if (result.size() > k_) result.resize(k_);
   return result;
 }
 

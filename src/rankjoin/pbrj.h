@@ -22,6 +22,7 @@
 #include "rankjoin/aggregate.h"
 #include "rankjoin/candidate_buffer.h"
 #include "util/status.h"
+#include "util/top_k.h"
 
 namespace dhtjoin {
 
@@ -58,7 +59,16 @@ struct TupleAnswerPrefer {
   bool operator()(const TupleAnswer& a, const TupleAnswer& b) const {
     return a.nodes < b.nodes;
   }
+  /// Ranks a candidate's node vector against a built answer, so
+  /// TopK::Rejects can test a candidate before the answer is built.
+  bool operator()(const std::vector<NodeId>& nodes,
+                  const TupleAnswer& b) const {
+    return nodes < b.nodes;
+  }
 };
+
+/// The output heap of the n-way joins: top-k by f, ties by node vector.
+using TupleTopK = TopK<TupleAnswer, TupleAnswerPrefer>;
 
 /// Counters from one rank-join run.
 struct PbrjStats {
@@ -101,22 +111,25 @@ class Pbrj {
 
  private:
   /// Expands the newly pulled pair of edge `edge_index` into every
-  /// complete tuple it participates in (paper's getCandidate).
+  /// complete tuple it participates in (paper's getCandidate) and offers
+  /// each to `output` as it completes. A candidate lives only in the
+  /// scratch bindings_ / edge_scores_ while it is scored and tested with
+  /// TopK::Rejects; a TupleAnswer is built only for one the heap keeps.
+  /// The heap sees the same offers in the same order as if every
+  /// candidate were built, so the answer bytes do not change.
   void ExpandCandidates(std::size_t edge_index, const ScoredPair& pair,
-                        std::vector<TupleAnswer>& out) const;
+                        TupleTopK& output);
 
   /// Shared constructor body (expansion-order precompute).
   void Init();
 
   void ExpandRec(const std::vector<std::size_t>& order, std::size_t depth,
-                 std::vector<NodeId>& bindings,
-                 std::vector<double>& edge_scores,
-                 std::vector<TupleAnswer>& out) const;
+                 TupleTopK& output);
 
   /// HRJN corner bound over current stream positions. When `arg_edge`
   /// is non-null it receives the edge index attaining the bound (the
   /// adaptive pull target), or SIZE_MAX when every stream is exhausted.
-  double CornerBound(std::size_t* arg_edge = nullptr) const;
+  double CornerBound(std::size_t* arg_edge = nullptr);
 
   int num_attrs_;
   std::vector<JoinEdge> edges_;
@@ -134,6 +147,13 @@ class Pbrj {
   std::vector<double> last_score_;  // most recent pulled score per edge
   std::vector<bool> exhausted_;
   std::vector<bool> pulled_any_;
+
+  // Per-run scratch, reused on every pull: the candidate being expanded
+  // (one node per attribute, one score per edge) and the corner-bound
+  // inputs.
+  std::vector<NodeId> bindings_;
+  std::vector<double> edge_scores_;
+  std::vector<double> corner_;
 
   PbrjStats stats_;
 };

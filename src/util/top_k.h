@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "util/check.h"
@@ -44,22 +45,32 @@ class TopK {
   /// \param k capacity; must be positive.
   explicit TopK(std::size_t k) : k_(k) { DHTJOIN_CHECK_GT(k, 0u); }
 
+  /// True when Offer(key, item) would discard the item: the heap is
+  /// full and `key` is below the k-th key, or equal to it without
+  /// `probe` outranking the worst retained item under Prefer. `probe` is
+  /// the item itself, or anything Prefer can rank against a T (a tuple's
+  /// node vector, say), so a caller can test a candidate before paying
+  /// to build it. Offer applies this same test: a rejected offer never
+  /// changes the heap.
+  template <typename Probe>
+  bool Rejects(double key, const Probe& probe) const {
+    if (heap_.size() < k_) return false;
+    const Entry& worst = heap_.front();
+    return key < worst.key ||
+           (key == worst.key && !Prefer()(probe, worst.item));
+  }
+
   /// Offers an item; keeps it only if it ranks among the k largest
   /// (key-descending, ties broken by Prefer). Returns true when the
   /// item was retained.
-  bool Offer(double key, const T& item) {
+  bool Offer(double key, T item) {
+    if (Rejects(key, item)) return false;
     if (heap_.size() < k_) {
-      heap_.push_back(Entry{key, item});
-      std::push_heap(heap_.begin(), heap_.end(), MinFirst);
-      return true;
+      heap_.push_back(Entry{key, std::move(item)});
+    } else {
+      std::pop_heap(heap_.begin(), heap_.end(), MinFirst);
+      heap_.back() = Entry{key, std::move(item)};
     }
-    const Entry& worst = heap_.front();
-    if (key < worst.key ||
-        (key == worst.key && !Prefer()(item, worst.item))) {
-      return false;
-    }
-    std::pop_heap(heap_.begin(), heap_.end(), MinFirst);
-    heap_.back() = Entry{key, item};
     std::push_heap(heap_.begin(), heap_.end(), MinFirst);
     return true;
   }

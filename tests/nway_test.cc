@@ -5,13 +5,17 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <string>
+#include <utility>
 
 #include "core/ap_join.h"
 #include "core/nl_join.h"
 #include "core/partial_join.h"
 #include "core/query_graph.h"
 #include "testing/reference.h"
+#include "util/rng.h"
 
 namespace dhtjoin {
 namespace {
@@ -168,6 +172,161 @@ TEST(NwayJoinTest, NlRespectsTimeBudget) {
   auto got = nl.Run(g, p, 8, query, f, 5);
   EXPECT_EQ(got.status().code(), StatusCode::kOutOfRange);
   EXPECT_FALSE(nl.stats().completed);
+}
+
+/// Serves hand-made per-edge tables keyed by set names, as the serving
+/// cache would; counts (and drops) every table NL offers back.
+class FixedTables final : public EdgeScoreTableProvider {
+ public:
+  void Put(const NodeSet& L, const NodeSet& R, std::vector<double> table) {
+    tables_[{L.name(), R.name()}] =
+        std::make_shared<const std::vector<double>>(std::move(table));
+  }
+  std::shared_ptr<const std::vector<double>> Fetch(
+      const NodeSet& L, const NodeSet& R) override {
+    auto it = tables_.find({L.name(), R.name()});
+    return it == tables_.end() ? nullptr : it->second;
+  }
+  void Store(const NodeSet&, const NodeSet&,
+             std::shared_ptr<const std::vector<double>>) override {
+    ++stores;
+  }
+  int stores = 0;
+
+ private:
+  std::map<std::pair<std::string, std::string>,
+           std::shared_ptr<const std::vector<double>>>
+      tables_;
+};
+
+/// Exhaustive n-way join over served tables with NL's validity rule
+/// (u != v and h_d > beta on every edge): every tuple of
+/// R_1 x ... x R_n, sorted by TupleAnswerGreater, cut at k.
+std::vector<TupleAnswer> BruteForceOverTables(
+    const QueryGraph& query, EdgeScoreTableProvider& tables,
+    const DhtParams& p, const Aggregate& f, std::size_t k) {
+  const auto n = static_cast<std::size_t>(query.num_sets());
+  const auto& edges = query.edges();
+  std::vector<TupleAnswer> all;
+  std::vector<std::size_t> index(n, 0);
+  while (true) {
+    TupleAnswer t;
+    for (std::size_t a = 0; a < n; ++a) {
+      t.nodes.push_back(query.set(static_cast<int>(a))[index[a]].value());
+    }
+    bool valid = true;
+    for (const JoinEdge& e : edges) {
+      const auto l = static_cast<std::size_t>(e.left);
+      const auto r = static_cast<std::size_t>(e.right);
+      const double score =
+          (*tables.Fetch(query.set(e.left), query.set(e.right)))
+              [index[l] * query.set(e.right).size() + index[r]];
+      valid = valid && t.nodes[l] != t.nodes[r] && score > p.beta;
+      t.edge_scores.push_back(score);
+    }
+    if (valid) {
+      t.f = f.Apply(t.edge_scores);
+      all.push_back(std::move(t));
+    }
+    // Odometer step over the set positions, last attribute fastest.
+    std::size_t a = n;
+    while (a > 0 &&
+           ++index[a - 1] == query.set(static_cast<int>(a - 1)).size()) {
+      index[--a] = 0;
+    }
+    if (a == 0) break;
+  }
+  std::sort(all.begin(), all.end(), TupleAnswerGreater);
+  if (all.size() > k) all.resize(k);
+  return all;
+}
+
+TEST(NwayJoinTest, NlOverServedTablesMatchesBruteForceBitForBit) {
+  // Hand-made tables with five score values, two of them at or below the
+  // floor beta, over sets that share members (u == v occurs): the k-th
+  // boundary is a large tie and whole prefixes are invalid, so NL's
+  // per-level scoring, block skips and build-only-kept path all run.
+  Graph g = RandomGraph(32, 110, 330);
+  const DhtParams p = DhtParams::Lambda(0.2);  // beta = -1.25
+  const double kScores[] = {-1.0, -1.125, -1.1875, p.beta, p.beta - 0.5};
+  const NodeSet A = Range("A", 0, 6);
+  const NodeSet B = Range("B", 3, 9);
+  const NodeSet C = Range("C", 6, 12);
+  const NodeSet D = Range("D", 2, 7);
+
+  QueryGraph chain;
+  chain.AddNodeSet(A);
+  chain.AddNodeSet(B);
+  chain.AddNodeSet(C);
+  ASSERT_TRUE(chain.AddEdge(0, 1).ok());
+  ASSERT_TRUE(chain.AddEdge(1, 2).ok());
+  QueryGraph star;
+  star.AddNodeSet(A);
+  star.AddNodeSet(B);
+  star.AddNodeSet(C);
+  star.AddNodeSet(D);
+  ASSERT_TRUE(star.AddEdge(0, 1).ok());
+  ASSERT_TRUE(star.AddEdge(0, 2).ok());
+  ASSERT_TRUE(star.AddEdge(0, 3).ok());
+  QueryGraph triangle;
+  triangle.AddNodeSet(A);
+  triangle.AddNodeSet(B);
+  triangle.AddNodeSet(C);
+  ASSERT_TRUE(triangle.AddBidirectionalEdge(0, 1).ok());
+  ASSERT_TRUE(triangle.AddBidirectionalEdge(1, 2).ok());
+  ASSERT_TRUE(triangle.AddBidirectionalEdge(0, 2).ok());
+
+  SumAggregate sum;
+  MinAggregate min;
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    for (const auto& [name, query] :
+         {std::pair<const char*, const QueryGraph*>{"chain3", &chain},
+          {"star4", &star},
+          {"bidir-triangle", &triangle}}) {
+      Rng rng(seed);
+      FixedTables tables;
+      for (const JoinEdge& e : query->edges()) {
+        const NodeSet& L = query->set(e.left);
+        const NodeSet& R = query->set(e.right);
+        std::vector<double> table(L.size() * R.size());
+        for (double& x : table) x = kScores[rng.Below(5)];
+        tables.Put(L, R, std::move(table));
+      }
+      for (const Aggregate* f : {static_cast<const Aggregate*>(&min),
+                                 static_cast<const Aggregate*>(&sum)}) {
+        for (std::size_t k : {std::size_t{1}, std::size_t{7},
+                              std::size_t{50}}) {
+          const std::string label = std::string(name) + " seed " +
+                                    std::to_string(seed) + " " + f->Name() +
+                                    " k " + std::to_string(k);
+          NestedLoopJoin nl(NestedLoopJoin::Options{.tables = &tables});
+          auto got = nl.Run(g, p, 8, *query, *f, k);
+          ASSERT_TRUE(got.ok()) << label;
+          testing::ExpectSameTuples(
+              *got, BruteForceOverTables(*query, tables, p, *f, k), label);
+          EXPECT_DOUBLE_EQ(static_cast<double>(nl.stats().tuples_enumerated),
+                           query->CandidateSpace())
+              << label;
+          EXPECT_EQ(nl.stats().table_hits,
+                    static_cast<int64_t>(query->edges().size()))
+              << label;
+          EXPECT_EQ(nl.stats().dht_computations, 0) << label;
+
+          // A finite budget takes the timed branch; it must not change a
+          // byte.
+          NestedLoopJoin timed(NestedLoopJoin::Options{
+              .time_budget_seconds = 3600.0, .tables = &tables});
+          auto again = timed.Run(g, p, 8, *query, *f, k);
+          ASSERT_TRUE(again.ok()) << label;
+          testing::ExpectSameTuples(*again, *got, label + " timed");
+          EXPECT_EQ(timed.stats().tuples_enumerated,
+                    nl.stats().tuples_enumerated)
+              << label;
+        }
+      }
+      EXPECT_EQ(tables.stores, 0) << name;
+    }
+  }
 }
 
 TEST(NwayJoinTest, ApBackwardEngineAgreesWithForward) {

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/nl_join.h"
@@ -19,6 +20,7 @@
 #include "join2/f_idj.h"
 #include "join2/incremental.h"
 #include "testing/reference.h"
+#include "util/rng.h"
 #include "util/top_k.h"
 
 namespace dhtjoin {
@@ -191,27 +193,92 @@ TEST(ParityTest, TopKTieBreakRetainsPreferredItems) {
   EXPECT_EQ(entries2[1].item.p, 1);
 }
 
+TEST(ParityTest, TopKRejectsAgreesWithOffer) {
+  // Rejects is the test Offer applies, callable before the item exists:
+  // on a tie-heavy stream it must predict every Offer outcome, for pairs
+  // probed by the pair itself and for tuples probed by a bare node
+  // vector (the way NL and PBRJ call it).
+  constexpr double kKeys[] = {-1.0, -0.5, 0.0, 0.5, 1.0};
+  Rng rng(14);
+  for (std::size_t capacity : {std::size_t{1}, std::size_t{3},
+                               std::size_t{16}}) {
+    PairTopK pairs(capacity);
+    TupleTopK tuples(capacity);
+    int tie_kept = 0;
+    int tie_rejected = 0;
+    for (int step = 0; step < 10000; ++step) {
+      const double key = kKeys[rng.Below(5)];
+      const ScoredPair pair{static_cast<NodeId>(rng.Below(8)),
+                            static_cast<NodeId>(rng.Below(8)), key};
+      const bool full = pairs.size() == capacity;
+      const bool tie = full && key == pairs.Threshold();
+      const bool rejects = pairs.Rejects(key, pair);
+      ASSERT_EQ(rejects, !pairs.Offer(key, pair))
+          << "pairs, capacity " << capacity << " step " << step;
+      if (tie) ++(rejects ? tie_rejected : tie_kept);
+
+      std::vector<NodeId> nodes;
+      for (int a = 0; a < 3; ++a) {
+        nodes.push_back(static_cast<NodeId>(rng.Below(4)));
+      }
+      const bool tuple_rejects = tuples.Rejects(key, nodes);
+      ASSERT_EQ(tuple_rejects,
+                !tuples.Offer(key, TupleAnswer{nodes, {key}, key}))
+          << "tuples, capacity " << capacity << " step " << step;
+    }
+    // Both sides of the tie rule were exercised.
+    EXPECT_GT(tie_kept, 0) << "capacity " << capacity;
+    EXPECT_GT(tie_rejected, 0) << "capacity " << capacity;
+  }
+}
+
 TEST(ParityTest, NlTableAndPerTuplePathsAgree) {
   // Forcing max_table_bytes = 0 exercises NL's O(1)-memory per-tuple
-  // fallback; it must return the same answers as the batched tables.
+  // fallback; it must return the same bytes as the batched tables (the
+  // forward batch and the scalar walker agree bitwise, see
+  // ResumeTest.ForwardBatchMatchesScalarWalker). The 3-set chain makes
+  // the fallback score edges at two loop levels; P and Q share nodes 8
+  // and 9, so self pairs occur.
   Graph g = MostlyUnreachableGraph();
   DhtParams p = DhtParams::Lambda(0.3);
-  QueryGraph query;
-  int a = query.AddNodeSet(Range("P", 0, 10));
-  int b = query.AddNodeSet(Range("Q", 8, 16));
-  DHTJOIN_CHECK(query.AddEdge(a, b).ok());
-  MinAggregate f;
-  NestedLoopJoin tabled;
-  NestedLoopJoin per_tuple(
-      NestedLoopJoin::Options{.max_table_bytes = 0});
-  auto x = tabled.Run(g, p, 6, query, f, 20);
-  auto y = per_tuple.Run(g, p, 6, query, f, 20);
-  ASSERT_TRUE(x.ok());
-  ASSERT_TRUE(y.ok());
-  ASSERT_EQ(x->size(), y->size());
-  for (std::size_t i = 0; i < x->size(); ++i) {
-    EXPECT_EQ((*x)[i].nodes, (*y)[i].nodes) << "rank " << i;
-    EXPECT_NEAR((*x)[i].f, (*y)[i].f, 1e-12) << "rank " << i;
+  QueryGraph pair_query;
+  {
+    int a = pair_query.AddNodeSet(Range("P", 0, 10));
+    int b = pair_query.AddNodeSet(Range("Q", 8, 16));
+    DHTJOIN_CHECK(pair_query.AddEdge(a, b).ok());
+  }
+  QueryGraph chain_query;
+  {
+    int a = chain_query.AddNodeSet(Range("P", 0, 10));
+    int b = chain_query.AddNodeSet(Range("Q", 8, 16));
+    int c = chain_query.AddNodeSet(Range("R", 9, 15));
+    DHTJOIN_CHECK(chain_query.AddEdge(a, b).ok());
+    DHTJOIN_CHECK(chain_query.AddEdge(b, c).ok());
+  }
+  MinAggregate min;
+  SumAggregate sum;
+  for (const QueryGraph* query : {&pair_query, &chain_query}) {
+    for (const Aggregate* f : {static_cast<const Aggregate*>(&min),
+                               static_cast<const Aggregate*>(&sum)}) {
+      const std::string label = std::to_string(query->num_sets()) +
+                                " sets, " + f->Name();
+      NestedLoopJoin tabled;
+      NestedLoopJoin per_tuple(
+          NestedLoopJoin::Options{.max_table_bytes = 0});
+      auto x = tabled.Run(g, p, 6, *query, *f, 20);
+      auto y = per_tuple.Run(g, p, 6, *query, *f, 20);
+      ASSERT_TRUE(x.ok());
+      ASSERT_TRUE(y.ok());
+      ASSERT_GT(x->size(), 0u) << label;
+      testing::ExpectSameTuples(*y, *x, label);
+      EXPECT_DOUBLE_EQ(
+          static_cast<double>(tabled.stats().tuples_enumerated),
+          query->CandidateSpace())
+          << label;
+      EXPECT_EQ(per_tuple.stats().tuples_enumerated,
+                tabled.stats().tuples_enumerated)
+          << label;
+    }
   }
 }
 

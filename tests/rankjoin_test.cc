@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <memory>
 
@@ -12,6 +13,7 @@
 #include "rankjoin/aggregate.h"
 #include "rankjoin/candidate_buffer.h"
 #include "rankjoin/pbrj.h"
+#include "testing/reference.h"
 #include "util/rng.h"
 
 namespace dhtjoin {
@@ -97,14 +99,22 @@ std::vector<TupleAnswer> BruteForceJoin(
   return all;
 }
 
+/// A sorted stream over [left_base, +lefts) x [right_base, +rights).
+/// Scores are uniform in (-1, 0], or with `levels` > 0 one of the
+/// `levels` values -1/levels, ..., -1, so equal aggregates are the rule.
 std::vector<ScoredPair> RandomList(Rng& rng, NodeId left_base,
                                    NodeId right_base, int lefts, int rights,
-                                   double keep) {
+                                   double keep, int levels = 0) {
   std::vector<ScoredPair> list;
   for (NodeId p = left_base; p < left_base + lefts; ++p) {
     for (NodeId q = right_base; q < right_base + rights; ++q) {
       if (!rng.Chance(keep)) continue;
-      list.push_back(ScoredPair{p, q, -rng.NextDouble()});
+      const double score =
+          levels > 0 ? -static_cast<double>(
+                           rng.Below(static_cast<uint64_t>(levels)) + 1) /
+                           levels
+                     : -rng.NextDouble();
+      list.push_back(ScoredPair{p, q, score});
     }
   }
   std::sort(list.begin(), list.end(), ScoredPairGreater);
@@ -308,6 +318,103 @@ TEST(PbrjTest, TupleEdgeScoresConsistentWithF) {
   for (const TupleAnswer& t : *got) {
     EXPECT_NEAR(t.f, t.edge_scores[0] + t.edge_scores[1], 1e-12);
   }
+}
+
+// ------------------------------------------------------- PBRJ under ties
+
+TEST(PbrjTest, TieHeavySweepMatchesBruteForce) {
+  // What PBRJ promises at a tied k-th boundary, checked byte for byte:
+  //  * its answer is the canonical top-k (TupleAnswerGreater) of exactly
+  //    the candidates it generated, i.e. of every tuple the pulled
+  //    prefixes of the streams form, and tuples_generated counts them;
+  //  * f at every rank, and every tuple scoring above the k-th f, equal
+  //    the exhaustive join over the full lists.
+  // Which tuples fill a tie AT the k-th f is not canonical over the full
+  // lists: Alg. 1 stops once the k-th f reaches tau, and an unseen tuple
+  // can score exactly tau with a smaller node vector (DESIGN.md §2).
+  struct Shape {
+    const char* name;
+    int num_attrs;
+    std::vector<JoinEdge> edges;
+    int set_size;
+  };
+  const std::vector<Shape> shapes = {
+      {"chain", 3, {{0, 1}, {1, 2}}, 6},
+      {"triangle", 3, {{0, 1}, {1, 2}, {0, 2}}, 5},
+      {"bidirectional", 2, {{0, 1}, {1, 0}}, 8},
+      {"star4", 4, {{0, 1}, {0, 2}, {0, 3}}, 5},
+  };
+  SumAggregate sum;
+  MinAggregate min;
+  constexpr std::size_t kAll = std::numeric_limits<std::size_t>::max();
+  int cases = 0;
+  int boundary_ties = 0;
+  for (const Shape& shape : shapes) {
+    for (uint64_t seed = 1; seed <= 4; ++seed) {
+      Rng rng(seed * 1009 + static_cast<uint64_t>(shape.num_attrs));
+      std::vector<std::vector<ScoredPair>> lists;
+      for (const JoinEdge& e : shape.edges) {
+        // Four score values: the k-th boundary is one large tie.
+        lists.push_back(RandomList(rng, 100 * e.left, 100 * e.right,
+                                   shape.set_size, shape.set_size, 0.7,
+                                   /*levels=*/4));
+      }
+      for (const Aggregate* f : {static_cast<const Aggregate*>(&min),
+                                 static_cast<const Aggregate*>(&sum)}) {
+        for (std::size_t k : {std::size_t{1}, std::size_t{7},
+                              std::size_t{50}}) {
+          const std::string label = std::string(shape.name) + " seed " +
+                                    std::to_string(seed) + " " + f->Name() +
+                                    " k " + std::to_string(k);
+          std::vector<VectorPairStream> streams;
+          for (const auto& list : lists) streams.emplace_back(list);
+          std::vector<PairStream*> ptrs;
+          for (auto& s : streams) ptrs.push_back(&s);
+          Pbrj pbrj(shape.num_attrs, shape.edges, f, k);
+          auto got = pbrj.Run(ptrs);
+          ASSERT_TRUE(got.ok()) << label;
+
+          std::vector<std::vector<ScoredPair>> pulled;
+          for (std::size_t e = 0; e < lists.size(); ++e) {
+            const auto n =
+                static_cast<std::size_t>(pbrj.stats().pulls_per_edge[e]);
+            pulled.emplace_back(lists[e].begin(),
+                                lists[e].begin() +
+                                    static_cast<std::ptrdiff_t>(n));
+          }
+          auto generated =
+              BruteForceJoin(shape.num_attrs, shape.edges, pulled, *f, kAll);
+          EXPECT_EQ(pbrj.stats().tuples_generated,
+                    static_cast<int64_t>(generated.size()))
+              << label;
+          if (generated.size() > k) generated.resize(k);
+          testing::ExpectSameTuples(*got, generated,
+                                    label + " (pulled prefixes)");
+
+          auto full =
+              BruteForceJoin(shape.num_attrs, shape.edges, lists, *f, kAll);
+          const std::size_t n = std::min(k, full.size());
+          ASSERT_EQ(got->size(), n) << label;
+          if (full.size() > k && full[k].f == full[k - 1].f) ++boundary_ties;
+          for (std::size_t i = 0; i < n; ++i) {
+            EXPECT_EQ(std::bit_cast<uint64_t>((*got)[i].f),
+                      std::bit_cast<uint64_t>(full[i].f))
+                << label << " rank " << i;
+            if (full[i].f > full[n - 1].f) {
+              EXPECT_EQ((*got)[i].nodes, full[i].nodes)
+                  << label << " rank " << i;
+              EXPECT_EQ((*got)[i].edge_scores, full[i].edge_scores)
+                  << label << " rank " << i;
+            }
+          }
+          ++cases;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 96);
+  // The data must actually put ties at the boundary for this to bite.
+  EXPECT_GT(boundary_ties, cases / 2);
 }
 
 // ------------------------------------------------------------ PJ streams

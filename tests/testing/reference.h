@@ -1,5 +1,6 @@
 /// \file tests/testing/reference.h
-/// \brief Independent ground-truth oracles and graph fixtures for tests.
+/// \brief Independent ground-truth oracles, graph fixtures and a
+/// byte-exact answer comparison for tests.
 ///
 /// RefFirstHitProb enumerates every walk explicitly (exponential in d;
 /// only for tiny graphs) — a genuinely independent check of both the
@@ -10,8 +11,13 @@
 #ifndef DHTJOIN_TESTS_TESTING_REFERENCE_H_
 #define DHTJOIN_TESTS_TESTING_REFERENCE_H_
 
+#include <gtest/gtest.h>
+
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <limits>
+#include <string>
 #include <unordered_set>
 #include <vector>
 
@@ -137,6 +143,27 @@ inline std::vector<TupleAnswer> RefNwayJoin(
   std::sort(all.begin(), all.end(), TupleAnswerGreater);
   if (all.size() > k) all.resize(k);
   return all;
+}
+
+/// Expects two n-way answers to be equal byte for byte: the same tuples
+/// in the same order, with bit-identical edge scores and f.
+inline void ExpectSameTuples(const std::vector<TupleAnswer>& got,
+                             const std::vector<TupleAnswer>& want,
+                             const std::string& label) {
+  ASSERT_EQ(got.size(), want.size()) << label;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].nodes, want[i].nodes) << label << " rank " << i;
+    ASSERT_EQ(got[i].edge_scores.size(), want[i].edge_scores.size())
+        << label << " rank " << i;
+    for (std::size_t e = 0; e < want[i].edge_scores.size(); ++e) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(got[i].edge_scores[e]),
+                std::bit_cast<uint64_t>(want[i].edge_scores[e]))
+          << label << " rank " << i << " edge " << e;
+    }
+    EXPECT_EQ(std::bit_cast<uint64_t>(got[i].f),
+              std::bit_cast<uint64_t>(want[i].f))
+        << label << " rank " << i;
+  }
 }
 
 // ---------------------------------------------------------------------
