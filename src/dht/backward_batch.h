@@ -24,11 +24,11 @@
 /// results.
 ///
 /// Steps are frontier-adaptive exactly like dht/propagate.h, and the
-/// union support of a block is kept SORTED at every step boundary, so
-/// the per-lane summation order is identical to the dense gather's CSR
-/// order — scores are bit-identical across modes, lane groupings, lane
-/// WIDTHS, thread counts, and restarted vs resumed walks (DESIGN.md
-/// §3).
+/// union support of a block is put in canonical order before every
+/// push (the one step that consumes its order), so the per-lane
+/// summation order is identical to the dense gather's CSR order —
+/// scores are bit-identical across modes, lane groupings, lane WIDTHS,
+/// thread counts, and restarted vs resumed walks (DESIGN.md §3).
 ///
 /// Scores are only materialized for a caller-provided source set P
 /// (joins never read anything else), which keeps the output |Q| x |P|
@@ -100,7 +100,10 @@ namespace dhtjoin {
 struct BackwardBatchSnapshot {
   int level = 0;
   double lambda_pow = 1.0;
-  std::vector<std::pair<NodeId, double>> mass;  // nonzero, ascending node
+  /// Nonzero masses in the saved block's support order: the last
+  /// step's emission order (a push's first-touch order or a gather's
+  /// row order), not sorted. A resumed block's first push sorts.
+  std::vector<std::pair<NodeId, double>> mass;
   /// Score DELTAS over the pinned sources: h_level(p, q) - beta per
   /// source p. Kept beta-exclusive so a resumed row continues the exact
   /// floating-point sum the scalar BackwardWalker's score_delta_
@@ -185,7 +188,7 @@ class BackwardBatchStates : public batch_core::BatchStateBudget {
   struct Slot {
     int level = 0;
     double lambda_pow = 1.0;
-    std::vector<std::pair<NodeId, double>> mass;  // nonzero, ascending node
+    std::vector<std::pair<NodeId, double>> mass;  // as in the snapshot
     std::vector<double> row;  // score row over the pinned source set
     std::size_t bytes = 0;
 
@@ -632,7 +635,7 @@ class BackwardWalkerBatchT {
       lane_target[b] = lane_targets[static_cast<std::size_t>(b)];
     }
     batch_core::LoadLaneMass<W>(
-        g_, st, from_level, lane_target, width,
+        st, from_level, lane_target, width,
         [&](int b) -> const std::vector<std::pair<NodeId, double>>& {
           return states.slots_[lane_slots[static_cast<std::size_t>(b)]].mass;
         });

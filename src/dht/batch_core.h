@@ -17,7 +17,8 @@
 ///    (streaming the SoA (to[], prob[]) arrays, Graph::OutTargets),
 ///    while the forward "dense" step is the same frontier push with
 ///    dense billing, because a forward push already visits exactly the
-///    nonzero rows in canonical order;
+///    nonzero rows in canonical order (the scalar Propagator's forward
+///    dense step is a gather over in-rows instead);
 ///  * a LANE WIDTH W — 8 by default (one cache line of doubles), with
 ///    W = 4 as the narrow-lane option for memory-tight graphs: half
 ///    the workspace bytes per block and twice the blocks in flight,
@@ -430,11 +431,13 @@ void StepLanes(const Graph& g, PropagationMode mode, bool soa_gather,
 /// fresh lanes (from_level == 0) get unit mass at their seed node
 /// (the target for backward walks, the source for forward walks);
 /// resumed lanes replay the sparse snapshot `saved_mass(b)` returns.
-/// Leaves the union support deduplicated and canonically sorted — the
-/// summation order the sorted-support contract requires from step one.
+/// Leaves the union support deduplicated (the in_next first-touch
+/// flags) in lane-load order and marked non-canonical: restoring
+/// consumes no order, so the sort is deferred to the block's first
+/// step, which pays it only if that step is a push (StepLanes).
 template <int W, typename SavedMass>
-void LoadLaneMass(const Graph& g, BlockWorkspace<W>& st, int from_level,
-                  const NodeId* seeds, int width, SavedMass&& saved_mass) {
+void LoadLaneMass(BlockWorkspace<W>& st, int from_level, const NodeId* seeds,
+                  int width, SavedMass&& saved_mass) {
   for (int b = 0; b < width; ++b) {
     if (from_level == 0) {
       const NodeId u = seeds[b];
@@ -458,14 +461,12 @@ void LoadLaneMass(const Graph& g, BlockWorkspace<W>& st, int from_level,
     }
   }
   for (NodeId v : st.support) st.in_next[static_cast<std::size_t>(v)] = 0;
-  g.SortCanonical(st.support);
-  st.support.erase(std::unique(st.support.begin(), st.support.end()),
-                   st.support.end());
-  st.support_canonical = true;
+  st.support_canonical = false;
 }
 
-/// Extracts lane b's nonzero masses (support order — canonical at a
-/// step boundary) into a snapshot's sparse mass list.
+/// Extracts lane b's nonzero masses into a snapshot's sparse mass
+/// list, in support order: a push's emission order, or a gather's row
+/// order (LoadLaneMass does not rely on either).
 template <int W>
 void CollectLaneMass(const BlockWorkspace<W>& st, int b,
                      std::vector<std::pair<NodeId, double>>& out) {

@@ -23,9 +23,9 @@
 /// the 8-lane default, ForwardWalkerBatchT<4> the narrow-lane option —
 /// bit-identical results at half the workspace bytes per block.
 ///
-/// The union support is kept SORTED at every step boundary, so per-lane
-/// summation order equals the dense sweep's CSR order: scores are
-/// bit-identical across modes, lane groupings, lane widths, thread
+/// The union support is put in canonical order before every push, so
+/// per-lane summation order equals the dense sweep's CSR order: scores
+/// are bit-identical across modes, lane groupings, lane widths, thread
 /// counts, and restarted vs resumed walks (DESIGN.md §3), and match the
 /// scalar ForwardWalker exactly.
 ///
@@ -127,7 +127,9 @@ class ForwardBatchStates : public batch_core::BatchStateBudget {
     int level = 0;
     double lambda_pow = 1.0;
     double score = 0.0;  // h_level(p, q); meaningless while level == 0
-    std::vector<std::pair<NodeId, double>> mass;  // nonzero, ascending node
+    // Nonzero, in the saved block's support order (the last push's
+    // emission order, not sorted); a resumed block's first push sorts.
+    std::vector<std::pair<NodeId, double>> mass;
     std::size_t bytes = 0;
 
     /// Includes the hash-map node the slot occupies, so the byte budget
@@ -564,7 +566,7 @@ class ForwardWalkerBatchT {
     // replay their sparse snapshot (mass stays inside the sources'
     // components, so the plan from the lane sources covers both).
     batch_core::LoadLaneMass<W>(
-        g_, st, from_level, lane_source, width,
+        st, from_level, lane_source, width,
         [&](int b) -> const std::vector<std::pair<NodeId, double>>& {
           return states.FindSlot(lane_slot[b])->mass;
         });

@@ -84,118 +84,116 @@ bool Propagator::ChooseDense() const {
   return FrontierPrefersDense(support_.size(), frontier_edges, plan_.cost);
 }
 
+namespace {
+
+// The endpoint a push writes to: the head of an out-edge (forward), the
+// tail of a transposed in-edge (backward).
+NodeId PushDest(const OutEdge& e) { return e.to; }
+NodeId PushDest(const InEdge& e) { return e.from; }
+
+}  // namespace
+
 void Propagator::Step() {
   last_step_dense_ = ChooseDense();
-  // Sorted-support contract: a step that CONSUMES the support order (a
-  // push — it accumulates contributions at destinations in support
-  // order) first brings it into canonical order, so summation order
-  // equals the dense gather's storage order in every layout and every
-  // mode/resume path stays bit-identical. The dense backward gather
-  // only reads per-row and never consumes the order.
-  bool emitted_canonical;
-  if (dir_ == Direction::kForward) {
-    // The forward push visits exactly the nonzero rows in canonical
-    // order either way; "dense" only changes the billing.
+  // Sorted-support contract: a sparse step CONSUMES the support order
+  // (a push accumulates contributions at destinations in support
+  // order), so it first brings the support into canonical order — the
+  // order in which every dense row lists its sources — and every
+  // mode/resume path stays bit-identical. A dense gather only reads
+  // per row and never consumes the order.
+  if (!last_step_dense_) {
     EnsureCanonicalSupport();
-    StepForward(last_step_dense_);
-    emitted_canonical = false;  // push order
-  } else if (!last_step_dense_) {
-    EnsureCanonicalSupport();
-    StepSparseBackward();
-    emitted_canonical = false;  // push order
-  } else {
-    StepDenseBackward();
-    // The gather emits rows ascending by INTERNAL id; that is the
-    // canonical order exactly when the layout is insertion order and
-    // the plan had no component gaps.
-    emitted_canonical = !g_.is_reordered() && plan_.full;
-  }
-  support_.swap(next_support_);
-  mass_.swap(next_);
-  next_support_.clear();
-  support_canonical_ = emitted_canonical;
-}
-
-void Propagator::StepForward(bool bill_dense) {
-  next_support_.clear();
-  int64_t relaxed = 0;
-  for (NodeId u : support_) {
-    double m = mass_[static_cast<std::size_t>(u)];
-    mass_[static_cast<std::size_t>(u)] = 0.0;
-    if (m == 0.0) continue;
-    relaxed += g_.OutDegree(IntNodeId(u));
-    for (const OutEdge& e : g_.OutEdges(IntNodeId(u))) {
-      double add = m * e.prob;
-      // Underflow guard: a zero contribution must not register the
-      // node in the support (the first-touch test below relies on
-      // nonzero slots staying nonzero).
-      if (add == 0.0) continue;
-      double& slot = next_[static_cast<std::size_t>(e.to)];
-      if (slot == 0.0) next_support_.push_back(e.to);
-      slot += add;
+    if (dir_ == Direction::kForward) {
+      PushSupport([&](IntNodeId u) { return g_.OutEdges(u); });
+    } else {
+      PushSupport([&](IntNodeId u) { return g_.InEdges(u); });
     }
-  }
-  edges_relaxed_ += bill_dense ? plan_.edges : relaxed;
-}
-
-void Propagator::StepSparseBackward() {
-  next_support_.clear();
-  for (NodeId u : support_) {
-    double m = mass_[static_cast<std::size_t>(u)];
-    mass_[static_cast<std::size_t>(u)] = 0.0;
-    if (m == 0.0) continue;
-    for (const InEdge& e : g_.InEdges(IntNodeId(u))) {
-      double add = m * e.prob;
-      if (add == 0.0) continue;
-      double& slot = next_[static_cast<std::size_t>(e.from)];
-      if (slot == 0.0) next_support_.push_back(e.from);
-      slot += add;
-    }
-    edges_relaxed_ += g_.InDegree(IntNodeId(u));
-  }
-}
-
-void Propagator::StepDenseBackward() {
-  // Sequential gather over the PLAN's out-rows — the cache-friendly
-  // layout the seed engine used, restricted to the walk's components.
-  // Rows outside the plan have no edge into the support, so their
-  // accumulator would be exactly 0.0: skipping them changes nothing
-  // (the restricted-sweep correctness argument, DESIGN.md §7). Each
-  // row's sum runs in storage (canonical) order; rows are independent,
-  // so the row iteration order never affects values. The support
-  // rebuild rides the same sweep.
-  // The gather reads only (to, prob) of every covered edge and does
-  // one madd per edge — stream-bound — so by default it streams the
-  // split SoA arrays (Graph::OutTargets/OutProbs — 12 bytes/edge
-  // instead of the 16-byte padded OutEdge); identical per-row
-  // summation order, bit-identical results (bench_reorder gates the
-  // win and the identity).
-  next_support_.clear();
-  if (soa_gather_) {
-    plan_.ForEachRow(g_.num_nodes(), [&](NodeId u) {
+  } else if (dir_ == Direction::kForward) {
+    // Row w sums p_uw * mass[u] over its in-row, sorted by canonical
+    // source: each destination adds its terms in the order the push
+    // from a canonical support would (no SoA mirror of the in-rows
+    // exists, so soa_gather does not apply).
+    GatherPlanRows([&](NodeId w) {
+      double acc = 0.0;
+      for (const InEdge& e : g_.InEdges(IntNodeId(w))) {
+        acc += e.prob * mass_[static_cast<std::size_t>(e.from)];
+      }
+      return acc;
+    });
+  } else if (soa_gather_) {
+    // The backward gather reads only (to, prob) of every covered edge
+    // and does one madd per edge — stream-bound — so by default it
+    // streams the split SoA arrays (Graph::OutTargets/OutProbs, 12
+    // bytes/edge instead of the 16-byte padded OutEdge); identical
+    // per-row summation order, bit-identical results (bench_reorder
+    // gates the win and the identity).
+    GatherPlanRows([&](NodeId u) {
       std::span<const NodeId> to = g_.OutTargets(IntNodeId(u));
       std::span<const double> prob = g_.OutProbs(IntNodeId(u));
       double acc = 0.0;
       for (std::size_t e = 0; e < to.size(); ++e) {
         acc += prob[e] * mass_[static_cast<std::size_t>(to[e])];
       }
-      if (acc != 0.0) {
-        next_[static_cast<std::size_t>(u)] = acc;
-        next_support_.push_back(u);
-      }
+      return acc;
     });
   } else {
-    plan_.ForEachRow(g_.num_nodes(), [&](NodeId u) {
+    GatherPlanRows([&](NodeId u) {
       double acc = 0.0;
       for (const OutEdge& e : g_.OutEdges(IntNodeId(u))) {
         acc += e.prob * mass_[static_cast<std::size_t>(e.to)];
       }
-      if (acc != 0.0) {
-        next_[static_cast<std::size_t>(u)] = acc;
-        next_support_.push_back(u);
-      }
+      return acc;
     });
   }
+  support_.swap(next_support_);
+  mass_.swap(next_);
+  next_support_.clear();
+  // A push leaves the new support in emission order; a gather emits
+  // rows ascending by INTERNAL id — the canonical order exactly when
+  // the layout is insertion order and the plan had no component gaps.
+  support_canonical_ = last_step_dense_ && !g_.is_reordered() && plan_.full;
+}
+
+template <typename Rows>
+void Propagator::PushSupport(Rows rows) {
+  next_support_.clear();
+  for (NodeId u : support_) {
+    const double m = mass_[static_cast<std::size_t>(u)];
+    mass_[static_cast<std::size_t>(u)] = 0.0;
+    if (m == 0.0) continue;
+    const auto row = rows(IntNodeId(u));
+    edges_relaxed_ += static_cast<int64_t>(row.size());
+    for (const auto& e : row) {
+      const double add = m * e.prob;
+      // Underflow guard: a zero contribution must not register the
+      // node in the support (the first-touch test below relies on
+      // nonzero slots staying nonzero).
+      if (add == 0.0) continue;
+      const NodeId to = PushDest(e);
+      double& slot = next_[static_cast<std::size_t>(to)];
+      if (slot == 0.0) next_support_.push_back(to);
+      slot += add;
+    }
+  }
+}
+
+template <typename RowSum>
+void Propagator::GatherPlanRows(RowSum row_sum) {
+  // Sequential gather over the PLAN's rows, restricted to the walk's
+  // components. Rows outside the plan have no edge to or from the
+  // support, so their sum would be exactly 0.0: skipping them changes
+  // nothing (the restricted-sweep correctness argument, DESIGN.md §7).
+  // Each row sums in storage (canonical) order; rows are independent,
+  // so the row iteration order never affects values. The support
+  // rebuild rides the same sweep.
+  next_support_.clear();
+  plan_.ForEachRow(g_.num_nodes(), [&](NodeId u) {
+    const double acc = row_sum(u);
+    if (acc != 0.0) {
+      next_[static_cast<std::size_t>(u)] = acc;
+      next_support_.push_back(u);
+    }
+  });
   for (NodeId u : support_) mass_[static_cast<std::size_t>(u)] = 0.0;
   edges_relaxed_ += plan_.edges;
 }

@@ -17,13 +17,16 @@
 ///    out-rows (forward) or transposed in-rows (backward, which is why
 ///    Graph carries in-edge transition probabilities). Cost is
 ///    proportional to the frontier's degree sum — output-sensitive.
-///  * DENSE step: the full sweep (sequential gather for backward, full
-///    push for forward) — but RESTRICTED to the weak components of the
-///    walk's seeds (Graph::PlanDenseSweep): mass can never leave them,
-///    so rows outside contribute exactly 0.0 and are skipped without
-///    changing a single bit. A saturated-but-local walk therefore pays
-///    O(|ball|) per dense step, not O(n + m); on a connected graph the
-///    plan covers everything and the sweep is the classic one.
+///  * DENSE step: the full sweep, a sequential gather in both
+///    directions (backward: row u sums over its out-row; forward: row
+///    w sums over its in-row) — but RESTRICTED to the weak components
+///    of the walk's seeds (Graph::PlanDenseSweep): mass can never leave
+///    them, so rows outside contribute exactly 0.0 and are skipped
+///    without changing a single bit. A saturated-but-local walk
+///    therefore pays O(|ball|) per dense step, not O(n + m); on a
+///    connected graph the plan covers everything and the sweep is the
+///    classic one. A gather writes each destination once, in row
+///    order, where a push scatters random writes.
 ///
 /// The adaptive policy compares the frontier degree sum against the
 /// RESTRICTED dense cost with a constant penalty for the sparse step's
@@ -31,19 +34,21 @@
 /// factor of the dense engine while small frontiers — the common case
 /// for few-step truncated DHT on sparse graphs — cost almost nothing.
 ///
-/// Numerical contract (DESIGN.md §3, §7): the support list is kept
-/// sorted by CANONICAL (external) node id at every step boundary, and
-/// CSR rows are stored in canonical order, so a sparse push visits
-/// sources in exactly the order the dense sweep's rows accumulate them
-/// — in EVERY physical layout. Floating-point summation order is
-/// therefore identical across modes, across restricted and full
-/// sweeps, and across graph reorderings (graph/reorder.h): all of them
-/// produce bit-identical mass vectors. This determinism is
-/// load-bearing: it is what lets a resumed walk (SaveState/
-/// RestoreState, or the batched engines' per-target states) produce
-/// byte-identical scores to a from-scratch walk, lets state pools drop
-/// entries under memory pressure and restart without changing any
-/// result, and makes a reordered graph a pure physical optimization.
+/// Numerical contract (DESIGN.md §3, §7): the support list is brought
+/// into CANONICAL (external) node-id order before any step that
+/// consumes its order (a sparse push), and CSR rows — out-rows and
+/// in-rows alike — are stored in canonical order of the other
+/// endpoint, so a sparse push visits sources in exactly the order the
+/// dense gather's rows accumulate them — in EVERY physical layout.
+/// Floating-point summation order is therefore identical across modes,
+/// across restricted and full sweeps, and across graph reorderings
+/// (graph/reorder.h): all of them produce bit-identical mass vectors.
+/// This determinism is load-bearing: it is what lets a resumed walk
+/// (SaveState/RestoreState, or the batched engines' per-target states)
+/// produce byte-identical scores to a from-scratch walk, lets state
+/// pools drop entries under memory pressure and restart without
+/// changing any result, and makes a reordered graph a pure physical
+/// optimization.
 
 #ifndef DHTJOIN_DHT_PROPAGATE_H_
 #define DHTJOIN_DHT_PROPAGATE_H_
@@ -201,23 +206,25 @@ class Propagator {
   bool ChooseDense() const;
   void RebuildPlan(std::span<const NodeId> seeds);
   /// Canonically sorts the support if a prior step left it unsorted.
-  /// Only steps that CONSUME the support order (any forward push, the
-  /// sparse backward push) pay this; the dense backward gather never
-  /// does, so a saturated dense walk skips the per-step sort entirely —
-  /// the deferral is what keeps reordered layouts from paying an
-  /// O(s log s) indirect sort per dense step.
+  /// Only the steps that CONSUME the support order (the sparse pushes)
+  /// pay this; the dense gathers never do, so a saturated dense walk
+  /// skips the per-step sort entirely — the deferral is what keeps
+  /// reordered layouts from paying an O(s log s) indirect sort per
+  /// dense step.
   void EnsureCanonicalSupport() {
     if (!support_canonical_) {
       g_.SortCanonical(support_);
       support_canonical_ = true;
     }
   }
-  /// The forward push; shared by sparse and dense forward steps, which
-  /// differ only in billing (the push already visits exactly the
-  /// nonzero rows in canonical order — the dense sweep's order).
-  void StepForward(bool bill_dense);
-  void StepSparseBackward();
-  void StepDenseBackward();
+  /// The sparse step: pushes each support node's mass over rows(u) —
+  /// out-rows forward, transposed in-rows backward — in support order.
+  template <typename Rows>
+  void PushSupport(Rows rows);
+  /// The dense step: next[u] = row_sum(u) for every row u of the plan,
+  /// where row_sum gathers over u's row in storage (canonical) order.
+  template <typename RowSum>
+  void GatherPlanRows(RowSum row_sum);
 
   const Graph& g_;
   Direction dir_;

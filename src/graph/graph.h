@@ -69,7 +69,8 @@ struct OutEdge {
 
 /// One incoming arc of node v: the source u and p_uv — the transition
 /// probability of the underlying (u, v) edge. Kept lean (16 bytes) so
-/// backward frontier pushes stream the minimum number of cache lines.
+/// backward frontier pushes and the forward dense gather stream the
+/// minimum number of cache lines.
 struct InEdge {
   NodeId from;
   double prob;  ///< p_uv of the edge (from, v)

@@ -3,6 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <vector>
+
 #include "dht/backward.h"
 #include "dht/bounds.h"
 #include "testing/reference.h"
@@ -10,8 +16,11 @@
 namespace dhtjoin {
 namespace {
 
+using testing::AllLayouts;
+using testing::ClusteredGraph;
 using testing::RandomGraph;
 using testing::Range;
+using testing::RefVisitSweep;
 using testing::TwoCommunityGraph;
 
 class BoundsSweep : public ::testing::TestWithParam<double> {};
@@ -84,6 +93,63 @@ TEST_P(BoundsSweep, Lemma5YNotLooserThanX) {
 
 INSTANTIATE_TEST_SUITE_P(Lambdas, BoundsSweep,
                          ::testing::Values(0.2, 0.4, 0.6, 0.8));
+
+TEST(BoundsTest, YBoundMatchesNaiveSweepBitwise) {
+  // The table's values, not just its brackets: suffix rows built from
+  // the engine-independent S_i(P, q) sweep must match bit for bit, in
+  // every layout. The random graph is connected (full dense plan); the
+  // clustered one confines P to two of its four clusters (restricted
+  // plan), so Q also probes nodes no walk from P can reach.
+  struct Case {
+    const char* name;
+    Graph graph;
+    NodeSet P, Q;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"random", RandomGraph(120, 480, 34, true, true),
+                   Range("P", 0, 12), Range("Q", 40, 100)});
+  ASSERT_EQ(cases.back().graph.Reachability().num_components(), 1);
+  std::vector<NodeId> p_ids, q_ids;
+  for (NodeId u = 0; u < 6; ++u) {
+    p_ids.push_back(u);
+    p_ids.push_back(40 + u);
+  }
+  for (NodeId u = 3; u < 160; u += 7) q_ids.push_back(u);
+  cases.push_back({"clustered", ClusteredGraph(4, 40, 120, 35),
+                   NodeSet("P", p_ids), NodeSet("Q", q_ids)});
+  ASSERT_GT(cases.back().graph.Reachability().num_components(), 1);
+
+  const int d = 10;
+  for (const Case& c : cases) {
+    for (double lambda : {0.3, 0.8}) {
+      const DhtParams params = DhtParams::Lambda(lambda);
+      const std::vector<std::vector<double>> s = RefVisitSweep(c.graph, c.P, d);
+      int next_layout = 0;
+      for (const Graph& g : AllLayouts(c.graph)) {
+        const int layout = next_layout++;
+        YBoundTable ytable(g, params, d, c.P, c.Q);
+        const auto& rows = ytable.suffix_rows();
+        ASSERT_EQ(rows.size(), c.Q.size());
+        for (std::size_t qi = 0; qi < c.Q.size(); ++qi) {
+          const auto q = static_cast<std::size_t>(c.Q[qi].value());
+          ASSERT_EQ(rows[qi].size(), static_cast<std::size_t>(d) + 1);
+          EXPECT_EQ(rows[qi][static_cast<std::size_t>(d)], 0.0);
+          // Theorem 1's suffix sums, in YBoundTable's summation order.
+          double acc = 0.0;
+          for (int l = d - 1; l >= 0; --l) {
+            acc += params.alpha * std::pow(lambda, l + 1) *
+                   std::min(s[static_cast<std::size_t>(l)][q], 1.0);
+            EXPECT_EQ(std::bit_cast<uint64_t>(
+                          rows[qi][static_cast<std::size_t>(l)]),
+                      std::bit_cast<uint64_t>(acc))
+                << c.name << " layout " << layout << " lambda=" << lambda
+                << " q=" << q << " l=" << l;
+          }
+        }
+      }
+    }
+  }
+}
 
 TEST(BoundsTest, YBoundZeroAtFullDepth) {
   Graph g = TwoCommunityGraph();

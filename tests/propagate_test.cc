@@ -66,12 +66,10 @@ TEST(PropagateTest, BackwardModesAgreeOnAllFixtures) {
         sparse.Advance(10);
         adaptive.Advance(10);
         for (NodeId u = 0; u < fx.graph.num_nodes(); ++u) {
-          EXPECT_NEAR(sparse.Score(ExtNodeId(u)), dense.Score(ExtNodeId(u)),
-                      kTol)
+          EXPECT_EQ(sparse.Score(ExtNodeId(u)), dense.Score(ExtNodeId(u)))
               << fx.name << " first_hit=" << p.first_hit << " q=" << q
               << " u=" << u;
-          EXPECT_NEAR(adaptive.Score(ExtNodeId(u)), dense.Score(ExtNodeId(u)),
-                      kTol)
+          EXPECT_EQ(adaptive.Score(ExtNodeId(u)), dense.Score(ExtNodeId(u)))
               << fx.name << " first_hit=" << p.first_hit << " q=" << q
               << " u=" << u;
         }
@@ -97,14 +95,14 @@ TEST(PropagateTest, ForwardModesAgreeOnAllFixtures) {
           dense.Advance(d);
           sparse.Advance(d);
           adaptive.Advance(d);
-          EXPECT_NEAR(sparse.Score(), dense.Score(), kTol) << fx.name;
-          EXPECT_NEAR(adaptive.Score(), dense.Score(), kTol) << fx.name;
+          // Identical bits, not merely close (DESIGN.md §3): the dense
+          // gather adds each row's terms in the sparse push's order.
+          EXPECT_EQ(sparse.Score(), dense.Score()) << fx.name;
+          EXPECT_EQ(adaptive.Score(), dense.Score()) << fx.name;
           for (int i = 1; i <= d; ++i) {
-            EXPECT_NEAR(sparse.HitProbability(i), dense.HitProbability(i),
-                        kTol)
+            EXPECT_EQ(sparse.HitProbability(i), dense.HitProbability(i))
                 << fx.name << " i=" << i;
-            EXPECT_NEAR(adaptive.HitProbability(i), dense.HitProbability(i),
-                        kTol)
+            EXPECT_EQ(adaptive.HitProbability(i), dense.HitProbability(i))
                 << fx.name << " i=" << i;
           }
         }

@@ -37,39 +37,13 @@
 #include "serve/score_cache.h"
 #include "serve/session.h"
 #include "testing/reference.h"
-#include "util/rng.h"
 
 namespace dhtjoin {
 namespace {
 
+using testing::ClusteredGraph;
 using testing::RandomGraph;
 using testing::Range;
-
-/// Graph of `clusters` mutually unreachable random clusters of
-/// `cluster_nodes` nodes — the restricted sweep's home turf.
-Graph ClusteredGraph(int clusters, NodeId cluster_nodes,
-                     int64_t edges_per_cluster, uint64_t seed) {
-  GraphBuilder b(clusters * cluster_nodes, /*undirected=*/true);
-  Rng rng(seed);
-  for (int c = 0; c < clusters; ++c) {
-    const NodeId base = c * cluster_nodes;
-    int64_t added = 0;
-    while (added < edges_per_cluster) {
-      auto u = base + static_cast<NodeId>(
-                          rng.Below(static_cast<uint64_t>(cluster_nodes)));
-      auto v = base + static_cast<NodeId>(
-                          rng.Below(static_cast<uint64_t>(cluster_nodes)));
-      if (u == v) continue;
-      if (!b.AddEdge(u, v, 1.0 + static_cast<double>(rng.Below(4))).ok()) {
-        continue;
-      }
-      ++added;
-    }
-  }
-  auto g = b.Build();
-  DHTJOIN_CHECK(g.ok());
-  return std::move(g).value();
-}
 
 Graph Reordered(const Graph& g, ReorderKind kind) {
   auto r = ReorderGraph(g, kind);

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "dht/backward.h"
@@ -235,15 +236,23 @@ TEST(ResumeTest, BatchWorkspacePoolCapDiscardsIdleWorkspaces) {
 
 // ------------------------------------------------- batched backward
 
-TEST(ResumeTest, BackwardBatchResumeMatchesFromScratchBitwise) {
-  Graph g = RandomGraph(50, 170, 43, true, true);
-  std::vector<ExtNodeId> targets = {
-      ExtNodeId(3), ExtNodeId(9), ExtNodeId(14), ExtNodeId(20),
-      ExtNodeId(27), ExtNodeId(33), ExtNodeId(38), ExtNodeId(44),
-      ExtNodeId(48)};
-  std::vector<std::size_t> slots = {0, 1, 2, 3, 4, 5, 6, 7, 8};
-  std::vector<ExtNodeId> sources;
-  for (NodeId u = 0; u < 25; ++u) sources.push_back(ExtNodeId(u));
+// Every layout of a graph of eight sparse clusters. Their local walks
+// keep a restored multi-lane block sparse at its first step: the step
+// that consumes the order of the restored union support, which the
+// restore leaves in lane-load order and the step must sort first. The
+// well-mixed random graphs below resume mostly into dense steps.
+std::vector<Graph> ClusteredLayouts() {
+  return testing::AllLayouts(testing::ClusteredGraph(8, 100, 200, 5));
+}
+
+// Walks `targets` through the IDJ deepening schedule on resumable
+// states; every row must equal a from-scratch Run bit for bit.
+void ExpectBackwardResumeMatchesScratch(const Graph& g,
+                                        const std::vector<ExtNodeId>& targets,
+                                        const std::vector<ExtNodeId>& sources,
+                                        const std::string& label) {
+  std::vector<std::size_t> slots;
+  for (std::size_t i = 0; i < targets.size(); ++i) slots.push_back(i);
   for (const DhtParams& p : Semantics()) {
     BackwardWalkerBatch batch(g);
     std::vector<double> scratch = batch.Run(p, 8, targets, sources);
@@ -260,11 +269,38 @@ TEST(ResumeTest, BackwardBatchResumeMatchesFromScratchBitwise) {
           });
     }
     // Every target walked from scratch exactly once, at level 1.
-    EXPECT_EQ(fresh_total, static_cast<int64_t>(targets.size()));
+    EXPECT_EQ(fresh_total, static_cast<int64_t>(targets.size())) << label;
     for (std::size_t i = 0; i < scratch.size(); ++i) {
-      EXPECT_EQ(resumed[i], scratch[i]) << "first_hit=" << p.first_hit
-                                        << " i=" << i;
+      EXPECT_EQ(resumed[i], scratch[i])
+          << label << " first_hit=" << p.first_hit << " i=" << i;
     }
+  }
+}
+
+TEST(ResumeTest, BackwardBatchResumeMatchesFromScratchBitwise) {
+  std::vector<ExtNodeId> sources;
+  for (NodeId u = 0; u < 25; ++u) sources.push_back(ExtNodeId(u));
+  ExpectBackwardResumeMatchesScratch(
+      RandomGraph(50, 170, 43, true, true),
+      {ExtNodeId(3), ExtNodeId(9), ExtNodeId(14), ExtNodeId(20),
+       ExtNodeId(27), ExtNodeId(33), ExtNodeId(38), ExtNodeId(44),
+       ExtNodeId(48)},
+      sources, "random");
+
+  // Two lane blocks with one target per cluster each, plus a lone
+  // ninth target; three sources per cluster.
+  std::vector<ExtNodeId> targets;
+  for (NodeId c = 0; c < 8; ++c) targets.push_back(ExtNodeId(c * 100 + 7));
+  for (NodeId c = 0; c < 8; ++c) targets.push_back(ExtNodeId(c * 100 + 61));
+  targets.push_back(ExtNodeId(333));
+  sources.clear();
+  for (NodeId c = 0; c < 8; ++c) {
+    for (NodeId off : {2, 40, 90}) sources.push_back(ExtNodeId(c * 100 + off));
+  }
+  int layout = 0;
+  for (const Graph& g : ClusteredLayouts()) {
+    ExpectBackwardResumeMatchesScratch(
+        g, targets, sources, "clustered layout " + std::to_string(layout++));
   }
 }
 
@@ -426,16 +462,16 @@ TEST(ResumeTest, ForwardBatchThreadCountDoesNotChangeResults) {
   EXPECT_EQ(one.edges_relaxed(), four.edges_relaxed());
 }
 
-TEST(ResumeTest, ForwardBatchPairResumeMatchesFromScratchBitwise) {
-  Graph g = RandomGraph(40, 130, 49, false, true);
-  std::vector<ExtNodeId> sources = {
-      ExtNodeId(0), ExtNodeId(2), ExtNodeId(4), ExtNodeId(6),
-      ExtNodeId(8), ExtNodeId(10), ExtNodeId(12), ExtNodeId(14),
-      ExtNodeId(16)};
-  ExtNodeId target(33);
+// Walks every (source, target) pair through the deepening schedule on
+// resumable states; every score must equal a from-scratch Run bit for
+// bit.
+void ExpectForwardResumeMatchesScratch(const Graph& g,
+                                       const std::vector<ExtNodeId>& sources,
+                                       ExtNodeId target,
+                                       const std::string& label) {
   std::vector<std::size_t> slots;
   for (std::size_t i = 0; i < sources.size(); ++i) slots.push_back(i);
-  std::vector<ExtNodeId> target_vec = {target};
+  const std::vector<ExtNodeId> target_vec = {target};
   for (const DhtParams& p : Semantics()) {
     ForwardWalkerBatch batch(g);
     std::vector<double> scratch = batch.Run(p, 8, sources, target_vec);
@@ -448,11 +484,31 @@ TEST(ResumeTest, ForwardBatchPairResumeMatchesFromScratchBitwise) {
           p, l, sources, slots, target, states,
           [&](std::size_t i, double s) { resumed[i] = s; });
     }
-    EXPECT_EQ(fresh_total, static_cast<int64_t>(sources.size()));
+    EXPECT_EQ(fresh_total, static_cast<int64_t>(sources.size())) << label;
     for (std::size_t i = 0; i < sources.size(); ++i) {
       EXPECT_EQ(resumed[i], scratch[i])
-          << "first_hit=" << p.first_hit << " i=" << i;
+          << label << " first_hit=" << p.first_hit << " i=" << i;
     }
+  }
+}
+
+TEST(ResumeTest, ForwardBatchPairResumeMatchesFromScratchBitwise) {
+  ExpectForwardResumeMatchesScratch(
+      RandomGraph(40, 130, 49, false, true),
+      {ExtNodeId(0), ExtNodeId(2), ExtNodeId(4), ExtNodeId(6), ExtNodeId(8),
+       ExtNodeId(10), ExtNodeId(12), ExtNodeId(14), ExtNodeId(16)},
+      ExtNodeId(33), "random");
+
+  // Nine sources around one target, all in cluster 4.
+  std::vector<ExtNodeId> sources;
+  for (NodeId off = 3; off < 100; off += 11) {
+    sources.push_back(ExtNodeId(400 + off));
+  }
+  int layout = 0;
+  for (const Graph& g : ClusteredLayouts()) {
+    ExpectForwardResumeMatchesScratch(
+        g, sources, ExtNodeId(450),
+        "clustered layout " + std::to_string(layout++));
   }
 }
 

@@ -4,7 +4,8 @@
 ///
 /// RefFirstHitProb enumerates every walk explicitly (exponential in d;
 /// only for tiny graphs) — a genuinely independent check of both the
-/// forward and backward propagation engines. RefTwoWayJoin and
+/// forward and backward propagation engines. RefVisitSweep is the Y
+/// bound's S_i(P, q) sweep as plain loops. RefTwoWayJoin and
 /// RefNwayJoin are brute-force joins built on top of it / of the
 /// (separately validated) walkers.
 
@@ -26,6 +27,7 @@
 #include "graph/graph.h"
 #include "graph/graph_builder.h"
 #include "graph/node_set.h"
+#include "graph/reorder.h"
 #include "join2/two_way_join.h"
 #include "rankjoin/aggregate.h"
 #include "rankjoin/pbrj.h"
@@ -64,6 +66,37 @@ inline double RefHd(const Graph& g, const DhtParams& params, int d, NodeId u,
     score += params.alpha * lp * RefFirstHitProb(g, u, v, i);
   }
   return score;
+}
+
+/// The Y bound's visiting sweep (Theorem 1), naively: out[i-1][v] =
+/// S_i(P, v), the probability that a NON-absorbing walk started at
+/// every node of P (unit mass each; duplicates count once) occupies v
+/// at step i, for i = 1..d — indexed by EXTERNAL id. Plain loops over
+/// the edge list, no Propagator: each step pushes from sources in
+/// ascending external id, so every destination adds its terms in the
+/// canonical order the engines promise (DESIGN.md §3) — and an engine
+/// that keeps that promise matches bit for bit.
+inline std::vector<std::vector<double>> RefVisitSweep(const Graph& g,
+                                                      const NodeSet& P,
+                                                      int d) {
+  const auto n = static_cast<std::size_t>(g.num_nodes());
+  std::vector<double> cur(n, 0.0);
+  for (ExtNodeId p : P) cur[static_cast<std::size_t>(p.value())] = 1.0;
+  std::vector<std::vector<double>> out;
+  for (int i = 1; i <= d; ++i) {
+    std::vector<double> next(n, 0.0);
+    for (NodeId u = 0; u < g.num_nodes(); ++u) {
+      const double m = cur[static_cast<std::size_t>(u)];
+      if (m == 0.0) continue;
+      for (const OutEdge& e : g.OutEdges(g.ToInternal(ExtNodeId(u)))) {
+        const NodeId v = g.ToExternal(IntNodeId(e.to)).value();
+        next[static_cast<std::size_t>(v)] += m * e.prob;
+      }
+    }
+    out.push_back(next);
+    cur = std::move(next);
+  }
+  return out;
 }
 
 /// Brute-force 2-way join via the backward walker (validated separately
@@ -268,6 +301,45 @@ inline Graph RandomGraph(NodeId n, int64_t edges, uint64_t seed,
   auto g = b.Build();
   DHTJOIN_CHECK(g.ok());
   return std::move(g).value();
+}
+
+/// Graph of `clusters` mutually unreachable random clusters of
+/// `cluster_nodes` nodes, weighted and undirected — a multi-component
+/// graph, home turf of the restricted sweep, whose walks stay local.
+inline Graph ClusteredGraph(int clusters, NodeId cluster_nodes,
+                            int64_t edges_per_cluster, uint64_t seed) {
+  GraphBuilder b(clusters * cluster_nodes, /*undirected=*/true);
+  Rng rng(seed);
+  for (int c = 0; c < clusters; ++c) {
+    const NodeId base = c * cluster_nodes;
+    int64_t added = 0;
+    while (added < edges_per_cluster) {
+      auto u = base + static_cast<NodeId>(
+                          rng.Below(static_cast<uint64_t>(cluster_nodes)));
+      auto v = base + static_cast<NodeId>(
+                          rng.Below(static_cast<uint64_t>(cluster_nodes)));
+      if (u == v) continue;
+      if (!b.AddEdge(u, v, 1.0 + static_cast<double>(rng.Below(4))).ok()) {
+        continue;
+      }
+      ++added;
+    }
+  }
+  auto g = b.Build();
+  DHTJOIN_CHECK(g.ok());
+  return std::move(g).value();
+}
+
+/// `g` in every physical layout the repo builds: as given, then
+/// degree- and RCM-ordered (graph/reorder.h).
+inline std::vector<Graph> AllLayouts(const Graph& g) {
+  std::vector<Graph> out = {g};
+  for (ReorderKind kind : {ReorderKind::kDegree, ReorderKind::kRcm}) {
+    auto r = ReorderGraph(g, kind);
+    DHTJOIN_CHECK(r.ok());
+    out.push_back(std::move(r).value());
+  }
+  return out;
 }
 
 /// First `count` node ids as a NodeSet.
