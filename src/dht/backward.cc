@@ -26,11 +26,22 @@ void BackwardWalker::Save(BackwardWalkerState* out) const {
   out->level = level_;
   out->lambda_pow = lambda_pow_;
   engine_.SaveState(&out->engine);
-  out->score_delta.clear();
-  out->score_delta.reserve(touched_.size());
-  for (NodeId u : touched_) {
-    out->score_delta.emplace_back(u, score_delta_[static_cast<std::size_t>(u)]);
+  // Deltas go out in ascending internal id. Every touched slot is
+  // nonzero (same-sign adds onto an exact 0.0; Advance skips underflowed
+  // ones) and every other slot is exactly 0.0, so one branch-free pass
+  // over the dense vector reads them off: each slot is written to the
+  // next free cell, which advances only past a nonzero.
+  const std::size_t n = score_delta_.size();
+  const std::size_t m = touched_.size();
+  auto& deltas = out->score_delta;
+  deltas.resize(m);
+  std::size_t k = 0;
+  for (std::size_t u = 0; u < n && k < m; ++u) {
+    const double delta = score_delta_[u];
+    deltas[k] = {static_cast<NodeId>(u), delta};
+    k += static_cast<std::size_t>(delta != 0.0);
   }
+  deltas.resize(k);
 }
 
 void BackwardWalker::Restore(const DhtParams& params,

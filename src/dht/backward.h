@@ -44,7 +44,11 @@ struct BackwardWalkerState {
   int level = 0;
   double lambda_pow = 1.0;
   PropagatorState engine;
-  std::vector<std::pair<NodeId, double>> score_delta;  // touched order
+  /// (INTERNAL id, h_level(u, q) - beta) of every touched u, strictly
+  /// ascending by id, so a reader can search for the ids it needs
+  /// instead of scanning the whole walk (DESIGN.md §3). Every delta is
+  /// nonzero; an absent id's delta is exactly 0.0.
+  std::vector<std::pair<NodeId, double>> score_delta;
 
   std::size_t ApproxBytes() const {
     return sizeof(*this) + engine.ApproxBytes() +
@@ -128,6 +132,8 @@ class BackwardWalker {
   void Advance(int steps);
 
   /// Snapshots the current walk into `out`; the walker is unchanged.
+  /// The score deltas come out in ascending internal id, read off the
+  /// dense delta vector in one O(n) pass.
   void Save(BackwardWalkerState* out) const;
 
   /// Replaces the current walk with `state` (saved with the same params;
@@ -159,8 +165,8 @@ class BackwardWalker {
   IntNodeId target_internal_;  // layout id, for absorption
   int level_ = 0;
   double lambda_pow_ = 1.0;  // lambda^level
-  // score_delta_[u] = h_l(u, q) - beta for INTERNAL u; exactly 0.0
-  // outside touched_, so Reset clears in O(|touched_|).
+  // score_delta_[u] = h_l(u, q) - beta for INTERNAL u; nonzero exactly
+  // on touched_ (first-touch order), so Reset clears in O(|touched_|).
   std::vector<double> score_delta_;
   std::vector<NodeId> touched_;
 };

@@ -59,6 +59,7 @@ IncrementalTwoWayJoin::IncrementalTwoWayJoin(const Graph& g,
   }
   q_level_.assign(Q_.size(), 0);
   q_pmax_.assign(Q_.size(), params_.beta);
+  f_handles_.resize(Q_.size());
   residual_handle_.resize(Q_.size());
   for (std::size_t qi = 0; qi < Q_.size(); ++qi) {
     residual_handle_[qi] =
@@ -191,19 +192,35 @@ void IncrementalTwoWayJoin::DeepenTarget(std::size_t qi, int new_level) {
 }
 
 void IncrementalTwoWayJoin::ReadRow(const BackwardWalkerState& state) {
-  if (p_slot_.empty()) {
-    p_slot_.assign(static_cast<std::size_t>(g_.num_nodes()), -1);
+  if (p_by_internal_.empty()) {
+    p_by_internal_.reserve(P_.size());
     for (std::size_t pi = 0; pi < P_.size(); ++pi) {
-      p_slot_[static_cast<std::size_t>(g_.ToInternal(P_[pi]).value())] =
-          static_cast<int32_t>(pi);
+      p_by_internal_.emplace_back(g_.ToInternal(P_[pi]).value(),
+                                  static_cast<uint32_t>(pi));
     }
+    std::sort(p_by_internal_.begin(), p_by_internal_.end());
   }
-  // Deltas are keyed by INTERNAL id in touched order; untouched nodes
-  // hold an exact 0.0, as in the walker's dense vector.
+  // Deltas are ascending by INTERNAL id; an absent node holds an exact
+  // 0.0, as in the walker's dense vector. Each of P's ids is found by
+  // galloping from the previous hit: probe 1, 2, 4, ... entries ahead
+  // until an id >= u, then binary-search the last gap.
+  const std::pair<NodeId, double>* const deltas = state.score_delta.data();
+  const std::size_t end = state.score_delta.size();
   row_buffer_.assign(P_.size(), 0.0);
-  for (const auto& [u, delta] : state.score_delta) {
-    const int32_t pi = p_slot_[static_cast<std::size_t>(u)];
-    if (pi >= 0) row_buffer_[static_cast<std::size_t>(pi)] = delta;
+  std::size_t lo = 0;
+  for (const auto& [u, pi] : p_by_internal_) {
+    std::size_t hi = lo;
+    for (std::size_t step = 1; hi < end && deltas[hi].first < u; step *= 2) {
+      lo = hi + 1;
+      hi = lo + step;
+    }
+    lo = static_cast<std::size_t>(
+        std::lower_bound(deltas + lo, deltas + std::min(hi, end), u,
+                         [](const std::pair<NodeId, double>& e, NodeId id) {
+                           return e.first < id;
+                         }) -
+        deltas);
+    if (lo < end && deltas[lo].first == u) row_buffer_[pi] = deltas[lo].second;
   }
   for (double& cell : row_buffer_) cell = params_.beta + cell;
 }
@@ -214,6 +231,14 @@ void IncrementalTwoWayJoin::ApplyRow(std::size_t qi, int new_level,
   DHTJOIN_CHECK_LE(new_level, d_);
   ExtNodeId q = Q_[qi];
   const double remainder = Remainder(new_level, qi);
+  // The row and the target's handle list both run in P order, so one
+  // merge pairs each score with its F entry, if it has one. Depth d is
+  // final (the target is never walked again), so there the merge only
+  // looks entries up and the list is released.
+  std::vector<MutableHeap<PairEntry>::Handle>& handles = f_handles_[qi];
+  const bool keep_handles = new_level < d_;
+  std::size_t next = 0;
+  merged_handles_.clear();
   double pmax = params_.beta;
   for (std::size_t pi = 0; pi < P_.size(); ++pi) {
     ExtNodeId p = P_[pi];
@@ -221,30 +246,40 @@ void IncrementalTwoWayJoin::ApplyRow(std::size_t qi, int new_level,
     double s = row[pi];
     if (s <= params_.beta) continue;
     pmax = std::max(pmax, s);
-    uint64_t key = PairKey(p.value(), q.value());
-    if (returned_.contains(key)) continue;
     double upper = s + remainder;
-    auto it = index_.find(key);
-    if (it == index_.end()) {
-      PairEntry entry{p.value(), qi, s, new_level};
-      index_.emplace(key, f_.Push(upper, entry));
-    } else {
-      PairEntry& entry = f_.GetMutable(it->second);
+    // An entry the row skips would keep its bounds (none does: a
+    // deeper row only grows).
+    for (; next < handles.size() && f_.Get(handles[next]).pi < pi; ++next) {
+      if (keep_handles) merged_handles_.push_back(handles[next]);
+    }
+    MutableHeap<PairEntry>::Handle handle;
+    if (next < handles.size() && f_.Get(handles[next]).pi == pi) {
+      handle = handles[next++];
+      PairEntry& entry = f_.GetMutable(handle);
       // Deeper walks only tighten: lower grows, upper shrinks
       // (monotonicity of h_l and of h_l + U_l^+; see DESIGN.md).
       entry.lower = s;
       entry.level = new_level;
-      f_.Update(it->second, upper);
+      f_.Update(handle, upper);
+    } else {
+      handle = f_.Push(upper, PairEntry{p.value(), qi, s, new_level,
+                                        static_cast<uint32_t>(pi)});
     }
+    if (keep_handles) merged_handles_.push_back(handle);
   }
 
   q_level_[qi] = new_level;
   q_pmax_[qi] = pmax;
-  if (new_level >= d_) {
-    residual_.Erase(residual_handle_[qi]);
-  } else {
+  if (keep_handles) {
+    merged_handles_.insert(merged_handles_.end(),
+                          handles.begin() + static_cast<std::ptrdiff_t>(next),
+                          handles.end());
+    handles.swap(merged_handles_);
     residual_.Update(residual_handle_[qi],
                      params_.beta + Remainder(new_level, qi));
+  } else {
+    std::vector<MutableHeap<PairEntry>::Handle>().swap(handles);
+    residual_.Erase(residual_handle_[qi]);
   }
 }
 
@@ -414,18 +449,14 @@ ScoredPair IncrementalTwoWayJoin::EmitTieRun(double s) {
       continue;
     }
     f_.Pop();
-    index_.erase(PairKey(e.p, Q_[e.qi].value()));
     (e.lower >= s ? run : below).push_back(e);
   }
   // Exact pairs under s wait in F for their own turn (their targets are
   // at depth d, so no later walk touches them).
-  for (const PairEntry& e : below) {
-    index_.emplace(PairKey(e.p, Q_[e.qi].value()), f_.Push(e.lower, e));
-  }
+  for (const PairEntry& e : below) f_.Push(e.lower, e);
   tie_run_.clear();
   for (const PairEntry& e : run) {
     tie_run_.push_back(ScoredPair{e.p, Q_[e.qi].value(), e.lower});
-    returned_.insert(PairKey(e.p, Q_[e.qi].value()));
   }
   std::sort(tie_run_.begin(), tie_run_.end(), ScoredPairGreater);
   tie_pos_ = 1;
@@ -469,9 +500,6 @@ std::optional<ScoredPair> IncrementalTwoWayJoin::Next() {
         return EmitTieRun(e1.lower);
       }
       f_.Pop();
-      uint64_t key = PairKey(e1.p, Q_[e1.qi].value());
-      index_.erase(key);
-      returned_.insert(key);
       ++num_returned_;
       return ScoredPair{e1.p, Q_[e1.qi].value(), e1.lower};
     }

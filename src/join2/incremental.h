@@ -8,10 +8,11 @@
 ///
 /// IncrementalTwoWayJoin runs a B-IDJ-style deepening schedule once, but
 /// records every bound it computes in a mutable priority queue F of
-/// entries  <(p, q), h-, h+, l>  ordered by the upper bound h+, paired
-/// with a hash index from (p, q) to its heap handle — exactly the
-/// structure the paper describes. Next() then repeatedly resolves the
-/// top of F:
+/// entries  <(p, q), h-, h+, l>  ordered by the upper bound h+ — the
+/// structure the paper describes. A target still below depth d keeps
+/// the heap handles of its entries in P order, so a deeper walk of it
+/// tightens them in one merge with its new row, hashing nothing.
+/// Next() then repeatedly resolves the top of F:
 ///   * if the top entry's lower bound dominates both the runner-up's
 ///     upper bound and every not-yet-materialized pair, it is the next
 ///     result (exactified by a d-step walk from its q first if needed);
@@ -40,8 +41,7 @@
 
 #include <memory>
 #include <optional>
-#include <unordered_map>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "dht/backward.h"
@@ -117,6 +117,7 @@ class IncrementalTwoWayJoin {
     std::size_t qi;    // index into Q
     double lower;      // h_l(p, q)
     int level;         // l at which `lower` was computed
+    uint32_t pi;       // index of p in P
   };
 
   IncrementalTwoWayJoin(const Graph& g, const DhtParams& params, int d,
@@ -137,14 +138,16 @@ class IncrementalTwoWayJoin {
 
   /// Fills row_buffer_ with h_l(P[pi], q) read from a saved walk's
   /// score deltas — the same arithmetic as BackwardWalker::Score, so
-  /// bit-identical to restoring the walk, without the restore.
+  /// bit-identical to restoring the walk, without the restore. P's ids
+  /// are found in the ascending delta list by galloping search:
+  /// O(|P| log(t / |P|)) for a walk that touched t nodes.
   void ReadRow(const BackwardWalkerState& state);
 
   /// The F-maintenance half of a deepening: folds target qi's score row
   /// over P (h_{new_level}(P[pi], Q[qi]) at row[pi]) into the candidate
-  /// heap and residual bound, and records the new level and the row's
-  /// best score. Shared by DeepenTarget and the batch-driven initial
-  /// schedule.
+  /// heap — merging it with the target's handle list — and residual
+  /// bound, and records the new level and the row's best score. Shared
+  /// by DeepenTarget and the batch-driven initial schedule.
   void ApplyRow(std::size_t qi, int new_level, const double* row);
 
   /// Resolves every pair whose bound still reaches `s` (the exact top
@@ -190,15 +193,21 @@ class IncrementalTwoWayJoin {
   int64_t deepen_calls_ = 0;
   int64_t schedule_evictions_ = 0;  // from the batch-driven top-m setup
   std::vector<double> row_buffer_;  // scratch: one score row over P_
-  // Internal node id -> index into P_ (-1 when not in P), built on the
-  // first ReadRow.
-  std::vector<int32_t> p_slot_;
+  // (internal id, index into P_) of every member of P, ascending by
+  // internal id; built on the first ReadRow.
+  std::vector<std::pair<NodeId, uint32_t>> p_by_internal_;
   int64_t warm_targets_ = 0;
   int64_t cold_targets_ = 0;
 
   MutableHeap<PairEntry> f_;  // keyed by upper bound h+
-  std::unordered_map<uint64_t, MutableHeap<PairEntry>::Handle> index_;
-  std::unordered_set<uint64_t> returned_;
+  // Per target below depth d: the handles of its F entries, ascending
+  // by P index. Released at depth d, after which the target is never
+  // walked again — and only then can its pairs leave F (every pair is
+  // emitted exact), so a returned pair needs no record.
+  std::vector<std::vector<MutableHeap<PairEntry>::Handle>> f_handles_;
+  // ApplyRow's merge output below depth d, swapped into the target's
+  // list; the buffer it gets back is reused by the next call.
+  std::vector<MutableHeap<PairEntry>::Handle> merged_handles_;
 
   // Residual heap over target indices, keyed by beta + U_l^+(q): the
   // bound on any pair of that target not represented in F.

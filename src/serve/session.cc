@@ -352,22 +352,30 @@ Result<int64_t> DhtJoinService::LoadWarmState(const std::string& path) {
     persist_metrics_.restore_rejects->Increment();
     return int64_t{0};
   }
-  int64_t restored = 0;
+  // Decode every record before inserting any, so a refused snapshot
+  // leaves the cache as it was.
+  std::vector<DecodedCacheRecord> records;
+  records.reserve(decoded->sections.size());
   for (const persist::SnapshotSection& section : decoded->sections) {
     Result<DecodedCacheRecord> record =
-        DecodeCacheRecord(section.kind, section.payload, graph_fp_, params_);
+        DecodeCacheRecord(section.kind, section.payload, graph_fp_, params_,
+                          g_.num_nodes());
     if (!record.ok()) {
       // Section checksums passed but the record is structurally bad:
       // an encoder/decoder version skew. Fail closed.
       persist_metrics_.restore_rejects->Increment();
       return record.status();
     }
-    const CachePayload kind = record->key.kind;
-    const CacheEntry* incoming = record->entry.get();
+    records.push_back(std::move(record).value());
+  }
+  int64_t restored = 0;
+  for (const DecodedCacheRecord& record : records) {
+    const CachePayload kind = record.key.kind;
+    const CacheEntry* incoming = record.entry.get();
     // Same arbitration as live write-backs: deepest-wins for
     // level-carrying walk states, resident-wins for whole tables (a
     // live entry is never staler than a checkpointed one).
-    cache_.PutIf(record->key, record->entry,
+    cache_.PutIf(record.key, record.entry,
                  [kind, incoming](const CacheEntry& existing) {
                    switch (kind) {
                      case CachePayload::kBackwardSnapshot:

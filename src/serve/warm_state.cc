@@ -1,5 +1,6 @@
 #include "serve/warm_state.h"
 
+#include <string>
 #include <utility>
 
 #include "cluster/wire.h"
@@ -81,7 +82,12 @@ Status ReadNodeList(ByteReader& r,
   return Status::OK();
 }
 
-Status ReadMass(ByteReader& r, std::vector<std::pair<NodeId, double>>* out) {
+/// Reads a sparse (INTERNAL id, value) list. The engines index n-sized
+/// vectors with these ids unchecked (BackwardWalker::Restore,
+/// batch_core::LoadLaneMass; Propagator::RestoreState only DCHECKs), so
+/// an id outside [0, num_nodes) is refused here.
+Status ReadMass(ByteReader& r, NodeId num_nodes,
+                std::vector<std::pair<NodeId, double>>* out) {
   const uint64_t count = r.U64();
   if (!r.ok() ||
       !PlausibleCount(r, count, sizeof(int64_t) + sizeof(double))) {
@@ -90,11 +96,30 @@ Status ReadMass(ByteReader& r, std::vector<std::pair<NodeId, double>>* out) {
   out->clear();
   out->reserve(static_cast<std::size_t>(count));
   for (uint64_t i = 0; i < count; ++i) {
-    const NodeId node = static_cast<NodeId>(r.I64());
+    const int64_t node = r.I64();
     const double value = r.F64Bits();
-    out->emplace_back(node, value);
+    if (node < 0 || node >= num_nodes) {
+      return Status::InvalidArgument("warm record corrupt: node id " +
+                                     std::to_string(node) + " outside [0, " +
+                                     std::to_string(num_nodes) + ")");
+    }
+    out->emplace_back(static_cast<NodeId>(node), value);
   }
   return r.status();
+}
+
+/// Score deltas are saved strictly ascending by id and nonzero
+/// (BackwardWalkerState::score_delta); PJ-i's warm read searches them.
+Status CheckScoreDeltas(const std::vector<std::pair<NodeId, double>>& deltas) {
+  for (std::size_t i = 0; i < deltas.size(); ++i) {
+    if (deltas[i].second == 0.0 ||
+        (i > 0 && deltas[i].first <= deltas[i - 1].first)) {
+      return Status::InvalidArgument(
+          "warm record corrupt: score deltas not strictly ascending and "
+          "nonzero");
+    }
+  }
+  return Status::OK();
 }
 
 Status ReadDoubles(ByteReader& r, std::vector<double>* out) {
@@ -170,7 +195,8 @@ std::vector<uint8_t> EncodeCacheRecord(const CacheKey& key,
 Result<DecodedCacheRecord> DecodeCacheRecord(uint32_t section_kind,
                                              std::span<const uint8_t> payload,
                                              uint64_t graph_fp,
-                                             const DhtParams& params) {
+                                             const DhtParams& params,
+                                             NodeId num_nodes) {
   ByteReader r(payload);
   DecodedCacheRecord record;
   record.key.graph_fp = graph_fp;
@@ -189,8 +215,9 @@ Result<DecodedCacheRecord> DecodeCacheRecord(uint32_t section_kind,
       state.target = ExtNodeId(static_cast<NodeId>(r.I64()));
       state.level = static_cast<int>(r.I64());
       state.lambda_pow = r.F64Bits();
-      DHTJOIN_RETURN_NOT_OK(ReadMass(r, &state.engine.mass));
-      DHTJOIN_RETURN_NOT_OK(ReadMass(r, &state.score_delta));
+      DHTJOIN_RETURN_NOT_OK(ReadMass(r, num_nodes, &state.engine.mass));
+      DHTJOIN_RETURN_NOT_OK(ReadMass(r, num_nodes, &state.score_delta));
+      DHTJOIN_RETURN_NOT_OK(CheckScoreDeltas(state.score_delta));
       record.entry =
           std::make_shared<CachedBackwardSnapshot>(std::move(state));
       break;
@@ -200,7 +227,7 @@ Result<DecodedCacheRecord> DecodeCacheRecord(uint32_t section_kind,
       BackwardBatchSnapshot snap;
       snap.level = static_cast<int>(r.I64());
       snap.lambda_pow = r.F64Bits();
-      DHTJOIN_RETURN_NOT_OK(ReadMass(r, &snap.mass));
+      DHTJOIN_RETURN_NOT_OK(ReadMass(r, num_nodes, &snap.mass));
       DHTJOIN_RETURN_NOT_OK(ReadDoubles(r, &snap.row));
       record.entry = std::make_shared<CachedBatchState>(std::move(snap));
       break;
@@ -225,6 +252,13 @@ Result<DecodedCacheRecord> DecodeCacheRecord(uint32_t section_kind,
       const std::size_t row_len = static_cast<std::size_t>(table_d) + 1;
       if (num_rows > r.remaining() / sizeof(double) / row_len + 1) {
         return Status::InvalidArgument("warm record corrupt: ybound rows");
+      }
+      // YBoundTable::Bound(l, qi) reads row qi < |Q| at l <= the key's d
+      // unchecked: the table must have exactly the key's shape.
+      if (record.key.set_b == nullptr ||
+          num_rows != record.key.set_b->size() || table_d != record.key.d) {
+        return Status::InvalidArgument(
+            "warm record corrupt: ybound shape differs from its key");
       }
       std::vector<std::vector<double>> rows(
           static_cast<std::size_t>(num_rows));

@@ -16,8 +16,9 @@
 /// different graph or measure therefore cannot smuggle records in.
 ///
 /// Decoding is fail-closed: any underflow, trailing bytes, or
-/// structurally impossible field yields kInvalidArgument, never a
-/// partially-filled record.
+/// structurally impossible field — a node id outside the graph, score
+/// deltas out of order, a Y-bound table not shaped like its key —
+/// yields kInvalidArgument, never a partially-filled record.
 
 #ifndef DHTJOIN_SERVE_WARM_STATE_H_
 #define DHTJOIN_SERVE_WARM_STATE_H_
@@ -46,13 +47,18 @@ struct DecodedCacheRecord {
   std::shared_ptr<const CacheEntry> entry;
 };
 
-/// Rebuilds a record from a section. `graph_fp` and `params` come from
-/// the LOADING service (validated against the snapshot header by the
-/// caller); the record carries everything else.
+/// Rebuilds a record from a section. `graph_fp`, `params` and
+/// `num_nodes` come from the LOADING service (validated against the
+/// snapshot header by the caller); the record carries everything else.
+/// Beyond structure, the decoder checks what the engines will index:
+/// every node id of a mass or delta list lies in [0, num_nodes), score
+/// deltas are strictly ascending and nonzero, and a Y-bound table has
+/// one row per member of its key's Q and the key's d.
 Result<DecodedCacheRecord> DecodeCacheRecord(uint32_t section_kind,
                                              std::span<const uint8_t> payload,
                                              uint64_t graph_fp,
-                                             const DhtParams& params);
+                                             const DhtParams& params,
+                                             NodeId num_nodes);
 
 }  // namespace dhtjoin::serve
 

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -241,6 +242,49 @@ TEST_F(WarmStateTest, RestoredServiceAnswersByteIdenticallyAndWarm) {
   std::remove(path.c_str());
 }
 
+TEST_F(WarmStateTest, RestoredServiceAnswersPjiByteIdenticallyAndWarm) {
+  // PJ-i's warm state is the serving cache's scalar walks (their score
+  // deltas ascending by internal id) and the Y-bound tables of its
+  // query edges. A restored service must read them back and answer a
+  // 3-chain A -> B -> C exactly as the service that saved them.
+  QueryGraph query;
+  query.AddNodeSet(Range("A", 0, 20));
+  query.AddNodeSet(Range("B", 20, 40));
+  query.AddNodeSet(Range("C", 40, 60));
+  ASSERT_TRUE(query.AddEdge(0, 1).ok());
+  ASSERT_TRUE(query.AddEdge(1, 2).ok());
+  const MinAggregate min_f;
+  const SumAggregate sum_f;
+  const std::vector<const Aggregate*> aggregates = {&min_f, &sum_f};
+
+  const std::string path = TempPath("warm_pji.snap");
+  DhtJoinService cold(g_, params_, kD, ServiceOptions());
+  std::vector<std::vector<TupleAnswer>> want;
+  for (const Aggregate* f : aggregates) {
+    Result<std::vector<TupleAnswer>> answer = cold.Nway(query, *f, kK);
+    ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+    ASSERT_FALSE(answer->empty());
+    want.push_back(*answer);
+  }
+  ASSERT_TRUE(cold.SaveWarmState(path).ok());
+
+  DhtJoinService warmed(g_, params_, kD, ServiceOptions());
+  Result<int64_t> restored = warmed.LoadWarmState(path);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_GT(restored.value(), 0);
+  for (std::size_t i = 0; i < aggregates.size(); ++i) {
+    serve::QueryStats qs;
+    Result<std::vector<TupleAnswer>> got = warmed.Nway(
+        query, *aggregates[i], kK,
+        DhtJoinService::NwayAlgo::kPartialJoinIncremental, &qs);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    testing::ExpectSameTuples(*got, want[i], "aggregate " + std::to_string(i));
+    EXPECT_GT(qs.warm_targets, 0) << "aggregate " << i;
+    EXPECT_EQ(qs.cold_targets, 0) << "aggregate " << i;
+  }
+  std::remove(path.c_str());
+}
+
 TEST_F(WarmStateTest, FingerprintMismatchFallsBackColdSilently) {
   const std::string path = TempPath("warm_mismatch.snap");
   DhtJoinService source(g_, params_, kD, ServiceOptions());
@@ -333,6 +377,130 @@ TEST_F(WarmStateTest, GarbageSectionPayloadsAreRejectedByRecordDecode) {
   EXPECT_EQ(r2.status().code(), StatusCode::kInvalidArgument);
   std::remove(path.c_str());
 }
+
+/// Records with valid section checksums, encoded exactly as
+/// SaveWarmState encodes them and keyed as the service keys them, whose
+/// contents the engines would index out of bounds or search wrongly.
+enum class BadRecord {
+  kDescendingScoreDeltas,
+  kEngineMassIdN,
+  kScoreDeltaIdN,
+  kBatchMassIdN,
+  kYBoundOneRowShort,
+  kYBoundShallowerThanKey,
+};
+
+std::string BadRecordName(const ::testing::TestParamInfo<BadRecord>& info) {
+  switch (info.param) {
+    case BadRecord::kDescendingScoreDeltas: return "DescendingScoreDeltas";
+    case BadRecord::kEngineMassIdN: return "EngineMassIdN";
+    case BadRecord::kScoreDeltaIdN: return "ScoreDeltaIdN";
+    case BadRecord::kBatchMassIdN: return "BatchMassIdN";
+    case BadRecord::kYBoundOneRowShort: return "YBoundOneRowShort";
+    case BadRecord::kYBoundShallowerThanKey: return "YBoundShallowerThanKey";
+  }
+  return "Unknown";
+}
+
+class BadWarmRecordTest : public WarmStateTest,
+                          public ::testing::WithParamInterface<BadRecord> {
+ protected:
+  /// One section holding the bad record, under the service's
+  /// fingerprints.
+  SnapshotFile BadSnapshot(const DhtJoinService& service) const {
+    const NodeId n = g_.num_nodes();
+    const double lambda_pow = params_.lambda * params_.lambda;
+    serve::CacheKey key;
+    key.params = params_;
+    std::shared_ptr<const serve::CacheEntry> entry;
+    auto walk = [&](std::vector<std::pair<NodeId, double>> mass,
+                    std::vector<std::pair<NodeId, double>> deltas) {
+      key.kind = serve::CachePayload::kBackwardSnapshot;
+      key.seed = Q_[0];
+      BackwardWalkerState state;
+      state.target = Q_[0];
+      state.level = 2;
+      state.lambda_pow = lambda_pow;
+      state.engine.mass = std::move(mass);
+      state.score_delta = std::move(deltas);
+      entry = std::make_shared<serve::CachedBackwardSnapshot>(std::move(state));
+    };
+    auto ybound = [&](int d, std::size_t rows) {
+      key.kind = serve::CachePayload::kYBound;
+      key.d = kD;
+      key.set_a = std::make_shared<const std::vector<ExtNodeId>>(P_.nodes());
+      key.set_b = std::make_shared<const std::vector<ExtNodeId>>(Q_.nodes());
+      std::vector<std::vector<double>> suffix(
+          rows, std::vector<double>(static_cast<std::size_t>(d) + 1, 0.0));
+      entry = std::make_shared<serve::CachedYBound>(
+          YBoundTable::FromSuffixRows(d, 0, std::move(suffix)));
+    };
+    switch (GetParam()) {
+      case BadRecord::kDescendingScoreDeltas:
+        walk({{1, 0.5}}, {{7, 0.125}, {3, 0.25}});
+        break;
+      case BadRecord::kEngineMassIdN:
+        walk({{1, 0.5}, {n, 0.5}}, {{3, 0.25}, {7, 0.125}});
+        break;
+      case BadRecord::kScoreDeltaIdN:
+        walk({{1, 0.5}}, {{3, 0.25}, {n, 0.125}});
+        break;
+      case BadRecord::kBatchMassIdN: {
+        key.kind = serve::CachePayload::kBatchState;
+        key.seed = Q_[0];
+        key.set_a = std::make_shared<const std::vector<ExtNodeId>>(P_.nodes());
+        BackwardBatchSnapshot snap;
+        snap.level = 2;
+        snap.lambda_pow = lambda_pow;
+        snap.mass = {{1, 0.5}, {n, 0.5}};
+        snap.row.assign(P_.size(), 0.0);
+        entry = std::make_shared<serve::CachedBatchState>(std::move(snap));
+        break;
+      }
+      case BadRecord::kYBoundOneRowShort:
+        ybound(kD, Q_.size() - 1);
+        break;
+      case BadRecord::kYBoundShallowerThanKey:
+        ybound(kD - 1, Q_.size());
+        break;
+    }
+    SnapshotFile file;
+    file.graph_fp = service.graph_fingerprint();
+    file.params_fp = cluster::ParamsFingerprint(params_, kD);
+    file.sections.push_back(
+        SnapshotSection{serve::SectionKindFor(key.kind),
+                        serve::EncodeCacheRecord(key, *entry)});
+    return file;
+  }
+};
+
+TEST_P(BadWarmRecordTest, LoadIsRefusedAndServiceAnswersAsCold) {
+  DhtJoinService cold_ref(g_, params_, kD, ServiceOptions());
+  Result<std::vector<ScoredPair>> want = cold_ref.TwoWay(P_, Q_, kK);
+  ASSERT_TRUE(want.ok());
+
+  DhtJoinService service(g_, params_, kD, ServiceOptions());
+  const SnapshotFile file = BadSnapshot(service);
+  ASSERT_FALSE(file.sections[0].payload.empty());
+  const std::string path = TempPath("warm_bad_record.snap");
+  ASSERT_TRUE(WriteSnapshotFile(path, file).ok());
+  Result<int64_t> r = service.LoadWarmState(path);
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  for (int round = 0; round < 2; ++round) {  // cold, then warm
+    Result<std::vector<ScoredPair>> got = service.TwoWay(P_, Q_, kK);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ExpectBytesIdentical(*got, *want);
+  }
+  std::remove(path.c_str());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Records, BadWarmRecordTest,
+    ::testing::Values(BadRecord::kDescendingScoreDeltas,
+                      BadRecord::kEngineMassIdN, BadRecord::kScoreDeltaIdN,
+                      BadRecord::kBatchMassIdN, BadRecord::kYBoundOneRowShort,
+                      BadRecord::kYBoundShallowerThanKey),
+    BadRecordName);
 
 TEST_F(WarmStateTest, PersistMetricsTickOnSaveAndRestore) {
   const std::string path = TempPath("warm_metrics.snap");

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -105,6 +107,57 @@ TEST(ResumeTest, BackwardSaveRestoreResumesExactly) {
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
     EXPECT_EQ(walker.Score(ExtNodeId(u)), reference.Score(ExtNodeId(u)))
         << "u=" << u;
+  }
+}
+
+TEST(ResumeTest, BackwardSaveEmitsDeltasAscendingByInternalId) {
+  // Save's deltas are exactly the touched set, strictly ascending by
+  // INTERNAL id, for shallow walks that touch a few nodes and deep ones
+  // that touch most. With beta = 0, Score(u) is u's delta itself, so
+  // the touched set is {u : Score != 0}.
+  const Graph base = RandomGraph(240, 480, 43);
+  for (const Graph& g : testing::AllLayouts(base)) {
+    auto expect_touched_ascending = [&](const BackwardWalker& walker,
+                                        const std::string& label) {
+      BackwardWalkerState state;
+      walker.Save(&state);
+      std::vector<std::pair<NodeId, double>> want;
+      for (NodeId u = 0; u < g.num_nodes(); ++u) {
+        const double delta = walker.Score(g.ToExternal(IntNodeId(u)));
+        if (delta != 0.0) want.emplace_back(u, delta);
+      }
+      ASSERT_EQ(state.score_delta.size(), want.size()) << label;
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(state.score_delta[i].first, want[i].first) << label;
+        EXPECT_EQ(std::bit_cast<uint64_t>(state.score_delta[i].second),
+                  std::bit_cast<uint64_t>(want[i].second))
+            << label;
+      }
+    };
+    for (const DhtParams& p :
+         {DhtParams::Exponential(), DhtParams::PersonalizedPageRank(0.7)}) {
+      for (NodeId q : {3, 120, 231}) {
+        for (int level : {1, 2, 4, 8}) {
+          const std::string label = "first_hit=" +
+                                    std::to_string(p.first_hit) +
+                                    " q=" + std::to_string(q) +
+                                    " level=" + std::to_string(level);
+          BackwardWalker walker(g);
+          walker.Reset(p, ExtNodeId(q));
+          walker.Advance(level);
+          expect_touched_ascending(walker, label);
+          // A restored walk lists the saved ids first and appends its
+          // new touches behind them; Save must still emit them in id
+          // order.
+          BackwardWalkerState saved;
+          walker.Save(&saved);
+          BackwardWalker resumed(g);
+          resumed.Restore(p, saved);
+          resumed.Advance(level);
+          expect_touched_ascending(resumed, label + " resumed");
+        }
+      }
+    }
   }
 }
 
