@@ -3,7 +3,7 @@
 #include <cstring>
 #include <string>
 
-#include "util/rng.h"
+#include "util/bytes.h"
 
 namespace dhtjoin::cluster {
 
@@ -49,28 +49,6 @@ uint64_t GetU64(const uint8_t* in) {
 
 }  // namespace
 
-uint64_t FrameChecksum(std::span<const uint8_t> payload) {
-  // SplitMix64 chain over 8-byte words, then the tail, then the length.
-  // Chained (each word is folded into the state through the full mixer)
-  // so reordered or shifted bytes change the sum, unlike a XOR fold.
-  uint64_t acc = 0x9e3779b97f4a7c15ULL ^ payload.size();
-  std::size_t i = 0;
-  for (; i + 8 <= payload.size(); i += 8) {
-    uint64_t word = 0;
-    std::memcpy(&word, payload.data() + i, 8);
-    uint64_t s = acc ^ word;
-    acc = SplitMix64(s);
-  }
-  if (i < payload.size()) {
-    uint64_t tail = 0;
-    std::memcpy(&tail, payload.data() + i, payload.size() - i);
-    uint64_t s = acc ^ tail;
-    acc = SplitMix64(s);
-  }
-  uint64_t fin = acc;
-  return SplitMix64(fin);
-}
-
 void EncodeFrameHeader(const FrameHeader& header, uint8_t* out) {
   PutU32(out + 0, header.magic);
   PutU16(out + 4, header.version);
@@ -114,7 +92,7 @@ Status VerifyFramePayload(const FrameHeader& header,
                            std::to_string(payload.size()) + " of " +
                            std::to_string(header.payload_len) + " bytes");
   }
-  if (FrameChecksum(payload) != header.checksum) {
+  if (ByteChecksum(payload) != header.checksum) {
     return Status::IOError("frame checksum mismatch");
   }
   return Status::OK();
@@ -126,7 +104,7 @@ std::vector<uint8_t> EncodeFrame(FrameType type, uint64_t request_id,
   h.type = static_cast<uint16_t>(type);
   h.request_id = request_id;
   h.payload_len = static_cast<uint32_t>(payload.size());
-  h.checksum = FrameChecksum(payload);
+  h.checksum = ByteChecksum(payload);
   std::vector<uint8_t> frame(kFrameHeaderBytes + payload.size());
   EncodeFrameHeader(h, frame.data());
   if (!payload.empty()) {

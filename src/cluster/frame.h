@@ -21,7 +21,7 @@
 ///   6       2     type         FrameType
 ///   8       8     request_id   caller-chosen correlation id
 ///   16      4     payload_len  bytes following the header
-///   20      8     checksum     FrameChecksum(payload)
+///   20      8     checksum     ByteChecksum(payload), util/bytes.h
 ///
 /// The header itself is NOT covered by the checksum; a corrupted
 /// header is caught by the magic/version/length tests with high
@@ -72,12 +72,6 @@ struct FrameHeader {
   uint32_t payload_len = 0;
   uint64_t checksum = 0;
 };
-
-/// 64-bit checksum over a byte string (SplitMix64-chained over 8-byte
-/// words, length-mixed). Not cryptographic — it exists to catch the
-/// truncation/bit-flip faults the chaos harness injects and real
-/// half-dead peers produce.
-uint64_t FrameChecksum(std::span<const uint8_t> payload);
 
 /// Serializes `header` into exactly kFrameHeaderBytes at `out`.
 void EncodeFrameHeader(const FrameHeader& header, uint8_t* out);

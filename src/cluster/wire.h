@@ -1,7 +1,7 @@
 /// \file cluster/wire.h
 /// \brief Payload encodings for the cluster protocol (DESIGN.md §12):
-/// a bounds-checked little-endian byte reader/writer and the message
-/// structs that ride inside cluster/frame.h frames.
+/// the message structs that ride inside cluster/frame.h frames, written
+/// with the shared byte codec of util/bytes.h.
 ///
 /// The encodings exist to preserve ONE invariant: a query answered by
 /// a worker must be byte-identical to the same query answered by the
@@ -13,9 +13,8 @@
 /// different data — a wrong-graph answer would be well-formed yet
 /// silently wrong, the one failure mode the tier must never have.
 ///
-/// Decoding is fail-closed: every read is bounds-checked, and any
-/// underflow or trailing garbage yields kInvalidArgument, never a
-/// partially-filled message.
+/// Decoding is fail-closed (util/bytes.h): any underflow or trailing
+/// garbage yields kInvalidArgument, never a partially-filled message.
 
 #ifndef DHTJOIN_CLUSTER_WIRE_H_
 #define DHTJOIN_CLUSTER_WIRE_H_
@@ -31,56 +30,6 @@
 #include "util/status.h"
 
 namespace dhtjoin::cluster {
-
-/// Append-only little-endian encoder.
-class ByteWriter {
- public:
-  void U8(uint8_t v) { buf_.push_back(v); }
-  void U16(uint16_t v);
-  void U32(uint32_t v);
-  void U64(uint64_t v);
-  void I64(int64_t v) { U64(static_cast<uint64_t>(v)); }
-  /// Raw IEEE-754 bits — the byte-identity-preserving double encoding.
-  void F64Bits(double v);
-  void Str(const std::string& s);
-
-  std::span<const uint8_t> bytes() const { return buf_; }
-  std::vector<uint8_t> Take() { return std::move(buf_); }
-
- private:
-  std::vector<uint8_t> buf_;
-};
-
-/// Bounds-checked decoder: reads past the end set a sticky failure
-/// flag and return zero values; callers check status() once at the end
-/// (plus Finish() to reject trailing bytes).
-class ByteReader {
- public:
-  explicit ByteReader(std::span<const uint8_t> data) : data_(data) {}
-
-  uint8_t U8();
-  uint16_t U16();
-  uint32_t U32();
-  uint64_t U64();
-  int64_t I64() { return static_cast<int64_t>(U64()); }
-  double F64Bits();
-  std::string Str();
-
-  bool ok() const { return ok_; }
-  std::size_t remaining() const { return data_.size() - off_; }
-
-  /// kOk if every read so far was in bounds.
-  Status status() const;
-  /// status(), additionally requiring the buffer fully consumed.
-  Status Finish() const;
-
- private:
-  bool Take(std::size_t n, const uint8_t** out);
-
-  std::span<const uint8_t> data_;
-  std::size_t off_ = 0;
-  bool ok_ = true;
-};
 
 /// Content fingerprint of the measure configuration (parameter double
 /// bits + first-hit flag + truncation depth d), paired with the graph

@@ -16,6 +16,12 @@
 /// either way (the engine's sorted-support determinism, DESIGN.md §3);
 /// `resume = false` forces the restart schedule, which the parity tests
 /// and walk_steps comparisons use as the reference.
+///
+/// The schedule exists once, as RunBIdjSchedule, over parts its caller
+/// owns: the bound table, the batch engine, and the per-target states.
+/// BIdjJoin::Run builds them fresh for each query. The serving two-way
+/// executor (serve/session.h) seeds the states from its cache before
+/// the run and writes them back after it (DESIGN.md §6).
 
 #ifndef DHTJOIN_JOIN2_B_IDJ_H_
 #define DHTJOIN_JOIN2_B_IDJ_H_
@@ -24,6 +30,46 @@
 #include "join2/two_way_join.h"
 
 namespace dhtjoin {
+
+class YBoundTable;
+
+/// The caller-owned parts of one RunBIdjSchedule call.
+struct BIdjScheduleParts {
+  /// Y_l^+(P, q) per target (B-IDJ-Y); null selects X_l^+ (B-IDJ-X). An
+  /// incomplete table, abandoned by a cooperative stop, degrades the
+  /// run at level 0.
+  const YBoundTable* ybound = nullptr;
+  /// The engine every round walks on. Fresh: the run's walk_steps and
+  /// barrier counts are read off its counters.
+  BackwardWalkerBatch* batch = nullptr;
+  /// Per-target resumable states, slot i for Q[i]; null runs the
+  /// restart schedule. A slot already at or past a round's level is
+  /// scored from its stored row at its own level, which is valid and
+  /// tighter (DESIGN.md §6). A caller that seeds no states never hits
+  /// that case.
+  BackwardBatchStates* states = nullptr;
+  /// Retune `states` between rounds; only for an autotuned budget.
+  bool retune_states = false;
+  /// The caller takes `states` back after the run: pruned targets keep
+  /// their states and the final pass saves its states. Off, a pruned
+  /// target's state is freed at once and the final pass saves none.
+  bool keep_states = false;
+};
+
+/// Algorithm 2's deepening schedule (see file comment) over `parts`,
+/// on inputs ValidateJoinInputs accepted. `exec` governs the run as in
+/// BIdjJoin::Options::exec; it also carries the trace, under which
+/// every round opens a "round" span and the exact pass a "final" span.
+/// Adds the rounds' walk work to `stats` (walk_steps, walks_started,
+/// the per-iteration vectors) and sets its state, barrier, lifecycle
+/// and partial fields.
+Result<std::vector<ScoredPair>> RunBIdjSchedule(const DhtParams& params,
+                                                int d, const NodeSet& P,
+                                                const NodeSet& Q,
+                                                std::size_t k,
+                                                const BIdjScheduleParts& parts,
+                                                const ExecContext* exec,
+                                                TwoWayJoinStats* stats);
 
 class BIdjJoin final : public TwoWayJoin {
  public:

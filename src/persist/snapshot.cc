@@ -7,16 +7,11 @@
 #include <cerrno>
 #include <cstring>
 
-#include "cluster/frame.h"
-#include "cluster/wire.h"
+#include "util/bytes.h"
 
 namespace dhtjoin::persist {
 
 namespace {
-
-using cluster::ByteReader;
-using cluster::ByteWriter;
-using cluster::FrameChecksum;
 
 /// Directory component of `path` ("." when none) — the fsync target
 /// that makes the rename durable.
@@ -54,7 +49,7 @@ std::vector<uint8_t> EncodeSnapshot(const SnapshotFile& file) {
   header.U64(file.graph_fp);
   header.U64(file.params_fp);
   header.U64(static_cast<uint64_t>(file.sections.size()));
-  const uint64_t header_checksum = FrameChecksum(header.bytes());
+  const uint64_t header_checksum = ByteChecksum(header.bytes());
 
   ByteWriter out;
   out.U32(kSnapshotMagic);
@@ -77,7 +72,7 @@ std::vector<uint8_t> EncodeSnapshot(const SnapshotFile& file) {
     // Checksum over prefix AND payload: a flipped bit anywhere in the
     // section — kind, reserved, length, or data — fails verification.
     ByteWriter sum;
-    sum.U64(FrameChecksum(std::span<const uint8_t>(
+    sum.U64(ByteChecksum(std::span<const uint8_t>(
         bytes.data() + section_start, bytes.size() - section_start)));
     auto s = sum.Take();
     bytes.insert(bytes.end(), s.begin(), s.end());
@@ -107,7 +102,7 @@ Result<SnapshotFile> DecodeSnapshot(std::span<const uint8_t> bytes) {
         "snapshot version " + std::to_string(version) +
         " unsupported (expected " + std::to_string(kSnapshotVersion) + ")");
   }
-  if (FrameChecksum(bytes.first(kSnapshotHeaderBytes - sizeof(uint64_t))) !=
+  if (ByteChecksum(bytes.first(kSnapshotHeaderBytes - sizeof(uint64_t))) !=
       header_checksum) {
     return Status::InvalidArgument("snapshot corrupt: header checksum");
   }
@@ -142,7 +137,7 @@ Result<SnapshotFile> DecodeSnapshot(std::span<const uint8_t> bytes) {
     off += sizeof(uint64_t);
     const auto covered = bytes.subspan(
         section_start, kSectionPrefixBytes + static_cast<std::size_t>(len));
-    if (FrameChecksum(covered) != checksum) {
+    if (ByteChecksum(covered) != checksum) {
       return Status::InvalidArgument("snapshot corrupt: section " +
                                      std::to_string(i) + " checksum");
     }

@@ -7,9 +7,9 @@
 /// fingerprint + layout epoch via GraphFingerprint, DhtParams bits via
 /// ParamsFingerprint, section count, header checksum) followed by
 /// length-prefixed sections, each carrying its own 64-bit checksum —
-/// the same SplitMix64-chained FrameChecksum the wire frames use
-/// (cluster/frame.h), so disk corruption and wire corruption are
-/// caught by one verified primitive.
+/// the same SplitMix64-chained ByteChecksum the wire frames use
+/// (util/bytes.h), so disk corruption and wire corruption are caught
+/// by one verified primitive.
 ///
 /// The writer is crash-safe by construction: bytes go to a temp file
 /// in the destination directory, are fsync'd, and reach `path` only

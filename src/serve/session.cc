@@ -1,6 +1,5 @@
 #include "serve/session.h"
 
-#include <algorithm>
 #include <exception>
 #include <string>
 #include <utility>
@@ -8,6 +7,7 @@
 #include "cluster/wire.h"
 #include "dht/backward_batch.h"
 #include "dht/walker_state.h"
+#include "join2/b_idj.h"
 #include "obs/trace.h"
 #include "serve/warm_state.h"
 
@@ -96,7 +96,6 @@ DhtJoinService::DhtJoinService(const Graph& g, const DhtParams& params, int d,
       d_(d),
       options_(options),
       graph_fp_(GraphFingerprint(g)),
-      per_query_state_budget_(AutotuneStateBudgetBytes(g.num_nodes())),
       cache_(ScoreCache::Options{
           .max_bytes = options.cache_budget_bytes == kAutotuneBudget
                            ? AutotuneStateBudgetBytes(g.num_nodes())
@@ -399,22 +398,9 @@ Result<int64_t> DhtJoinService::LoadWarmState(const std::string& path) {
 }
 
 /// The cache-aware B-IDJ (see the file comment of session.h and
-/// DESIGN.md §6 for why the warm path is byte-identical to cold):
-/// targets deepen through the usual l = 1, 2, 4, ..., d schedule, but a
-/// target whose imported state already sits at level >= l just reads
-/// its stored row — the prune test uses the remainder bound of the
-/// ACTUAL level, which is valid (tighter) by monotonicity (§1).
-///
-/// MAINTENANCE: this is a second copy of join2/b_idj.cc's Algorithm-2
-/// schedule (same offer guard `s > beta`, same `q_upper >= tk` prune,
-/// same FinalizePairs), deliberately diverging only in the cache
-/// import/export, the mixed-level scoring, keeping pruned targets'
-/// states, and saving the final pass. Any change to B-IDJ's schedule
-/// must be mirrored here — including the lifecycle logic (level-
-/// boundary checks, anytime snapshot, level-cut degradation); the
-/// `warm == cold == BIdjJoin::Run` byte-identity gates in
-/// tests/serve_test.cc and bench_serving (CI) fail loudly on drift.
-/// Folding both into one parameterized schedule is a ROADMAP item.
+/// DESIGN.md §6): join2's Algorithm-2 schedule (RunBIdjSchedule) over
+/// per-target states imported from the cache, written back after the
+/// run however it ended.
 Result<std::vector<ScoredPair>> DhtJoinService::RunTwoWay(
     const NodeSet& P, const NodeSet& Q, std::size_t k, QueryStats* out,
     const ExecContext* exec) {
@@ -427,7 +413,7 @@ Result<std::vector<ScoredPair>> DhtJoinService::RunTwoWay(
 
   // Y-bound table: cached whole per (P, Q, d), shared with PJ-i. An
   // abandoned construction is returned uncached; the run then degrades
-  // with the X fallback.
+  // at level 0.
   std::shared_ptr<const CachedYBound> ybound;
   if (options_.bound == UpperBoundKind::kY) {
     obs::ScopedSpan ybound_span(trace, "ybound");
@@ -435,10 +421,6 @@ Result<std::vector<ScoredPair>> DhtJoinService::RunTwoWay(
     if (!qs.ybound_cached) qs.join.walk_steps += ybound->table.edges_relaxed();
     ybound_span.SetAttr("cached", int64_t{qs.ybound_cached ? 1 : 0});
   }
-  const bool y_usable = ybound != nullptr && ybound->table.complete();
-  auto remainder = [&](int l, std::size_t qi) {
-    return y_usable ? ybound->table.Bound(l, qi) : params_.XBound(l);
-  };
 
   auto batch_key = [&](std::size_t qi) {
     CacheKey key = BaseKey(CachePayload::kBatchState);
@@ -451,7 +433,8 @@ Result<std::vector<ScoredPair>> DhtJoinService::RunTwoWay(
   // Import each target's deepest cached walk state (level <= d, row
   // pinned to exactly this P — the key guarantees both).
   BackwardWalkerBatch batch(g_, {.num_threads = 1});
-  BackwardBatchStates states(Q.size(), per_query_state_budget_);
+  BackwardBatchStates states(Q.size(),
+                             AutotuneStateBudgetBytes(g_.num_nodes()));
   if (exec != nullptr && exec->commit_fault) {
     states.set_commit_fault(exec->commit_fault);
   }
@@ -472,80 +455,23 @@ Result<std::vector<ScoredPair>> DhtJoinService::RunTwoWay(
     import_span.SetAttr("cold", qs.cold_targets);
   }
 
-  int64_t batch_edges_seen = 0;
-  int64_t batch_barriers_seen = 0;
-  // Advances the subset of live targets still below level l, then hands
-  // EVERY live target's row to score_row(live_pos, row, row_level):
-  // advanced targets through the batch consume callback (at exactly l),
-  // already-deep targets straight from their stored rows (at their own
-  // level >= l — the valid, tighter bound).
-  // Returns false when a cooperative stop interrupted the round — the
-  // round's partial output must then be DISCARDED (mirrors BIdjJoin).
-  auto walk_live = [&](const std::vector<std::size_t>& live, int l, bool save,
-                       auto&& score_row) {
-    std::vector<char> advanced(live.size(), 0);
-    std::vector<std::size_t> need_pos;
-    std::vector<ExtNodeId> need_nodes;
-    std::vector<std::size_t> need_slots;
-    for (std::size_t i = 0; i < live.size(); ++i) {
-      if (states.level(live[i]) < l) {
-        advanced[i] = 1;
-        need_pos.push_back(i);
-        need_nodes.push_back(Q[live[i]]);
-        need_slots.push_back(live[i]);
-      }
-    }
-    bool interrupted = false;
-    if (!need_nodes.empty()) {
-      qs.join.walks_started += batch.AdvanceChunked(
-          params_, l, need_nodes, need_slots, *p_nodes, states,
-          [&](std::size_t i, const double* row) {
-            score_row(need_pos[i], row, l);
-          },
-          save, /*max_targets_per_run=*/0, exec, &interrupted);
-    }
-    if (!interrupted) {
-      std::vector<double> warm_row;
-      for (std::size_t i = 0; i < live.size(); ++i) {
-        if (!advanced[i]) {
-          // Stored rows are beta-exclusive deltas (BackwardBatchSnapshot
-          // semantics); add the floor back exactly as the engine does at
-          // output, so a warm row is bit-identical to the advanced one.
-          std::span<const double> delta = states.Row(live[i]);
-          warm_row.assign(delta.begin(), delta.end());
-          for (double& cell : warm_row) cell += params_.beta;
-          score_row(i, warm_row.data(), states.level(live[i]));
-        }
-      }
-    }
-    qs.join.walk_steps += batch.edges_relaxed() - batch_edges_seen;
-    batch_edges_seen = batch.edges_relaxed();
-    qs.join.barriers_per_iteration.push_back(batch.scheduler_barriers() -
-                                             batch_barriers_seen);
-    batch_barriers_seen = batch.scheduler_barriers();
-    return !interrupted;
-  };
+  Result<std::vector<ScoredPair>> result = RunBIdjSchedule(
+      params_, d_, P, Q, k,
+      BIdjScheduleParts{
+          .ybound = ybound != nullptr ? &ybound->table : nullptr,
+          .batch = &batch,
+          .states = &states,
+          .retune_states = true,
+          .keep_states = true},
+      exec, &qs.join);
 
-  std::vector<std::size_t> live(Q.size());
-  for (std::size_t qi = 0; qi < Q.size(); ++qi) live[qi] = qi;
-  qs.join.live_per_iteration.push_back(static_cast<int64_t>(live.size()));
-
-  // Anytime state, mirroring BIdjJoin (DESIGN.md §9): the top-k
-  // snapshot of the last COMPLETED deepening level, its level, and its
-  // eps bound (max U_l^+ over the targets live in that level).
-  std::vector<ScoredPair> anytime;
-  int cut_level = 0;
-  double cut_eps = 0.0;
-  for (std::size_t qi = 0; qi < Q.size(); ++qi) {
-    cut_eps = std::max(cut_eps, remainder(0, qi));
-  }
   // Write back every state that got deeper than what the cache gave
-  // us — including on a degraded run: every written snapshot is a
-  // COMPLETED level (interrupted blocks keep their previous one), so
-  // it is bit-safe for any later query. PutIf keeps the deepest walk
+  // us — also after a degraded or cancelled run: every written snapshot
+  // is a COMPLETED level (interrupted blocks keep their previous one),
+  // so it is bit-safe for any later query. PutIf keeps the deepest walk
   // under the shard lock when concurrent sessions race on one target
   // (DESIGN.md §6).
-  auto write_back = [&] {
+  {
     obs::ScopedSpan wb_span(trace, "write_back");
     int64_t exported = 0;
     for (std::size_t qi = 0; qi < Q.size(); ++qi) {
@@ -563,137 +489,8 @@ Result<std::vector<ScoredPair>> DhtJoinService::RunTwoWay(
       }
     }
     wb_span.SetAttr("exported", exported);
-  };
-  auto finish_stats = [&] {
-    qs.join.state_hits = states.hits();
-    qs.join.state_misses = qs.join.walks_started;
-    qs.join.state_evictions = states.evictions();
-    qs.join.state_resident_bytes = static_cast<int64_t>(states.bytes());
-    qs.join.pool_barriers = batch.scheduler_barriers();
-    if (exec != nullptr) qs.join.lifecycle_checks = exec->blocks_checked();
-  };
-  auto degrade = [&](StatusCode code) -> Result<std::vector<ScoredPair>> {
-    write_back();
-    finish_stats();
-    if (code == StatusCode::kCancelled) {
-      if (out != nullptr) *out = std::move(qs);
-      return Status::Cancelled("serve: query cancelled");
-    }
-    qs.join.partial = PartialInfo{true, cut_level, cut_eps};
-    std::vector<ScoredPair> result = anytime;
-    FinalizePairs(result, k);
-    if (out != nullptr) *out = std::move(qs);
-    return result;
-  };
-  // An interrupted Y sweep leaves nothing to return: degrade at level 0.
-  if (ybound != nullptr && !ybound->table.complete()) {
-    return degrade(exec->stop_code());
   }
-
-  for (int l = 1; l < d_; l *= 2) {
-    if (exec != nullptr) {
-      StatusCode code = exec->Check();
-      if (code != StatusCode::kOk) return degrade(code);
-    }
-    obs::ScopedSpan round_span(trace, "round");
-    round_span.SetAttr("level", int64_t{l});
-    round_span.SetAttr("frontier", static_cast<int64_t>(live.size()));
-    PairTopK bounds(k);
-    std::vector<double> q_upper(live.size());
-    bool completed =
-        walk_live(live, l, /*save=*/true,
-                  [&](std::size_t i, const double* row, int row_level) {
-                    ExtNodeId q = Q[live[i]];
-                    double pmax = params_.beta;
-                    for (std::size_t pi = 0; pi < P.size(); ++pi) {
-                      ExtNodeId p = P[pi];
-                      if (p == q) continue;
-                      double s = row[pi];
-                      if (s > params_.beta) {
-                        bounds.Offer(s, ScoredPair{p.value(), q.value(), s});
-                        if (s > pmax) pmax = s;
-                      }
-                    }
-                    q_upper[i] = pmax + remainder(row_level, live[i]);
-                  });
-    if (!completed) return degrade(exec->stop_code());
-    // Round l completed: refresh the anytime snapshot before pruning.
-    // Warm rows scored at deeper levels only tighten (U is monotone
-    // decreasing in l), so max U_l^+ over the round's live targets
-    // bounds every snapshot pair.
-    cut_level = l;
-    cut_eps = 0.0;
-    for (std::size_t i = 0; i < live.size(); ++i) {
-      cut_eps = std::max(cut_eps, remainder(l, live[i]));
-    }
-    {
-      PairTopK snapshot = bounds;
-      anytime.clear();
-      for (auto& entry : snapshot.TakeSortedDescending()) {
-        anytime.push_back(entry.item);
-      }
-    }
-    if (exec != nullptr && exec->on_level) exec->on_level(l);
-    double tk = bounds.Threshold();
-    std::vector<std::size_t> survivors;
-    survivors.reserve(live.size());
-    for (std::size_t i = 0; i < live.size(); ++i) {
-      // Pruned targets KEEP their states — they are this query's gift
-      // to the cache, not dead weight (contrast BIdjJoin, which drops
-      // them because its states die with the run).
-      if (q_upper[i] >= tk) survivors.push_back(live[i]);
-    }
-    qs.join.pruned_fraction_per_iteration.push_back(
-        1.0 - static_cast<double>(survivors.size()) /
-                  static_cast<double>(Q.size()));
-    live.swap(survivors);
-    qs.join.live_per_iteration.push_back(static_cast<int64_t>(live.size()));
-    round_span.SetAttr("survivors", static_cast<int64_t>(live.size()));
-    // Feedback autotuning between rounds: the per-query budget came
-    // from AutotuneStateBudgetBytes, so fold the observed hit/eviction
-    // counters back into it (evicted states restart bit-identically —
-    // the warm == cold byte-identity gates are unaffected).
-    states.Retune();
-  }
-
-  // Final exact-d pass. States are saved (unlike BIdjJoin's final pass)
-  // because a level-d row is the best possible warm start: an exactly
-  // repeated query reads every row with zero walk steps.
-  if (exec != nullptr) {
-    StatusCode code = exec->Check();
-    if (code != StatusCode::kOk) return degrade(code);
-  }
-  PairTopK best(k);
-  if (!live.empty()) {
-    obs::ScopedSpan final_span(trace, "final");
-    final_span.SetAttr("level", int64_t{d_});
-    final_span.SetAttr("frontier", static_cast<int64_t>(live.size()));
-    bool completed =
-        walk_live(live, d_, /*save=*/true,
-                  [&](std::size_t i, const double* row, int /*row_level*/) {
-                    ExtNodeId q = Q[live[i]];
-                    for (std::size_t pi = 0; pi < P.size(); ++pi) {
-                      ExtNodeId p = P[pi];
-                      if (p == q) continue;
-                      double s = row[pi];
-                      if (s > params_.beta) {
-                        best.Offer(s, ScoredPair{p.value(), q.value(), s});
-                      }
-                    }
-                  });
-    if (!completed) return degrade(exec->stop_code());
-  }
-
-  write_back();
-  finish_stats();
-  qs.join.partial = PartialInfo{false, d_, 0.0};
-
-  std::vector<ScoredPair> result;
-  for (auto& entry : best.TakeSortedDescending()) {
-    result.push_back(entry.item);
-  }
-  FinalizePairs(result, k);
-  if (out != nullptr) *out = std::move(qs);
+  *out = std::move(qs);
   return result;
 }
 

@@ -9,14 +9,16 @@
 /// the cache is sharded and every per-query engine is private to its
 /// session.
 ///
-/// The two-way executor is a cache-aware B-IDJ: per-target batched
-/// backward walk states (BackwardBatchSnapshot) are imported from the
-/// cache before the deepening schedule and exported after it, so a warm
-/// query RESUMES every target at its deepest previously-walked level —
-/// an exactly repeated query does near-zero walk work — while a cold
-/// query runs the ordinary schedule. Warm and cold results are
-/// byte-identical (DESIGN.md §6). The Y-bound table of each (P, Q) is
-/// cached whole. N-way queries route NL's per-edge tables and PJ-i's
+/// The two-way executor is a cache-aware B-IDJ. It runs the library's
+/// Algorithm-2 schedule (RunBIdjSchedule, join2/b_idj.h) and owns only
+/// the cache work around it: it imports each target's batched backward
+/// walk state (BackwardBatchSnapshot) before the run and writes back
+/// every state that got deeper after it, however the run ended. A warm
+/// query therefore RESUMES every target at its deepest previously-
+/// walked level — an exactly repeated query does near-zero walk work —
+/// while a cold query runs the ordinary schedule. Warm and cold results
+/// are byte-identical (DESIGN.md §6). The Y-bound table of each (P, Q)
+/// is cached whole. N-way queries route NL's per-edge tables and PJ-i's
 /// backward walk snapshots through the same cache via the provider
 /// hooks in core/nl_join.h and dht/backward.h; PJ-i scores a target
 /// straight from a cached walk already at or past the level it needs,
@@ -288,7 +290,6 @@ class DhtJoinService {
   int d_;
   Options options_;
   uint64_t graph_fp_;
-  std::size_t per_query_state_budget_;
   ScoreCache cache_;
   ThreadPool pool_;
   AdmissionController admission_;

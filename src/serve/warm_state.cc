@@ -3,14 +3,11 @@
 #include <string>
 #include <utility>
 
-#include "cluster/wire.h"
+#include "util/bytes.h"
 
 namespace dhtjoin::serve {
 
 namespace {
-
-using cluster::ByteReader;
-using cluster::ByteWriter;
 
 // Stable on-disk section kinds (decoupled from the enum's numeric
 // values so reordering CachePayload can never silently re-type disk

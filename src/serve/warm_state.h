@@ -2,7 +2,7 @@
 /// \brief Serialization of ScoreCache records for the durability layer
 /// (persist/snapshot.h): one snapshot section per cached payload.
 ///
-/// Byte-identity discipline matches the wire (cluster/wire.h): every
+/// Byte-identity discipline matches the wire (util/bytes.h): every
 /// double crosses the disk as raw IEEE-754 bits via F64Bits, node ids
 /// as raw values, so a warm-restored payload is bit-for-bit the one
 /// that was checkpointed — and, by the engines' determinism, answers

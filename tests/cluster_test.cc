@@ -75,22 +75,9 @@ using cluster::WorkerFaultKind;
 using cluster::WorkerOptions;
 using cluster::WorkerServer;
 using serve::DhtJoinService;
+using testing::ExpectSamePairs;
 using testing::RandomGraph;
 using testing::Range;
-
-/// Byte identity, the invariant of the whole tier: same pairs in the
-/// same order with the same IEEE-754 bit patterns.
-void ExpectBytesIdentical(const std::vector<ScoredPair>& got,
-                          const std::vector<ScoredPair>& want) {
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].p, want[i].p) << "pair " << i;
-    EXPECT_EQ(got[i].q, want[i].q) << "pair " << i;
-    EXPECT_EQ(std::bit_cast<uint64_t>(got[i].score),
-              std::bit_cast<uint64_t>(want[i].score))
-        << "pair " << i;
-  }
-}
 
 // ------------------------------------------------------------ framing
 
@@ -242,7 +229,7 @@ TEST(WireTest, ReplyScoresCrossTheWireBitExactly) {
   EXPECT_EQ(std::bit_cast<uint64_t>(back->eps_bound),
             std::bit_cast<uint64_t>(reply.eps_bound));
   EXPECT_EQ(back->walk_steps, reply.walk_steps);
-  ExpectBytesIdentical(back->pairs, reply.pairs);
+  ExpectSamePairs(back->pairs, reply.pairs, "reply round trip");
 }
 
 TEST(WireTest, DecodeRejectsTrailingBytes) {
@@ -365,7 +352,7 @@ TEST_F(ClusterE2ETest, SingleWorkerAnswersByteIdentically) {
   ClusterQueryStats stats;
   Result<std::vector<ScoredPair>> r = coord.TwoWay(P_, Q_, kK, &stats);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  ExpectBytesIdentical(*r, Reference());
+  ExpectSamePairs(*r, Reference(), "single worker");
   EXPECT_EQ(stats.worker_index, 0);
   EXPECT_FALSE(stats.local_fallback);
   EXPECT_EQ(stats.attempts, 1);
@@ -414,7 +401,7 @@ TEST_F(ClusterE2ETest, FailoverIsByteIdenticalAtEverySpanBoundary) {
       ClusterQueryStats stats;
       Result<std::vector<ScoredPair>> r = coord.TwoWay(P_, Q_, kK, &stats);
       ASSERT_TRUE(r.ok()) << r.status().ToString();
-      ExpectBytesIdentical(*r, want);
+      ExpectSamePairs(*r, want, tc.name);
       total_retries += stats.retries;
     }
     // At least one of the four queries must have hit the chaos worker
@@ -445,7 +432,8 @@ TEST_F(ClusterE2ETest, CorruptAndTruncatedRepliesAreRejectedAndRetried) {
     for (int i = 0; i < 4; ++i) {
       Result<std::vector<ScoredPair>> r = coord.TwoWay(P_, Q_, kK);
       ASSERT_TRUE(r.ok()) << r.status().ToString();
-      ExpectBytesIdentical(*r, want);  // never a silently wrong answer
+      // Never a silently wrong answer.
+      ExpectSamePairs(*r, want, truncate ? "truncate" : "corrupt");
     }
     bad->Stop();
     good->Stop();
@@ -486,7 +474,7 @@ TEST_F(ClusterE2ETest, DeadWorkersDegradeToByteIdenticalLocalExecution) {
   ClusterQueryStats stats;
   Result<std::vector<ScoredPair>> r = coord.TwoWay(P_, Q_, kK, &stats);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  ExpectBytesIdentical(*r, Reference());
+  ExpectSamePairs(*r, Reference(), "dead workers, local");
   EXPECT_TRUE(stats.local_fallback);
   EXPECT_EQ(stats.worker_index, -1);
 
@@ -520,7 +508,7 @@ TEST_F(ClusterE2ETest, FingerprintMismatchIsSurfacedAndRoutedAround) {
   ClusterQueryStats stats;
   Result<std::vector<ScoredPair>> r = coord.TwoWay(P_, Q_, kK, &stats);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  ExpectBytesIdentical(*r, Reference());
+  ExpectSamePairs(*r, Reference(), "impostor routed around");
   EXPECT_TRUE(stats.local_fallback);
   impostor.Stop();
 }
@@ -542,7 +530,7 @@ TEST_F(ClusterE2ETest, EffortDegradationIsByteIdenticalAcrossTheWire) {
   Result<std::vector<ScoredPair>> r =
       coord.TwoWay(P_, Q_, kK, &stats, &remote_exec);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  ExpectBytesIdentical(*r, want);
+  ExpectSamePairs(*r, want, "effort-degraded remote");
   EXPECT_TRUE(stats.degraded);
   EXPECT_LT(stats.level_reached, kD);
   EXPECT_GT(stats.eps_bound, 0.0);
@@ -574,7 +562,7 @@ TEST_F(ClusterE2ETest, HedgingRacesAStragglerAndStaysByteIdentical) {
     ClusterQueryStats stats;
     Result<std::vector<ScoredPair>> r = coord.TwoWay(P_, Q_, kK, &stats);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
-    ExpectBytesIdentical(*r, want);
+    ExpectSamePairs(*r, want, "hedged query " + std::to_string(i));
     if (stats.hedged) ++hedged;
     if (stats.hedge_won) ++hedge_won;
   }
@@ -607,7 +595,7 @@ TEST_F(ClusterE2ETest, HeartbeatsTrackWorkerDeathAndQueriesKeepFlowing) {
     ClusterQueryStats stats;
     Result<std::vector<ScoredPair>> r = coord.TwoWay(P_, Q_, kK, &stats);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
-    ExpectBytesIdentical(*r, want);
+    ExpectSamePairs(*r, want, "heartbeat query " + std::to_string(i));
     EXPECT_EQ(stats.worker_index, 1);
   }
   w1->Stop();
@@ -648,7 +636,7 @@ TEST_F(ClusterE2ETest, ChaosSoakNeverHangsOrAnswersWrong) {
   for (int i = 0; i < 40; ++i) {
     Result<std::vector<ScoredPair>> r = coord.TwoWay(P_, Q_, kK);
     if (r.ok()) {
-      ExpectBytesIdentical(*r, want);
+      ExpectSamePairs(*r, want, "chaos soak query " + std::to_string(i));
       ++completed;
     } else {
       // Typed, never silent: the only tolerable failure shapes.
@@ -801,7 +789,7 @@ TEST(RespawnTest, BackoffScheduleAndLifetimeCapAreHonored) {
     Result<std::vector<ScoredPair>> r = coord.TwoWay(rig.P, rig.Q, rig.kK,
                                                      &stats);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
-    ExpectBytesIdentical(*r, want);
+    ExpectSamePairs(*r, want, "respawned worker");
     EXPECT_EQ(stats.worker_index, 0);  // the RESPAWNED worker answered
     EXPECT_FALSE(stats.local_fallback);
   }
@@ -826,7 +814,7 @@ TEST(RespawnTest, BackoffScheduleAndLifetimeCapAreHonored) {
   Result<std::vector<ScoredPair>> r = coord.TwoWay(rig.P, rig.Q, rig.kK,
                                                    &stats);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  ExpectBytesIdentical(*r, want);
+  ExpectSamePairs(*r, want, "respawn cap, local");
   EXPECT_TRUE(stats.local_fallback);
 }
 
@@ -879,7 +867,7 @@ TEST(RespawnTest, RespawnedWorkerRejoinsWarmAndByteIdentical) {
   Result<std::vector<ScoredPair>> r = coord.TwoWay(rig.P, rig.Q, rig.kK,
                                                    &stats);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  ExpectBytesIdentical(*r, want);
+  ExpectSamePairs(*r, want, "respawned warm worker");
   EXPECT_EQ(stats.worker_index, 0);
   // The restored cache must serve this query WARM — the observable
   // difference between a warm rejoin and a silent cold restart.
@@ -932,7 +920,7 @@ TEST(RespawnTest, FingerprintMismatchedWorkerIsQuarantinedNotRespawned) {
   Result<std::vector<ScoredPair>> want =
       coord.local_service().TwoWay(rig.P, rig.Q, rig.kK);
   ASSERT_TRUE(want.ok());
-  ExpectBytesIdentical(*r, *want);
+  ExpectSamePairs(*r, *want, "quarantined, local fallback");
   ASSERT_TRUE((*sup)->Kill(0).ok());
 }
 

@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
-#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -35,6 +34,7 @@ using persist::SnapshotFile;
 using persist::SnapshotSection;
 using persist::WriteSnapshotFile;
 using serve::DhtJoinService;
+using testing::ExpectSamePairs;
 using testing::RandomGraph;
 using testing::Range;
 
@@ -60,18 +60,6 @@ SnapshotFile SampleSnapshot() {
   for (int i = 0; i < 300; ++i) big.payload.push_back(uint8_t(i * 7));
   file.sections.push_back(std::move(big));
   return file;
-}
-
-void ExpectBytesIdentical(const std::vector<ScoredPair>& got,
-                          const std::vector<ScoredPair>& want) {
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].p, want[i].p) << "pair " << i;
-    EXPECT_EQ(got[i].q, want[i].q) << "pair " << i;
-    EXPECT_EQ(std::bit_cast<uint64_t>(got[i].score),
-              std::bit_cast<uint64_t>(want[i].score))
-        << "pair " << i;
-  }
 }
 
 // ----------------------------------------------------------- codec
@@ -228,7 +216,7 @@ TEST_F(WarmStateTest, RestoredServiceAnswersByteIdenticallyAndWarm) {
   serve::QueryStats qs;
   Result<std::vector<ScoredPair>> got = warmed.TwoWay(P_, Q_, kK, &qs);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
-  ExpectBytesIdentical(*got, *want);
+  ExpectSamePairs(*got, *want, "restored warm");
   // The restored cache must actually be USED, not just loaded.
   EXPECT_GT(qs.warm_targets, 0);
 
@@ -238,7 +226,7 @@ TEST_F(WarmStateTest, RestoredServiceAnswersByteIdenticallyAndWarm) {
   ASSERT_TRUE(again.ok());
   Result<std::vector<ScoredPair>> got2 = warmed.TwoWay(P_, Q_, kK);
   ASSERT_TRUE(got2.ok());
-  ExpectBytesIdentical(*got2, *want);
+  ExpectSamePairs(*got2, *want, "restored twice");
   std::remove(path.c_str());
 }
 
@@ -309,7 +297,7 @@ TEST_F(WarmStateTest, FingerprintMismatchFallsBackColdSilently) {
   Result<std::vector<ScoredPair>> got = stranger.TwoWay(P_, Q_, kK);
   ASSERT_TRUE(want.ok());
   ASSERT_TRUE(got.ok());
-  ExpectBytesIdentical(*got, *want);
+  ExpectSamePairs(*got, *want, "stranger snapshot");
   std::remove(path.c_str());
 }
 
@@ -340,7 +328,7 @@ TEST_F(WarmStateTest, CorruptSnapshotIsTypedAndServiceStaysServing) {
     EXPECT_FALSE(r.ok()) << "truncation to " << len << " bytes accepted";
     Result<std::vector<ScoredPair>> got = victim.TwoWay(P_, Q_, kK);
     ASSERT_TRUE(got.ok());
-    ExpectBytesIdentical(*got, *want);
+    ExpectSamePairs(*got, *want, "truncated to " + std::to_string(len));
   }
   for (std::size_t i = 0; i < n; i += (n / 53) + 1) {
     std::vector<uint8_t> flipped = *bytes;
@@ -489,7 +477,8 @@ TEST_P(BadWarmRecordTest, LoadIsRefusedAndServiceAnswersAsCold) {
   for (int round = 0; round < 2; ++round) {  // cold, then warm
     Result<std::vector<ScoredPair>> got = service.TwoWay(P_, Q_, kK);
     ASSERT_TRUE(got.ok()) << got.status().ToString();
-    ExpectBytesIdentical(*got, *want);
+    ExpectSamePairs(*got, *want,
+                    round == 0 ? "bad record, cold" : "bad record, warm");
   }
   std::remove(path.c_str());
 }

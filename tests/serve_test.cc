@@ -5,13 +5,17 @@
 /// The load-bearing claims under test (DESIGN.md §6): a warm query is
 /// BIT-identical to a cold one — across cached hits, evicted-then-
 /// refetched states, and a budget-0 cache — because the walk engines
-/// are bit-deterministic and keys are exact; and a service executing
-/// concurrent sessions returns deterministic per-query answers.
+/// are bit-deterministic and keys are exact; every served two-way
+/// answer equals the brute-force join of tests/testing/reference.h bit
+/// for bit; and a service executing concurrent sessions returns
+/// deterministic per-query answers.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <future>
+#include <limits>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -38,6 +42,7 @@ using serve::DhtJoinService;
 using serve::DigestNodes;
 using serve::GraphFingerprint;
 using serve::ScoreCache;
+using testing::ExpectSamePairs;
 using testing::RandomGraph;
 using testing::Range;
 using testing::TwoCommunityGraph;
@@ -197,15 +202,6 @@ struct TwoWayFixture {
   }
 };
 
-void ExpectBitIdentical(const std::vector<ScoredPair>& a,
-                        const std::vector<ScoredPair>& b, const char* what) {
-  ASSERT_EQ(a.size(), b.size()) << what;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    // operator== compares scores exactly: byte-identical output.
-    EXPECT_EQ(a[i], b[i]) << what << " rank " << i;
-  }
-}
-
 TEST(DhtJoinServiceTest, ColdAndWarmMatchFreshRunBitIdentical) {
   TwoWayFixture f;
   std::vector<ScoredPair> reference = f.Reference();
@@ -214,13 +210,13 @@ TEST(DhtJoinServiceTest, ColdAndWarmMatchFreshRunBitIdentical) {
   serve::QueryStats cold_stats, warm_stats;
   auto cold = service.TwoWay(f.P, f.Q, f.k, &cold_stats);
   ASSERT_TRUE(cold.ok());
-  ExpectBitIdentical(*cold, reference, "cold vs fresh B-IDJ");
+  ExpectSamePairs(*cold, reference, "cold vs fresh B-IDJ");
   EXPECT_EQ(cold_stats.warm_targets, 0);
   EXPECT_FALSE(cold_stats.ybound_cached);
 
   auto warm = service.TwoWay(f.P, f.Q, f.k, &warm_stats);
   ASSERT_TRUE(warm.ok());
-  ExpectBitIdentical(*warm, reference, "warm vs fresh B-IDJ");
+  ExpectSamePairs(*warm, reference, "warm vs fresh B-IDJ");
   EXPECT_GT(warm_stats.warm_targets, 0);
   EXPECT_TRUE(warm_stats.ybound_cached);
   // The whole point: a warm repeat does strictly less walk work.
@@ -236,7 +232,7 @@ TEST(DhtJoinServiceTest, ZeroBudgetCacheIsBitIdenticalToFresh) {
     serve::QueryStats stats;
     auto result = service.TwoWay(f.P, f.Q, f.k, &stats);
     ASSERT_TRUE(result.ok());
-    ExpectBitIdentical(*result, reference, "budget-0 round");
+    ExpectSamePairs(*result, reference, "budget-0 round");
     EXPECT_EQ(stats.warm_targets, 0);  // nothing is ever retained
   }
   EXPECT_EQ(service.cache_stats().entries, 0u);
@@ -254,7 +250,7 @@ TEST(DhtJoinServiceTest, EvictedThenRefetchedIsBitIdentical) {
   for (int round = 0; round < 3; ++round) {
     auto result = service.TwoWay(f.P, f.Q, f.k);
     ASSERT_TRUE(result.ok());
-    ExpectBitIdentical(*result, reference, "evicting round");
+    ExpectSamePairs(*result, reference, "evicting round");
   }
   EXPECT_GT(service.cache_stats().evictions, 0);
 }
@@ -270,8 +266,8 @@ TEST(DhtJoinServiceTest, XBoundServiceMatchesXBoundJoin) {
   auto warm = service.TwoWay(f.P, f.Q, f.k);
   ASSERT_TRUE(cold.ok());
   ASSERT_TRUE(warm.ok());
-  ExpectBitIdentical(*cold, *reference, "X-bound cold");
-  ExpectBitIdentical(*warm, *reference, "X-bound warm");
+  ExpectSamePairs(*cold, *reference, "X-bound cold");
+  ExpectSamePairs(*warm, *reference, "X-bound warm");
 }
 
 TEST(DhtJoinServiceTest, OverlappingQueriesShareTargetStates) {
@@ -287,8 +283,131 @@ TEST(DhtJoinServiceTest, OverlappingQueriesShareTargetStates) {
   serve::QueryStats stats;
   auto result = service.TwoWay(f.P, Q2, f.k, &stats);
   ASSERT_TRUE(result.ok());
-  ExpectBitIdentical(*result, *reference, "overlapping-Q warm");
+  ExpectSamePairs(*result, *reference, "overlapping-Q warm");
   EXPECT_GT(stats.warm_targets, 0);
+}
+
+// ------------------------------------------- independent oracle
+
+// The byte-identity tests above compare the service with BIdjJoin::Run,
+// which runs the same Algorithm-2 schedule (join2/b_idj.h). These two
+// compare it with the brute-force scalar-walker join, which shares none
+// of it: every answer must match it bit for bit, and every degraded
+// answer must bracket its exact scores within the reported eps_bound.
+struct OracleFixture {
+  DhtParams p = DhtParams::Lambda(0.2);
+  int d = 8;
+  NodeSet P = Range("P", 0, 30);
+  NodeSet Q = Range("Q", 20, 60);  // overlaps P in 20..29
+  std::vector<Graph> graphs;
+
+  OracleFixture() {
+    graphs.push_back(RandomGraph(70, 260, 91, /*undirected=*/true,
+                                 /*weighted=*/true));
+    graphs.push_back(RandomGraph(70, 300, 17, /*undirected=*/false,
+                                 /*weighted=*/true));
+  }
+
+  /// Every valid pair of (P, Q) with its exact h_d, in result order.
+  std::vector<ScoredPair> AllPairs(const Graph& g) const {
+    return testing::RefTwoWayJoin(g, p, d, P, Q,
+                                  std::numeric_limits<std::size_t>::max());
+  }
+};
+
+std::string BoundName(UpperBoundKind bound) {
+  return bound == UpperBoundKind::kY ? "Y" : "X";
+}
+
+TEST(DhtJoinServiceTest, ColdWarmAndEvictedMatchBruteForceOracle) {
+  OracleFixture f;
+  int compared = 0;
+  for (std::size_t gi = 0; gi < f.graphs.size(); ++gi) {
+    const Graph& g = f.graphs[gi];
+    const std::vector<ScoredPair> all = f.AllPairs(g);
+    for (UpperBoundKind bound : {UpperBoundKind::kY, UpperBoundKind::kX}) {
+      for (std::size_t budget : {DhtJoinService::kAutotuneBudget,
+                                 std::size_t{4096}, std::size_t{0}}) {
+        for (std::size_t k : {1u, 15u, 400u}) {
+          const std::vector<ScoredPair> want(
+              all.begin(), all.begin() + static_cast<std::ptrdiff_t>(
+                                             std::min(k, all.size())));
+          DhtJoinService service(g, f.p, f.d,
+                                 {.cache_budget_bytes = budget,
+                                  .cache_shards = 1,
+                                  .num_threads = 1,
+                                  .bound = bound});
+          for (int round = 0; round < 3; ++round) {  // cold, then warm
+            const std::string label =
+                "graph " + std::to_string(gi) + " bound " +
+                BoundName(bound) + " budget " + std::to_string(budget) +
+                " k " + std::to_string(k) + " round " + std::to_string(round);
+            serve::QueryStats qs;
+            auto got = service.TwoWay(f.P, f.Q, k, &qs);
+            ASSERT_TRUE(got.ok()) << got.status().ToString();
+            ExpectSamePairs(*got, want, label);
+            if (round > 0 && budget == DhtJoinService::kAutotuneBudget) {
+              EXPECT_EQ(qs.cold_targets, 0) << label;  // fully warm
+            }
+            ++compared;
+          }
+          // The 4 KiB cache holds only some states; the 0-byte one none.
+          if (budget != DhtJoinService::kAutotuneBudget) {
+            EXPECT_GT(service.cache_stats().evictions, 0);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(compared, 2 * 2 * 3 * 3 * 3);
+}
+
+TEST(DhtJoinServiceTest, SoftStoppedWarmAnswersBracketBruteForceOracle) {
+  OracleFixture f;
+  int64_t bracketed = 0;
+  for (std::size_t gi = 0; gi < f.graphs.size(); ++gi) {
+    const Graph& g = f.graphs[gi];
+    std::map<std::pair<NodeId, NodeId>, double> exact;
+    for (const ScoredPair& sp : f.AllPairs(g)) exact[{sp.p, sp.q}] = sp.score;
+    for (UpperBoundKind bound : {UpperBoundKind::kY, UpperBoundKind::kX}) {
+      for (std::size_t budget :
+           {DhtJoinService::kAutotuneBudget, std::size_t{4096}}) {
+        for (std::size_t k : {1u, 15u, 400u}) {
+          for (int cut : {1, 2, 4}) {
+            const std::string label =
+                "graph " + std::to_string(gi) + " bound " +
+                BoundName(bound) + " budget " + std::to_string(budget) +
+                " k " + std::to_string(k) + " cut " + std::to_string(cut);
+            DhtJoinService service(g, f.p, f.d,
+                                   {.cache_budget_bytes = budget,
+                                    .cache_shards = 1,
+                                    .num_threads = 1,
+                                    .bound = bound});
+            ASSERT_TRUE(service.TwoWay(f.P, f.Q, k).ok());  // warm up
+            ExecContext exec;
+            exec.on_level = [&exec, cut](int level) {
+              if (level >= cut) exec.RequestSoftStop();
+            };
+            serve::QueryStats qs;
+            auto got = service.TwoWay(f.P, f.Q, k, &qs, &exec);
+            ASSERT_TRUE(got.ok()) << label;
+            ASSERT_TRUE(qs.join.partial.degraded) << label;
+            EXPECT_EQ(qs.join.partial.level_reached, cut) << label;
+            const double eps = qs.join.partial.eps_bound;
+            for (const ScoredPair& sp : *got) {
+              auto it = exact.find({sp.p, sp.q});
+              ASSERT_NE(it, exact.end()) << label << " pair (" << sp.p
+                                         << ", " << sp.q << ")";
+              EXPECT_LE(sp.score, it->second) << label;
+              EXPECT_LE(it->second, sp.score + eps) << label;
+              ++bracketed;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(bracketed, 0);
 }
 
 // ------------------------------------------------- n-way through cache
@@ -527,7 +646,7 @@ TEST(DhtJoinServiceTest, ConcurrentSessionsAreDeterministic) {
     for (std::size_t i = 0; i < futures.size(); ++i) {
       auto result = futures[i].get();
       ASSERT_TRUE(result.ok());
-      ExpectBitIdentical(*result, expected[which[i]], "concurrent session");
+      ExpectSamePairs(*result, expected[which[i]], "concurrent session");
     }
   }
   EXPECT_GT(service.cache_stats().hits, 0);

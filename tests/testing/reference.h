@@ -1,13 +1,14 @@
 /// \file tests/testing/reference.h
-/// \brief Independent ground-truth oracles, graph fixtures and a
-/// byte-exact answer comparison for tests.
+/// \brief Independent ground-truth oracles, graph fixtures and
+/// byte-exact answer comparisons for tests.
 ///
 /// RefFirstHitProb enumerates every walk explicitly (exponential in d;
 /// only for tiny graphs) — a genuinely independent check of both the
 /// forward and backward propagation engines. RefVisitSweep is the Y
 /// bound's S_i(P, q) sweep as plain loops. RefTwoWayJoin and
 /// RefNwayJoin are brute-force joins built on top of it / of the
-/// (separately validated) walkers.
+/// (separately validated) walkers. ExpectSamePairs and ExpectSameTuples
+/// compare answers byte for byte.
 
 #ifndef DHTJOIN_TESTS_TESTING_REFERENCE_H_
 #define DHTJOIN_TESTS_TESTING_REFERENCE_H_
@@ -176,6 +177,21 @@ inline std::vector<TupleAnswer> RefNwayJoin(
   std::sort(all.begin(), all.end(), TupleAnswerGreater);
   if (all.size() > k) all.resize(k);
   return all;
+}
+
+/// Expects two two-way answers to be equal byte for byte: the same
+/// (p, q) pairs in the same order, with bit-identical scores.
+inline void ExpectSamePairs(const std::vector<ScoredPair>& got,
+                            const std::vector<ScoredPair>& want,
+                            const std::string& label) {
+  ASSERT_EQ(got.size(), want.size()) << label;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].p, want[i].p) << label << " rank " << i;
+    EXPECT_EQ(got[i].q, want[i].q) << label << " rank " << i;
+    EXPECT_EQ(std::bit_cast<uint64_t>(got[i].score),
+              std::bit_cast<uint64_t>(want[i].score))
+        << label << " rank " << i;
+  }
 }
 
 /// Expects two n-way answers to be equal byte for byte: the same tuples

@@ -14,6 +14,7 @@
 #include <future>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "join2/b_idj.h"
@@ -28,6 +29,7 @@ namespace dhtjoin {
 namespace {
 
 using serve::DhtJoinService;
+using testing::ExpectSamePairs;
 using testing::RandomGraph;
 using testing::Range;
 
@@ -192,14 +194,6 @@ struct ServeFixture {
   std::size_t k = 15;
 };
 
-void ExpectBitIdentical(const std::vector<ScoredPair>& a,
-                        const std::vector<ScoredPair>& b, const char* what) {
-  ASSERT_EQ(a.size(), b.size()) << what;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i], b[i]) << what << " rank " << i;
-  }
-}
-
 TEST(ServiceTracingTest, TracedAnswersAreByteIdenticalToUntraced) {
   ServeFixture f;
   DhtJoinService plain(f.g, f.p, f.d, {.num_threads = 1});
@@ -214,7 +208,7 @@ TEST(ServiceTracingTest, TracedAnswersAreByteIdenticalToUntraced) {
     auto got = traced.TwoWay(f.P, f.Q, f.k, &traced_qs);
     ASSERT_TRUE(expected.ok());
     ASSERT_TRUE(got.ok());
-    ExpectBitIdentical(*got, *expected,
+    ExpectSamePairs(*got, *expected,
                        round == 0 ? "cold traced" : "warm traced");
     EXPECT_EQ(plain_qs.trace_spans, 0);  // tracing off: no rollups
     if (obs::kEnabled) {
@@ -234,6 +228,79 @@ TEST(ServiceTracingTest, TracedAnswersAreByteIdenticalToUntraced) {
     // The walk work itself is unchanged by tracing.
     EXPECT_EQ(traced_qs.join.walk_steps, plain_qs.join.walk_steps);
     EXPECT_EQ(traced_qs.join.state_hits, plain_qs.join.state_hits);
+  }
+}
+
+// Each span of a Trace::ToJson document as (name, parent name), in
+// document order; a root's parent is "". Span names hold no braces.
+std::vector<std::pair<std::string, std::string>> SpanParents(
+    const std::string& json) {
+  std::vector<std::pair<std::string, std::string>> out;
+  std::vector<std::string> open;  // names of the enclosing JSON objects
+  const std::string key = "\"name\": \"";
+  for (std::size_t i = 0; i < json.size(); ++i) {
+    if (json[i] == '{') {
+      open.emplace_back();
+    } else if (json[i] == '}') {
+      open.pop_back();
+    } else if (json.compare(i, key.size(), key) == 0) {
+      const std::size_t begin = i + key.size();
+      const std::size_t end = json.find('"', begin);
+      open.back() = json.substr(begin, end - begin);
+      out.emplace_back(open.back(),
+                       open.size() > 1 ? open[open.size() - 2] : "");
+      i = end;
+    }
+  }
+  return out;
+}
+
+TEST(ServiceTracingTest, TwoWaySpanTreeIsPinned) {
+  // perfbench/stats.py reports the self time of these spans as the
+  // serve.span.* metrics, so their names and nesting are an interface.
+  if (!obs::kEnabled) GTEST_SKIP() << "observability compiled out";
+  ServeFixture f;
+  obs::FakeClock clock;
+  DhtJoinService service(f.g, f.p, f.d,
+                         {.num_threads = 1,
+                          .clock = &clock,
+                          .trace_queries = true,
+                          .slow_query_nanos = 1});
+  // The clock moves at every completed level, so both queries are
+  // "slow" and the ring keeps their span trees.
+  for (int round = 0; round < 2; ++round) {  // cold, then warm
+    ExecContext exec;
+    exec.on_level = [&clock](int) { clock.AdvanceMillis(1); };
+    ASSERT_TRUE(service.TwoWay(f.P, f.Q, f.k, nullptr, &exec).ok());
+  }
+  const auto entries = service.slow_queries().Dump();
+  ASSERT_EQ(entries.size(), 2u);
+  for (std::size_t round = 0; round < entries.size(); ++round) {
+    SCOPED_TRACE(round == 0 ? "cold" : "warm");
+    std::vector<std::string> phases;  // the root's children, in order
+    int advances = 0;
+    int roots = 0;
+    for (const auto& [name, parent] :
+         SpanParents(entries[round].trace_json)) {
+      if (name == "query.twoway") {
+        EXPECT_EQ(parent, "");
+        ++roots;
+      } else if (name == "b.advance_many") {
+        EXPECT_TRUE(parent == "round" || parent == "final") << parent;
+        ++advances;
+      } else {
+        EXPECT_EQ(parent, "query.twoway") << name;
+        phases.push_back(name);
+      }
+    }
+    EXPECT_EQ(roots, 1);
+    // d = 8: deepening rounds at levels 1, 2 and 4, then the exact pass.
+    EXPECT_EQ(phases,
+              (std::vector<std::string>{"ybound", "import", "round", "round",
+                                        "round", "final", "write_back"}))
+        << entries[round].trace_json;
+    // A cold query walks every round; a warm one may walk nothing.
+    if (round == 0) EXPECT_GT(advances, 0);
   }
 }
 
