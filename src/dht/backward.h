@@ -62,7 +62,8 @@ struct BackwardWalkerState {
 /// a walk of `target` at some depth `state->level` in [1, d]. It may be
 /// resumed from exactly that level, or — when that level is at or past
 /// the one a caller needs — scored at that level directly from its
-/// `score_delta` (DESIGN.md §3, §6), with bit-identical results.
+/// `score_delta` (DESIGN.md §3, §6), with bit-identical results. A
+/// state at d is therefore never resumed and may carry no engine mass.
 /// Fetch returning nullptr, and Store discarding its argument, are both
 /// always legal — the provider is a cache, not a store of record.
 /// Implementations must be thread-safe: concurrent query sessions share

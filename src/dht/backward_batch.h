@@ -41,6 +41,8 @@
 /// O(d) total steps per surviving target instead of O(2d). States live
 /// under a byte budget; a target whose state was evicted (or never
 /// saved) is transparently restarted, producing bit-identical scores.
+/// A walk that reached the truncation depth d never advances again (h_d
+/// is final), so an advance to d can save it row-only (SaveStates).
 ///
 /// FUSED SCHEDULING: AdvanceMany() takes a whole round's worth of
 /// advance groups — each its own target list, pinned source set, states
@@ -102,7 +104,11 @@ struct BackwardBatchSnapshot {
   double lambda_pow = 1.0;
   /// Nonzero masses in the saved block's support order: the last
   /// step's emission order (a push's first-touch order or a gather's
-  /// row order), not sorted. A resumed block's first push sorts.
+  /// row order), not sorted. A resumed block's first push sorts. Empty
+  /// in two cases: a walk whose mass died (no edge enters the target's
+  /// ball), which resumes exactly from nothing, and a state saved
+  /// row-only at the truncation depth d (SaveStates::kRowOnly), which
+  /// is only ever scored from `row`, never advanced.
   std::vector<std::pair<NodeId, double>> mass;
   /// Score DELTAS over the pinned sources: h_level(p, q) - beta per
   /// source p. Kept beta-exclusive so a resumed row continues the exact
@@ -168,7 +174,8 @@ class BackwardBatchStates : public batch_core::BatchStateBudget {
 
   /// Copies `snap` into `slot` (replacing any saved state). Returns
   /// false — slot left empty — when the copy would not fit the budget;
-  /// the walk then simply restarts from scratch, bit-identically.
+  /// the walk then simply restarts from scratch, bit-identically. A
+  /// row-only snapshot costs its |P| row doubles and nothing else.
   bool Import(std::size_t slot, const BackwardBatchSnapshot& snap) {
     Drop(slot);
     if (snap.level == 0) return false;
@@ -201,6 +208,19 @@ class BackwardBatchStates : public batch_core::BatchStateBudget {
   std::vector<Slot> slots_;
 };
 
+/// What an advance writes back into the states of the targets it
+/// walked.
+enum class SaveStates {
+  /// Nothing: a final advance whose states are never read again.
+  kNone,
+  /// Depth, discount, lane mass and score row: the walk can resume.
+  kResumable,
+  /// Depth, discount and score row, no mass: for an advance to the
+  /// truncation depth d, where h_d is final. The state can be scored
+  /// from its row but never advanced past d.
+  kRowOnly,
+};
+
 /// One group of the fused backward scheduler (AdvanceMany): advance
 /// `targets` (whose resumable states live in `states` at `slots`) to
 /// `to_level`, writing each target's score row over `sources` into
@@ -214,9 +234,9 @@ struct BackwardAdvanceGroup {
   std::span<const std::size_t> slots;     // parallel to targets
   std::span<const ExtNodeId> sources;
   BackwardBatchStates* states = nullptr;
-  /// Off for a FINAL advance whose states would never be read again —
-  /// spares the snapshot copies.
-  bool save_states = true;
+  /// kNone for a FINAL advance whose states would never be read again —
+  /// spares the snapshot copies; kRowOnly for one whose rows are.
+  SaveStates save_states = SaveStates::kResumable;
   double* out = nullptr;
 };
 
@@ -351,7 +371,7 @@ class BackwardWalkerBatchT {
   /// then invokes consume(i, row) with its h_{to_level} score row over
   /// `sources`. Targets saved at different levels are grouped and
   /// advanced separately, so evictions and fresh targets mix freely.
-  /// `save_states = false` skips the write-back for a FINAL advance.
+  /// `save_states` says what the write-back keeps (SaveStates).
   /// Returns the number of walks that started from scratch (fresh or
   /// evicted). A thin wrapper over AdvanceMany (one group per chunk).
   template <typename Consume>
@@ -360,7 +380,7 @@ class BackwardWalkerBatchT {
                          std::span<const std::size_t> slots,
                          std::span<const ExtNodeId> sources,
                          BackwardBatchStates& states, Consume&& consume,
-                         bool save_states = true,
+                         SaveStates save_states = SaveStates::kResumable,
                          std::size_t max_targets_per_run = 0,
                          const ExecContext* exec = nullptr,
                          bool* interrupted = nullptr) {
@@ -618,12 +638,12 @@ class BackwardWalkerBatchT {
   /// Walks one uniform-level block from `from_level` to `to_level`.
   /// Fresh lanes (from_level == 0) seed unit mass at their target;
   /// resumed lanes replay their sparse snapshot. Saves per-lane states
-  /// back into `states` under its budget (unless `save_states` is off).
+  /// back into `states` under its budget, as `save_states` says.
   void AdvanceBlock(Workspace& st, const DhtParams& params, int from_level,
                     int to_level, std::span<const NodeId> lane_targets,
                     std::span<const std::size_t> lane_slots,
                     std::span<const NodeId> sources,
-                    BackwardBatchStates& states, bool save_states,
+                    BackwardBatchStates& states, SaveStates save_states,
                     double* const* rows) {
     const int width = static_cast<int>(lane_targets.size());
     const auto num_sources = static_cast<std::size_t>(sources.size());
@@ -671,14 +691,17 @@ class BackwardWalkerBatchT {
     // budget pressure a lane keeps its previous (lower-level) state, so
     // the next advance resumes from there instead of degrading to a
     // full restart (the level grouping handles mixed saved levels). A
-    // final advance (save_states off) skips the snapshots entirely.
-    for (int b = 0; save_states && b < width; ++b) {
+    // final advance skips the snapshots entirely (kNone) or keeps only
+    // their rows (kRowOnly).
+    for (int b = 0; save_states != SaveStates::kNone && b < width; ++b) {
       BackwardBatchStates::Slot& slot =
           states.slots_[lane_slots[static_cast<std::size_t>(b)]];
       BackwardBatchStates::Slot cand;
       cand.level = to_level;
       cand.lambda_pow = lambda_pow;
-      batch_core::CollectLaneMass(st, b, cand.mass);
+      if (save_states == SaveStates::kResumable) {
+        batch_core::CollectLaneMass(st, b, cand.mass);
+      }
       cand.row.assign(rows[b], rows[b] + num_sources);
       cand.bytes = cand.ApproxBytes();
       states.TryCommit(slot, std::move(cand));

@@ -50,14 +50,14 @@ Result<std::vector<ScoredPair>> RunBIdjSchedule(const DhtParams& params,
   // past l is scored from its stored row at its own level. The others
   // walk to l in one batch: with states, each continues from its saved
   // state; without, each restarts from scratch — same rows either way
-  // (sorted-support determinism), different step counts. `save` is off
-  // for a final pass whose states nobody reads again. Returns false
+  // (sorted-support determinism), different step counts. `save` says
+  // what the walked states keep (SaveStates). Returns false
   // when a cooperative stop interrupted the round (resume schedule
   // only; the restart schedule polls at level boundaries instead) — the
   // round's partial output must then be DISCARDED. PairTopK's tie
   // policy makes the order in which rows are offered irrelevant.
-  auto walk_live = [&](const std::vector<std::size_t>& live, int l, bool save,
-                       auto&& score_row) {
+  auto walk_live = [&](const std::vector<std::size_t>& live, int l,
+                       SaveStates save, auto&& score_row) {
     std::vector<std::size_t> walk_pos;  // positions in `live` that walk
     std::vector<ExtNodeId> walk_nodes;
     std::vector<std::size_t> walk_slots;
@@ -155,7 +155,7 @@ Result<std::vector<ScoredPair>> RunBIdjSchedule(const DhtParams& params,
     PairTopK bounds(k);  // B is reset every iteration (Alg. 2 Step 3)
     std::vector<double> q_upper(live.size());
     bool completed =
-        walk_live(live, l, /*save=*/true,
+        walk_live(live, l, SaveStates::kResumable,
                   [&](std::size_t i, const double* row, int row_level) {
                     q_upper[i] = offer_row(bounds, Q[live[i]], row) +
                                  remainder(row_level, live[i]);
@@ -195,6 +195,7 @@ Result<std::vector<ScoredPair>> RunBIdjSchedule(const DhtParams& params,
   }
 
   // Final pass (Alg. 2 Steps 16-17): exact d-step walks for survivors.
+  // h_d is final (Lemma 1), so a kept state saves its row, not its walk.
   if (auto stop = check(); stop != StatusCode::kOk) return degrade(stop);
   PairTopK best(k);
   if (!live.empty()) {
@@ -202,7 +203,8 @@ Result<std::vector<ScoredPair>> RunBIdjSchedule(const DhtParams& params,
     final_span.SetAttr("level", int64_t{d});
     final_span.SetAttr("frontier", static_cast<int64_t>(live.size()));
     bool completed =
-        walk_live(live, d, /*save=*/parts.keep_states,
+        walk_live(live, d,
+                  parts.keep_states ? SaveStates::kRowOnly : SaveStates::kNone,
                   [&](std::size_t i, const double* row, int /*level*/) {
                     offer_row(best, Q[live[i]], row);
                   });

@@ -51,8 +51,10 @@ struct BIdjScheduleParts {
   /// Retune `states` between rounds; only for an autotuned budget.
   bool retune_states = false;
   /// The caller takes `states` back after the run: pruned targets keep
-  /// their states and the final pass saves its states. Off, a pruned
-  /// target's state is freed at once and the final pass saves none.
+  /// their resumable states and the final pass saves its states row-only
+  /// (SaveStates::kRowOnly: depth d is final, so only the row is ever
+  /// read again). Off, a pruned target's state is freed at once and the
+  /// final pass saves none.
   bool keep_states = false;
 };
 

@@ -173,11 +173,15 @@ void IncrementalTwoWayJoin::DeepenTarget(std::size_t qi, int new_level) {
     walker_states_.Put(static_cast<uint64_t>(qi), std::move(snapshot));
   } else {
     // Depth d is final for the truncated measure; the local state is
-    // dead (the provider may keep a copy for other queries).
+    // dead (the provider may keep a copy for other queries). A provider
+    // walk at d sits at or past every level a later query asks for, so
+    // it is only ever read through ReadRow: the copy keeps its deltas
+    // and drops the mass.
     walker_states_.Erase(static_cast<uint64_t>(qi));
     if (offer) {
       BackwardWalkerState snapshot;
       walker_.Save(&snapshot);
+      snapshot.engine = PropagatorState{};
       options_.snapshots->Store(q, std::move(snapshot));
     }
   }
@@ -416,7 +420,7 @@ void IncrementalTwoWayJoin::RunInitialSchedule(std::size_t m) {
         [&](std::size_t i, const double* row) {
           ApplyRow(need[i], d_, row);
         },
-        /*save_states=*/false);
+        SaveStates::kNone);
     account();
   }
   // Remember the schedule's evictions: DeepenTarget refreshes

@@ -172,6 +172,15 @@ void ScoreCache::PutIf(
   }
 }
 
+void ScoreCache::PutDeepest(const CacheKey& key,
+                            std::shared_ptr<const CacheEntry> entry) {
+  if (entry == nullptr) return;
+  const int level = entry->WalkLevel();
+  PutIf(key, std::move(entry), [level](const CacheEntry& existing) {
+    return existing.WalkLevel() >= level;
+  });
+}
+
 void ScoreCache::Erase(const CacheKey& key) {
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);

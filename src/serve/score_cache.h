@@ -67,12 +67,15 @@ enum class CachePayload : uint8_t {
   kYBound,            ///< YBoundTable of (P, Q) at depth d
 };
 
-/// Exact cache key. `d` participates only for payloads whose bits
-/// depend on the truncation depth (kEdgeTable, kYBound); level-carrying
-/// walk states (kBackwardSnapshot, kBatchState) set it to 0 so services
-/// running different depths share them. Seed sets are carried by
-/// shared_ptr and compared by CONTENT — the pointers just keep one copy
-/// alive per key instead of one per comparison.
+/// Exact cache key. `d` is set only for payloads whose key must name
+/// the truncation depth (kEdgeTable, kYBound); level-carrying walk
+/// states (kBackwardSnapshot, kBatchState) carry their depth as their
+/// level and leave it 0. They need no d in the key because a cache
+/// belongs to one service, which runs one d, and checkpoints
+/// fingerprint d: a walk state at the service's d is final and holds
+/// only its score row or deltas (DESIGN.md §6). Seed sets are carried
+/// by shared_ptr and compared by CONTENT — the pointers just keep one
+/// copy alive per key instead of one per comparison.
 struct CacheKey {
   uint64_t graph_fp = 0;
   CachePayload kind = CachePayload::kBackwardSnapshot;
@@ -95,6 +98,9 @@ class CacheEntry {
  public:
   virtual ~CacheEntry() = default;
   virtual std::size_t ApproxBytes() const = 0;
+  /// Depth of the walk the payload holds; 0 for a payload that holds
+  /// no walk (a whole table). ScoreCache::PutDeepest arbitrates by it.
+  virtual int WalkLevel() const { return 0; }
 };
 
 /// Scalar backward-walker snapshot (IncrementalTwoWayJoin / PJ-i).
@@ -105,6 +111,7 @@ struct CachedBackwardSnapshot final : CacheEntry {
   std::size_t ApproxBytes() const override {
     return sizeof(*this) + state.ApproxBytes();
   }
+  int WalkLevel() const override { return state.level; }
 };
 
 /// Batched backward walk state of one (target, pinned source set) pair
@@ -115,6 +122,7 @@ struct CachedBatchState final : CacheEntry {
   std::size_t ApproxBytes() const override {
     return sizeof(*this) + snap.ApproxBytes();
   }
+  int WalkLevel() const override { return snap.level; }
 };
 
 /// NL's per-edge forward score table (|L| x |R| row-major h_d).
@@ -213,13 +221,14 @@ class ScoreCache {
   /// not retained.
   void Put(const CacheKey& key, std::shared_ptr<const CacheEntry> entry);
 
-  /// Put, unless `keep_existing(current)` returns true for an entry
-  /// already under `key`. The predicate runs UNDER the shard lock, so
-  /// the decision and the insert are one atomic step — this is how
-  /// deepest-wins write-backs stay deepest-wins when concurrent
-  /// sessions race on one key (DESIGN.md §6).
-  void PutIf(const CacheKey& key, std::shared_ptr<const CacheEntry> entry,
-             const std::function<bool(const CacheEntry&)>& keep_existing);
+  /// Put under the cache's one rule for keys that may already be
+  /// resident (DESIGN.md §6): an entry replaces a resident one only
+  /// when it holds a strictly deeper walk (CacheEntry::WalkLevel). The
+  /// decision and the insert are one step under the shard lock, so
+  /// racing sessions converge on the deepest walk either of them did.
+  /// Whole tables (level 0) are resident-wins.
+  void PutDeepest(const CacheKey& key,
+                  std::shared_ptr<const CacheEntry> entry);
 
   void Erase(const CacheKey& key);
   void Clear();
@@ -243,6 +252,11 @@ class ScoreCache {
   int num_shards() const { return static_cast<int>(shards_.size()); }
 
  private:
+  /// Put, unless `keep_existing(current)` returns true for an entry
+  /// already under `key`. The predicate runs under the shard lock.
+  void PutIf(const CacheKey& key, std::shared_ptr<const CacheEntry> entry,
+             const std::function<bool(const CacheEntry&)>& keep_existing);
+
   struct KeyHash {
     std::size_t operator()(const CacheKey& k) const {
       return static_cast<std::size_t>(k.Hash());

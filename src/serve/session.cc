@@ -33,24 +33,17 @@ class DhtJoinService::SnapshotAdapter final : public BackwardSnapshotProvider {
   void Store(ExtNodeId target, BackwardWalkerState state) override {
     CacheKey key = service_->BaseKey(CachePayload::kBackwardSnapshot);
     key.seed = target;
-    const int level = state.level;
     // Never replace a deeper walk with a shallower one: depth only ever
-    // helps the next query, and both are byte-safe to resume. PutIf
-    // decides under the shard lock, so racing sessions converge on the
-    // deepest walk either of them did (DESIGN.md §6).
-    service_->cache_.PutIf(
-        key, std::make_shared<CachedBackwardSnapshot>(std::move(state)),
-        [level](const serve::CacheEntry& existing) {
-          return static_cast<const CachedBackwardSnapshot&>(existing)
-                     .state.level >= level;
-        });
+    // helps the next query, and both are byte-safe to read.
+    service_->cache_.PutDeepest(
+        key, std::make_shared<CachedBackwardSnapshot>(std::move(state)));
   }
 
   bool WantsLevel(ExtNodeId target, int level) override {
     CacheKey key = service_->BaseKey(CachePayload::kBackwardSnapshot);
     key.seed = target;
-    auto existing = service_->cache_.PeekAs<CachedBackwardSnapshot>(key);
-    return existing == nullptr || existing->state.level < level;
+    auto existing = service_->cache_.Peek(key);
+    return existing == nullptr || existing->WalkLevel() < level;
   }
 
   std::shared_ptr<const YBoundTable> SharedYBound(const NodeSet& P,
@@ -358,7 +351,7 @@ Result<int64_t> DhtJoinService::LoadWarmState(const std::string& path) {
   for (const persist::SnapshotSection& section : decoded->sections) {
     Result<DecodedCacheRecord> record =
         DecodeCacheRecord(section.kind, section.payload, graph_fp_, params_,
-                          g_.num_nodes());
+                          g_.num_nodes(), d_);
     if (!record.ok()) {
       // Section checksums passed but the record is structurally bad:
       // an encoder/decoder version skew. Fail closed.
@@ -369,28 +362,10 @@ Result<int64_t> DhtJoinService::LoadWarmState(const std::string& path) {
   }
   int64_t restored = 0;
   for (const DecodedCacheRecord& record : records) {
-    const CachePayload kind = record.key.kind;
-    const CacheEntry* incoming = record.entry.get();
-    // Same arbitration as live write-backs: deepest-wins for
-    // level-carrying walk states, resident-wins for whole tables (a
-    // live entry is never staler than a checkpointed one).
-    cache_.PutIf(record.key, record.entry,
-                 [kind, incoming](const CacheEntry& existing) {
-                   switch (kind) {
-                     case CachePayload::kBackwardSnapshot:
-                       return static_cast<const CachedBackwardSnapshot&>(
-                                  existing).state.level >=
-                              static_cast<const CachedBackwardSnapshot*>(
-                                  incoming)->state.level;
-                     case CachePayload::kBatchState:
-                       return static_cast<const CachedBatchState&>(existing)
-                                  .snap.level >=
-                              static_cast<const CachedBatchState*>(incoming)
-                                  ->snap.level;
-                     default:
-                       return true;
-                   }
-                 });
+    // Same arbitration as live write-backs: deepest-wins for walk
+    // states, resident-wins for whole tables (a live entry is never
+    // staler than a checkpointed one).
+    cache_.PutDeepest(record.key, record.entry);
     ++restored;
   }
   persist_metrics_.restore_hits->Add(restored);
@@ -468,9 +443,10 @@ Result<std::vector<ScoredPair>> DhtJoinService::RunTwoWay(
   // Write back every state that got deeper than what the cache gave
   // us — also after a degraded or cancelled run: every written snapshot
   // is a COMPLETED level (interrupted blocks keep their previous one),
-  // so it is bit-safe for any later query. PutIf keeps the deepest walk
-  // under the shard lock when concurrent sessions race on one target
-  // (DESIGN.md §6).
+  // so it is bit-safe for any later query. A survivor of the final pass
+  // comes back row-only (its walk is final at d_), a pruned target with
+  // its mass. PutDeepest keeps the deepest walk under the shard lock
+  // when concurrent sessions race on one target (DESIGN.md §6).
   {
     obs::ScopedSpan wb_span(trace, "write_back");
     int64_t exported = 0;
@@ -478,13 +454,8 @@ Result<std::vector<ScoredPair>> DhtJoinService::RunTwoWay(
       if (states.level(qi) <= imported_level[qi]) continue;
       BackwardBatchSnapshot snap;
       if (states.Take(qi, &snap)) {
-        const int level = snap.level;
-        cache_.PutIf(batch_key(qi),
-                     std::make_shared<CachedBatchState>(std::move(snap)),
-                     [level](const CacheEntry& existing) {
-                       return static_cast<const CachedBatchState&>(existing)
-                                  .snap.level >= level;
-                     });
+        cache_.PutDeepest(batch_key(qi),
+                          std::make_shared<CachedBatchState>(std::move(snap)));
         ++exported;
       }
     }

@@ -13,10 +13,12 @@
 /// Algorithm-2 schedule (RunBIdjSchedule, join2/b_idj.h) and owns only
 /// the cache work around it: it imports each target's batched backward
 /// walk state (BackwardBatchSnapshot) before the run and writes back
-/// every state that got deeper after it, however the run ended. A warm
-/// query therefore RESUMES every target at its deepest previously-
-/// walked level — an exactly repeated query does near-zero walk work —
-/// while a cold query runs the ordinary schedule. Warm and cold results
+/// every state that got deeper after it, however the run ended: a
+/// pruned target with its walk mass, a target exactified at d with its
+/// score row alone (h_d is final). A warm query therefore RESUMES every
+/// target at its deepest previously-walked level — an exactly repeated
+/// query does near-zero walk work — while a cold query runs the
+/// ordinary schedule. Warm and cold results
 /// are byte-identical (DESIGN.md §6). The Y-bound table of each (P, Q)
 /// is cached whole. N-way queries route NL's per-edge tables and PJ-i's
 /// backward walk snapshots through the same cache via the provider

@@ -119,6 +119,18 @@ Status CheckScoreDeltas(const std::vector<std::pair<NodeId, double>>& deltas) {
   return Status::OK();
 }
 
+/// A walk state's level must lie in [1, d] for the loading service's
+/// d: the engines resume a state from its level (a level <= 0 would
+/// walk a negative number of steps) and never walk past d.
+Status CheckWalkLevel(int64_t level, int d) {
+  if (level < 1 || level > d) {
+    return Status::InvalidArgument(
+        "warm record corrupt: walk level " + std::to_string(level) +
+        " outside [1, " + std::to_string(d) + "]");
+  }
+  return Status::OK();
+}
+
 Status ReadDoubles(ByteReader& r, std::vector<double>* out) {
   const uint64_t count = r.U64();
   if (!r.ok() || !PlausibleCount(r, count, sizeof(double))) {
@@ -193,7 +205,7 @@ Result<DecodedCacheRecord> DecodeCacheRecord(uint32_t section_kind,
                                              std::span<const uint8_t> payload,
                                              uint64_t graph_fp,
                                              const DhtParams& params,
-                                             NodeId num_nodes) {
+                                             NodeId num_nodes, int d) {
   ByteReader r(payload);
   DecodedCacheRecord record;
   record.key.graph_fp = graph_fp;
@@ -210,7 +222,9 @@ Result<DecodedCacheRecord> DecodeCacheRecord(uint32_t section_kind,
       record.key.kind = CachePayload::kBackwardSnapshot;
       BackwardWalkerState state;
       state.target = ExtNodeId(static_cast<NodeId>(r.I64()));
-      state.level = static_cast<int>(r.I64());
+      const int64_t level = r.I64();
+      DHTJOIN_RETURN_NOT_OK(CheckWalkLevel(level, d));
+      state.level = static_cast<int>(level);
       state.lambda_pow = r.F64Bits();
       DHTJOIN_RETURN_NOT_OK(ReadMass(r, num_nodes, &state.engine.mass));
       DHTJOIN_RETURN_NOT_OK(ReadMass(r, num_nodes, &state.score_delta));
@@ -222,7 +236,9 @@ Result<DecodedCacheRecord> DecodeCacheRecord(uint32_t section_kind,
     case kSectionBatchState: {
       record.key.kind = CachePayload::kBatchState;
       BackwardBatchSnapshot snap;
-      snap.level = static_cast<int>(r.I64());
+      const int64_t level = r.I64();
+      DHTJOIN_RETURN_NOT_OK(CheckWalkLevel(level, d));
+      snap.level = static_cast<int>(level);
       snap.lambda_pow = r.F64Bits();
       DHTJOIN_RETURN_NOT_OK(ReadMass(r, num_nodes, &snap.mass));
       DHTJOIN_RETURN_NOT_OK(ReadDoubles(r, &snap.row));

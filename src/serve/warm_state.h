@@ -17,8 +17,9 @@
 ///
 /// Decoding is fail-closed: any underflow, trailing bytes, or
 /// structurally impossible field — a node id outside the graph, score
-/// deltas out of order, a Y-bound table not shaped like its key —
-/// yields kInvalidArgument, never a partially-filled record.
+/// deltas out of order, a walk level outside [1, d], a Y-bound table
+/// not shaped like its key — yields kInvalidArgument, never a
+/// partially-filled record.
 
 #ifndef DHTJOIN_SERVE_WARM_STATE_H_
 #define DHTJOIN_SERVE_WARM_STATE_H_
@@ -47,18 +48,21 @@ struct DecodedCacheRecord {
   std::shared_ptr<const CacheEntry> entry;
 };
 
-/// Rebuilds a record from a section. `graph_fp`, `params` and
-/// `num_nodes` come from the LOADING service (validated against the
-/// snapshot header by the caller); the record carries everything else.
-/// Beyond structure, the decoder checks what the engines will index:
-/// every node id of a mass or delta list lies in [0, num_nodes), score
-/// deltas are strictly ascending and nonzero, and a Y-bound table has
-/// one row per member of its key's Q and the key's d.
+/// Rebuilds a record from a section. `graph_fp`, `params`, `num_nodes`
+/// and the truncation depth `d` come from the LOADING service (the
+/// caller validated the snapshot header's fingerprints against them);
+/// the record carries everything else. Beyond structure, the decoder
+/// checks what the engines will index or walk: every node id of a mass
+/// or delta list lies in [0, num_nodes), score deltas are strictly
+/// ascending and nonzero, a walk state's level lies in [1, d], and a
+/// Y-bound table has one row per member of its key's Q and the key's d.
+/// An empty mass is legal at any level: below d it is a walk whose
+/// mass died, at d a state saved row-only.
 Result<DecodedCacheRecord> DecodeCacheRecord(uint32_t section_kind,
                                              std::span<const uint8_t> payload,
                                              uint64_t graph_fp,
                                              const DhtParams& params,
-                                             NodeId num_nodes);
+                                             NodeId num_nodes, int d);
 
 }  // namespace dhtjoin::serve
 

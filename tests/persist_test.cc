@@ -195,6 +195,24 @@ class WarmStateTest : public ::testing::Test {
     return o;
   }
 
+  /// Every record of the checkpoint at `path`, decoded as `service`
+  /// would load it.
+  std::vector<serve::DecodedCacheRecord> SavedRecords(
+      const DhtJoinService& service, const std::string& path) const {
+    std::vector<serve::DecodedCacheRecord> records;
+    Result<SnapshotFile> file = ReadSnapshotFile(path);
+    EXPECT_TRUE(file.ok()) << file.status().ToString();
+    if (!file.ok()) return records;
+    for (const SnapshotSection& section : file->sections) {
+      Result<serve::DecodedCacheRecord> record = serve::DecodeCacheRecord(
+          section.kind, section.payload, service.graph_fingerprint(),
+          params_, g_.num_nodes(), kD);
+      EXPECT_TRUE(record.ok()) << record.status().ToString();
+      if (record.ok()) records.push_back(std::move(record).value());
+    }
+    return records;
+  }
+
   Graph g_;
   DhtParams params_;
   NodeSet P_;
@@ -230,6 +248,37 @@ TEST_F(WarmStateTest, RestoredServiceAnswersByteIdenticallyAndWarm) {
   std::remove(path.c_str());
 }
 
+TEST_F(WarmStateTest, TwoWayWriteBackSavesDepthDStatesRowOnly) {
+  // B-IDJ exactifies its survivors at d, where h_d is final, so their
+  // write-back is the score row alone. Targets pruned below d keep the
+  // mass a later query resumes them from.
+  const std::string path = TempPath("warm_row_only.snap");
+  DhtJoinService service(g_, params_, kD, ServiceOptions());
+  ASSERT_TRUE(service.TwoWay(P_, Q_, kK).ok());
+  ASSERT_TRUE(service.SaveWarmState(path).ok());
+  int at_d = 0;
+  int below_d = 0;
+  for (const serve::DecodedCacheRecord& record : SavedRecords(service, path)) {
+    if (record.key.kind != serve::CachePayload::kBatchState) continue;
+    const BackwardBatchSnapshot& snap =
+        static_cast<const serve::CachedBatchState&>(*record.entry).snap;
+    const std::string label = "target " +
+                              std::to_string(record.key.seed.value()) +
+                              " level " + std::to_string(snap.level);
+    EXPECT_EQ(snap.row.size(), P_.size()) << label;
+    if (snap.level == kD) {
+      ++at_d;
+      EXPECT_TRUE(snap.mass.empty()) << label;
+    } else {
+      ++below_d;
+      EXPECT_FALSE(snap.mass.empty()) << label;
+    }
+  }
+  EXPECT_GT(at_d, 0);
+  EXPECT_GT(below_d, 0);
+  std::remove(path.c_str());
+}
+
 TEST_F(WarmStateTest, RestoredServiceAnswersPjiByteIdenticallyAndWarm) {
   // PJ-i's warm state is the serving cache's scalar walks (their score
   // deltas ascending by internal id) and the Y-bound tables of its
@@ -255,6 +304,19 @@ TEST_F(WarmStateTest, RestoredServiceAnswersPjiByteIdenticallyAndWarm) {
     want.push_back(*answer);
   }
   ASSERT_TRUE(cold.SaveWarmState(path).ok());
+  // A provider walk at d is only ever scored from its deltas, so it is
+  // saved without its engine mass.
+  int walks_at_d = 0;
+  for (const serve::DecodedCacheRecord& record : SavedRecords(cold, path)) {
+    if (record.key.kind != serve::CachePayload::kBackwardSnapshot) continue;
+    const BackwardWalkerState& state =
+        static_cast<const serve::CachedBackwardSnapshot&>(*record.entry).state;
+    if (state.level != kD) continue;
+    ++walks_at_d;
+    EXPECT_TRUE(state.engine.mass.empty())
+        << "target " << state.target.value();
+  }
+  EXPECT_GT(walks_at_d, 0);
 
   DhtJoinService warmed(g_, params_, kD, ServiceOptions());
   Result<int64_t> restored = warmed.LoadWarmState(path);
@@ -368,7 +430,8 @@ TEST_F(WarmStateTest, GarbageSectionPayloadsAreRejectedByRecordDecode) {
 
 /// Records with valid section checksums, encoded exactly as
 /// SaveWarmState encodes them and keyed as the service keys them, whose
-/// contents the engines would index out of bounds or search wrongly.
+/// contents the engines would index out of bounds, search wrongly, or
+/// walk from a level they cannot have.
 enum class BadRecord {
   kDescendingScoreDeltas,
   kEngineMassIdN,
@@ -376,6 +439,9 @@ enum class BadRecord {
   kBatchMassIdN,
   kYBoundOneRowShort,
   kYBoundShallowerThanKey,
+  kBatchLevelNegative,
+  kBatchLevelPastD,
+  kWalkLevelPastD,
 };
 
 std::string BadRecordName(const ::testing::TestParamInfo<BadRecord>& info) {
@@ -386,6 +452,9 @@ std::string BadRecordName(const ::testing::TestParamInfo<BadRecord>& info) {
     case BadRecord::kBatchMassIdN: return "BatchMassIdN";
     case BadRecord::kYBoundOneRowShort: return "YBoundOneRowShort";
     case BadRecord::kYBoundShallowerThanKey: return "YBoundShallowerThanKey";
+    case BadRecord::kBatchLevelNegative: return "BatchLevelNegative";
+    case BadRecord::kBatchLevelPastD: return "BatchLevelPastD";
+    case BadRecord::kWalkLevelPastD: return "WalkLevelPastD";
   }
   return "Unknown";
 }
@@ -402,16 +471,29 @@ class BadWarmRecordTest : public WarmStateTest,
     key.params = params_;
     std::shared_ptr<const serve::CacheEntry> entry;
     auto walk = [&](std::vector<std::pair<NodeId, double>> mass,
-                    std::vector<std::pair<NodeId, double>> deltas) {
+                    std::vector<std::pair<NodeId, double>> deltas,
+                    int level = 2) {
       key.kind = serve::CachePayload::kBackwardSnapshot;
       key.seed = Q_[0];
       BackwardWalkerState state;
       state.target = Q_[0];
-      state.level = 2;
+      state.level = level;
       state.lambda_pow = lambda_pow;
       state.engine.mass = std::move(mass);
       state.score_delta = std::move(deltas);
       entry = std::make_shared<serve::CachedBackwardSnapshot>(std::move(state));
+    };
+    auto batch = [&](std::vector<std::pair<NodeId, double>> mass,
+                     int level = 2) {
+      key.kind = serve::CachePayload::kBatchState;
+      key.seed = Q_[0];
+      key.set_a = std::make_shared<const std::vector<ExtNodeId>>(P_.nodes());
+      BackwardBatchSnapshot snap;
+      snap.level = level;
+      snap.lambda_pow = lambda_pow;
+      snap.mass = std::move(mass);
+      snap.row.assign(P_.size(), 0.0);
+      entry = std::make_shared<serve::CachedBatchState>(std::move(snap));
     };
     auto ybound = [&](int d, std::size_t rows) {
       key.kind = serve::CachePayload::kYBound;
@@ -433,23 +515,25 @@ class BadWarmRecordTest : public WarmStateTest,
       case BadRecord::kScoreDeltaIdN:
         walk({{1, 0.5}}, {{3, 0.25}, {n, 0.125}});
         break;
-      case BadRecord::kBatchMassIdN: {
-        key.kind = serve::CachePayload::kBatchState;
-        key.seed = Q_[0];
-        key.set_a = std::make_shared<const std::vector<ExtNodeId>>(P_.nodes());
-        BackwardBatchSnapshot snap;
-        snap.level = 2;
-        snap.lambda_pow = lambda_pow;
-        snap.mass = {{1, 0.5}, {n, 0.5}};
-        snap.row.assign(P_.size(), 0.0);
-        entry = std::make_shared<serve::CachedBatchState>(std::move(snap));
+      case BadRecord::kBatchMassIdN:
+        batch({{1, 0.5}, {n, 0.5}});
         break;
-      }
       case BadRecord::kYBoundOneRowShort:
         ybound(kD, Q_.size() - 1);
         break;
       case BadRecord::kYBoundShallowerThanKey:
         ybound(kD - 1, Q_.size());
+        break;
+      // A walk state is resumed from its level and never walked past
+      // d: a level <= 0 would walk to_level - level steps from its mass.
+      case BadRecord::kBatchLevelNegative:
+        batch({{1, 0.5}}, -2);
+        break;
+      case BadRecord::kBatchLevelPastD:
+        batch({{1, 0.5}}, kD + 1);
+        break;
+      case BadRecord::kWalkLevelPastD:
+        walk({}, {{3, 0.25}}, kD + 1);
         break;
     }
     SnapshotFile file;
@@ -488,7 +572,9 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(BadRecord::kDescendingScoreDeltas,
                       BadRecord::kEngineMassIdN, BadRecord::kScoreDeltaIdN,
                       BadRecord::kBatchMassIdN, BadRecord::kYBoundOneRowShort,
-                      BadRecord::kYBoundShallowerThanKey),
+                      BadRecord::kYBoundShallowerThanKey,
+                      BadRecord::kBatchLevelNegative,
+                      BadRecord::kBatchLevelPastD, BadRecord::kWalkLevelPastD),
     BadRecordName);
 
 TEST_F(WarmStateTest, PersistMetricsTickOnSaveAndRestore) {

@@ -729,10 +729,10 @@ TEST(ResumeTest, BackwardAdvanceManyMultiGroupMatchesSequentialBitwise) {
   std::vector<double> got_a(want_a.size()), got_b(want_b.size());
   for (int l : {1, 2, 4, 8}) {
     BackwardAdvanceGroup groups[2];
-    groups[0] = {l, targets_a, slots_a, sources_a, &fus_a, true,
-                 got_a.data()};
-    groups[1] = {l, targets_b, slots_b, sources_b, &fus_b, true,
-                 got_b.data()};
+    groups[0] = {l, targets_a, slots_a, sources_a, &fus_a,
+                 SaveStates::kResumable, got_a.data()};
+    groups[1] = {l, targets_b, slots_b, sources_b, &fus_b,
+                 SaveStates::kResumable, got_b.data()};
     fused.AdvanceMany(p, groups);
   }
   for (std::size_t i = 0; i < want_a.size(); ++i) {

@@ -325,27 +325,30 @@ TEST(DhtJoinServiceTest, ColdWarmAndEvictedMatchBruteForceOracle) {
   for (std::size_t gi = 0; gi < f.graphs.size(); ++gi) {
     const Graph& g = f.graphs[gi];
     const std::vector<ScoredPair> all = f.AllPairs(g);
+    auto top = [&all](std::size_t k) {
+      return std::vector<ScoredPair>(
+          all.begin(),
+          all.begin() + static_cast<std::ptrdiff_t>(std::min(k, all.size())));
+    };
     for (UpperBoundKind bound : {UpperBoundKind::kY, UpperBoundKind::kX}) {
       for (std::size_t budget : {DhtJoinService::kAutotuneBudget,
                                  std::size_t{4096}, std::size_t{0}}) {
+        const DhtJoinService::Options options{.cache_budget_bytes = budget,
+                                              .cache_shards = 1,
+                                              .num_threads = 1,
+                                              .bound = bound};
+        const std::string config = "graph " + std::to_string(gi) +
+                                   " bound " + BoundName(bound) + " budget " +
+                                   std::to_string(budget);
         for (std::size_t k : {1u, 15u, 400u}) {
-          const std::vector<ScoredPair> want(
-              all.begin(), all.begin() + static_cast<std::ptrdiff_t>(
-                                             std::min(k, all.size())));
-          DhtJoinService service(g, f.p, f.d,
-                                 {.cache_budget_bytes = budget,
-                                  .cache_shards = 1,
-                                  .num_threads = 1,
-                                  .bound = bound});
+          DhtJoinService service(g, f.p, f.d, options);
           for (int round = 0; round < 3; ++round) {  // cold, then warm
-            const std::string label =
-                "graph " + std::to_string(gi) + " bound " +
-                BoundName(bound) + " budget " + std::to_string(budget) +
-                " k " + std::to_string(k) + " round " + std::to_string(round);
+            const std::string label = config + " k " + std::to_string(k) +
+                                      " round " + std::to_string(round);
             serve::QueryStats qs;
             auto got = service.TwoWay(f.P, f.Q, k, &qs);
             ASSERT_TRUE(got.ok()) << got.status().ToString();
-            ExpectSamePairs(*got, want, label);
+            ExpectSamePairs(*got, top(k), label);
             if (round > 0 && budget == DhtJoinService::kAutotuneBudget) {
               EXPECT_EQ(qs.cold_targets, 0) << label;  // fully warm
             }
@@ -356,10 +359,28 @@ TEST(DhtJoinServiceTest, ColdWarmAndEvictedMatchBruteForceOracle) {
             EXPECT_GT(service.cache_stats().evictions, 0);
           }
         }
+        // One service serves k = 1, 15 and 400 in turn. Each later query
+        // walks on from the states an earlier one pruned below d, and
+        // scores that query's survivors from the rows they were written
+        // back with at d.
+        DhtJoinService service(g, f.p, f.d, options);
+        for (std::size_t k : {1u, 15u, 400u}) {
+          const std::string label =
+              config + " k " + std::to_string(k) + " served in turn";
+          serve::QueryStats qs;
+          auto got = service.TwoWay(f.P, f.Q, k, &qs);
+          ASSERT_TRUE(got.ok()) << got.status().ToString();
+          ExpectSamePairs(*got, top(k), label);
+          if (k > 1 && budget == DhtJoinService::kAutotuneBudget) {
+            EXPECT_EQ(qs.cold_targets, 0) << label;  // all imported...
+            EXPECT_GT(qs.join.walk_steps, 0) << label;  // ...some walk on
+          }
+          ++compared;
+        }
       }
     }
   }
-  EXPECT_EQ(compared, 2 * 2 * 3 * 3 * 3);
+  EXPECT_EQ(compared, 2 * 2 * 3 * (3 * 3 + 3));
 }
 
 TEST(DhtJoinServiceTest, SoftStoppedWarmAnswersBracketBruteForceOracle) {
