@@ -1,29 +1,10 @@
 #include "cluster/wire.h"
 
-#include <bit>
 #include <cstring>
 
 #include "util/bytes.h"
-#include "util/rng.h"
 
 namespace dhtjoin::cluster {
-
-// ----------------------------------------------------------- fingerprint
-
-uint64_t ParamsFingerprint(const DhtParams& params, int d) {
-  uint64_t sm = 0x243f6a8885a308d3ULL;  // pi digits; fixed fingerprint seed
-  uint64_t acc = SplitMix64(sm);
-  auto fold = [&](uint64_t word) {
-    uint64_t s = acc ^ word;
-    acc = SplitMix64(s);
-  };
-  fold(std::bit_cast<uint64_t>(params.alpha));
-  fold(std::bit_cast<uint64_t>(params.beta));
-  fold(std::bit_cast<uint64_t>(params.lambda));
-  fold(params.first_hit ? 1u : 0u);
-  fold(static_cast<uint64_t>(static_cast<int64_t>(d)));
-  return acc;
-}
 
 // -------------------------------------------------------------- messages
 

@@ -31,10 +31,10 @@
 
 namespace dhtjoin::cluster {
 
-/// Content fingerprint of the measure configuration (parameter double
-/// bits + first-hit flag + truncation depth d), paired with the graph
-/// fingerprint in every handshake and request.
-uint64_t ParamsFingerprint(const DhtParams& params, int d);
+/// The measure fingerprint (dht/params.h), paired with the graph
+/// fingerprint in every handshake and request; named here too for the
+/// callers that spell it cluster::ParamsFingerprint.
+using dhtjoin::ParamsFingerprint;
 
 /// Worker identity, carried by kHelloAck and kPong frames.
 struct HelloInfo {

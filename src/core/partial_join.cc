@@ -18,7 +18,7 @@ Result<std::vector<TupleAnswer>> PartialJoin::Run(
   // One top-m 2-way join per query edge (Alg. 1 Steps 2-4).
   std::vector<std::unique_ptr<PairStream>> streams;
   std::vector<PairStream*> stream_ptrs;
-  std::vector<const IncrementalTwoWayJoin*> incremental;
+  std::vector<IncrementalTwoWayJoin*> incremental;
   for (const JoinEdge& e : query.edges()) {
     const NodeSet& P = query.set(e.left);
     const NodeSet& Q = query.set(e.right);
@@ -54,7 +54,10 @@ Result<std::vector<TupleAnswer>> PartialJoin::Run(
   }
   stats_.ybound_cached =
       options_.bound == UpperBoundKind::kY && !incremental.empty();
-  for (const IncrementalTwoWayJoin* join : incremental) {
+  for (IncrementalTwoWayJoin* join : incremental) {
+    // The query ends here: each edge hands its deeper states back to
+    // the provider (a no-op without one).
+    join->WriteBackStates();
     const TwoWayJoinStats& st = join->stats();
     stats_.join.walk_steps += st.walk_steps;
     stats_.join.walks_started += st.walks_started;

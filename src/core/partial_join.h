@@ -22,7 +22,7 @@
 
 namespace dhtjoin {
 
-class BackwardSnapshotProvider;
+class BatchStateProvider;
 
 class PartialJoin final : public NwayJoin {
  public:
@@ -37,9 +37,11 @@ class PartialJoin final : public NwayJoin {
     /// HRJN*-style adaptive strategy is an extension, see the ablation
     /// bench).
     PullStrategy pull_strategy = PullStrategy::kRoundRobin;
-    /// Cross-query walk-snapshot source for the incremental streams
-    /// (the serving cache; see dht/backward.h). PJ-i only.
-    BackwardSnapshotProvider* snapshots = nullptr;
+    /// Cross-query store of walk states for the incremental streams
+    /// (the serving cache; see join2/incremental.h): each query edge
+    /// imports its states when it is created and writes them back when
+    /// the rank join ends. PJ-i only.
+    BatchStateProvider* snapshots = nullptr;
   };
 
   struct Stats {
@@ -51,10 +53,10 @@ class PartialJoin final : public NwayJoin {
     PbrjStats rank_join;
     /// PJ-i only: the per-edge enumerators' scalar counters, summed —
     /// walk_steps (walks plus the Y-bound sweeps actually run),
-    /// walks_started, pool_barriers and the state_* pool counters.
+    /// walks_started, pool_barriers and the state_* counters.
     TwoWayJoinStats join;
-    /// PJ-i only: targets first scored from a provider walk vs walked
-    /// from scratch (IncrementalTwoWayJoin::warm_targets), summed.
+    /// PJ-i only: targets whose state the provider seeded vs the rest
+    /// (IncrementalTwoWayJoin::warm_targets), summed over the edges.
     int64_t warm_targets = 0;
     int64_t cold_targets = 0;
     /// PJ-i with the Y bound: every edge's table came from the provider.

@@ -10,21 +10,22 @@
 /// (dht/propagate.h) further makes the per-step cost proportional to the
 /// reverse-reachable frontier instead of the whole graph; scores are
 /// kept as deltas over the beta floor so Reset() costs O(touched), not
-/// O(n). For advancing MANY targets at once, prefer BackwardWalkerBatch
-/// (dht/backward_batch.h).
+/// O(n).
+///
+/// Every join and the serving layer walk on the batch engine
+/// (dht/backward_batch.h), at W = 8 for many targets and W = 1 for one.
+/// This scalar walker is their reference: tests and benches check the
+/// batch engine against it bit for bit.
 ///
 /// Walks are resumable two ways: Advance() continues from the current
-/// level in place, and Save()/Restore() snapshot the full walk state so
-/// one walker instance can interleave many targets' deepening schedules
-/// (see WalkerStatePool in dht/walker_state.h). A restored walk is
-/// bit-identical to the walk it was saved from — and, by the engine's
-/// sorted-support determinism (DESIGN.md §3), to a from-scratch walk of
-/// the same depth.
+/// level in place, and Save()/Restore() snapshot the full walk state. A
+/// restored walk is bit-identical to the walk it was saved from — and,
+/// by the engine's sorted-support determinism (DESIGN.md §3), to a
+/// from-scratch walk of the same depth.
 
 #ifndef DHTJOIN_DHT_BACKWARD_H_
 #define DHTJOIN_DHT_BACKWARD_H_
 
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -34,9 +35,6 @@
 
 namespace dhtjoin {
 
-class NodeSet;      // graph/node_set.h
-class YBoundTable;  // dht/bounds.h
-
 /// Snapshot of one in-flight backward walk (target, depth, propagation
 /// mass, score deltas). O(touched) memory, not O(n).
 struct BackwardWalkerState {
@@ -45,65 +43,13 @@ struct BackwardWalkerState {
   double lambda_pow = 1.0;
   PropagatorState engine;
   /// (INTERNAL id, h_level(u, q) - beta) of every touched u, strictly
-  /// ascending by id, so a reader can search for the ids it needs
-  /// instead of scanning the whole walk (DESIGN.md §3). Every delta is
-  /// nonzero; an absent id's delta is exactly 0.0.
+  /// ascending by id (DESIGN.md §3). Every delta is nonzero; an absent
+  /// id's delta is exactly 0.0.
   std::vector<std::pair<NodeId, double>> score_delta;
 
   std::size_t ApproxBytes() const {
     return sizeof(*this) + engine.ApproxBytes() +
            score_delta.capacity() * sizeof(score_delta[0]);
-  }
-};
-
-/// Cross-query source of saved backward walks and Y-bound tables,
-/// implemented by the serving cache (src/serve/). The provider's key
-/// context (graph, params) is fixed at construction; a fetched state is
-/// a walk of `target` at some depth `state->level` in [1, d]. It may be
-/// resumed from exactly that level, or — when that level is at or past
-/// the one a caller needs — scored at that level directly from its
-/// `score_delta` (DESIGN.md §3, §6), with bit-identical results. A
-/// state at d is therefore never resumed and may carry no engine mass.
-/// Fetch returning nullptr, and Store discarding its argument, are both
-/// always legal — the provider is a cache, not a store of record.
-/// Implementations must be thread-safe: concurrent query sessions share
-/// one provider.
-class BackwardSnapshotProvider {
- public:
-  virtual ~BackwardSnapshotProvider() = default;
-
-  /// Deepest saved walk of `target`, or nullptr.
-  virtual std::shared_ptr<const BackwardWalkerState> Fetch(
-      ExtNodeId target) = 0;
-
-  /// Offers the walk of `target` for future queries.
-  virtual void Store(ExtNodeId target, BackwardWalkerState state) = 0;
-
-  /// Cheap pre-check: would a Store of `target` at `level` possibly be
-  /// kept? False lets callers skip the snapshot copy entirely (the
-  /// common warm case: the cache already holds an equal-or-deeper
-  /// walk). Advisory only — Store remains the authoritative,
-  /// race-safe arbiter.
-  virtual bool WantsLevel(ExtNodeId target, int level) {
-    (void)target;
-    (void)level;
-    return true;
-  }
-
-  /// Y-bound table of (P, Q) at depth d, shared with other queries
-  /// (two-way ones included) over the same sets. On success `*cached`
-  /// says whether it was already held; false means this call ran the
-  /// sweep, whose edges the caller charges. nullptr (the default) means
-  /// the caller builds its own table.
-  virtual std::shared_ptr<const YBoundTable> SharedYBound(const NodeSet& P,
-                                                          const NodeSet& Q,
-                                                          int d,
-                                                          bool* cached) {
-    (void)P;
-    (void)Q;
-    (void)d;
-    (void)cached;
-    return nullptr;
   }
 };
 

@@ -1,9 +1,9 @@
 /// \file dht/backward_batch.h
 /// \brief Batched multi-target backward evaluation (SpMM-style).
 ///
-/// The backward join algorithms (B-BJ, B-IDJ) advance one BackwardWalker
-/// per target q in Q — |Q| independent sparse matrix-vector products
-/// that each re-stream the whole edge array. This evaluator advances
+/// The backward join algorithms (B-BJ, B-IDJ) walk backward from every
+/// target q in Q — |Q| independent sparse matrix-vector products that
+/// each re-stream the whole edge array. This evaluator advances
 /// blocks of kLaneWidth targets TOGETHER: the mass state is an n x W
 /// row-major matrix (one contiguous W-lane row per node), so one pass
 /// over the edges relaxes W walkers at once. Per walker this divides
@@ -19,9 +19,9 @@
 /// transposed in-rows, dense sequential gather over the sweep plan's
 /// out-rows) and is itself a template on the lane width W:
 /// BackwardWalkerBatch is the 8-lane default (one cache line of
-/// doubles); BackwardWalkerBatchT<4> is the narrow-lane option — half
-/// the workspace bytes with twice the blocks in flight, bit-identical
-/// results.
+/// doubles); BackwardWalkerBatchT<1> deepens one target at a time (PJ-i's
+/// refinements, join2/incremental.h) without striding over seven dead
+/// lanes — bit-identical results.
 ///
 /// Steps are frontier-adaptive exactly like dht/propagate.h, and the
 /// union support of a block is put in canonical order before every
@@ -112,9 +112,9 @@ struct BackwardBatchSnapshot {
   std::vector<std::pair<NodeId, double>> mass;
   /// Score DELTAS over the pinned sources: h_level(p, q) - beta per
   /// source p. Kept beta-exclusive so a resumed row continues the exact
-  /// floating-point sum the scalar BackwardWalker's score_delta_
-  /// accumulates — the engines add beta only at output, which is what
-  /// makes batch and scalar scores BIT-identical (DESIGN.md §3).
+  /// floating-point sum a from-scratch walk accumulates — the engine
+  /// adds beta only at output, so every lane width, the scalar reference
+  /// walker and a stored row give BIT-identical scores (DESIGN.md §3).
   std::vector<double> row;
 
   std::size_t ApproxBytes() const {
@@ -137,7 +137,7 @@ class BackwardBatchStates : public batch_core::BatchStateBudget {
                                std::size_t max_bytes = kDefaultMaxBytes)
       : BatchStateBudget(max_bytes), slots_(num_slots) {}
 
-  /// Default budget mirrors WalkerStatePool::kDefaultMaxBytes.
+  /// Default budget for callers that pass none.
   static constexpr std::size_t kDefaultMaxBytes = std::size_t{256} << 20;
 
   /// Walked depth of `slot`; 0 means no saved state (fresh or evicted).
@@ -265,8 +265,9 @@ class BackwardWalkerBatchT {
     /// way; bench_reorder A/Bs this). Default OFF here: at W = 8 the
     /// per-edge work is eight madds, which amortizes the AoS stream,
     /// and the second address stream measurably costs more than the 4
-    /// saved bytes/edge. The SCALAR engine (one madd/edge, truly
-    /// stream-bound) defaults to SoA, where the cut wins.
+    /// saved bytes/edge. At W = 1 (one madd/edge, truly stream-bound)
+    /// the cut wins, as for the scalar walker: PJ-i's single-target
+    /// engine turns it on.
     bool soa_gather = false;
     /// Byte cap on idle block workspaces retained between runs; a
     /// workspace released over the cap is freed instead of pooled.
@@ -289,8 +290,8 @@ class BackwardWalkerBatchT {
   /// Runs a d-step backward walk from every target and returns the
   /// scores of the requested sources, row-major:
   ///   result[t * sources.size() + s] = h_d(sources[s], targets[t]).
-  /// Self pairs (sources[s] == targets[t]) are present but meaningless,
-  /// mirroring BackwardWalker::Score — callers must skip them.
+  /// Self pairs (sources[s] == targets[t]) are present but meaningless
+  /// (the walk's return probability) — callers must skip them.
   ///
   /// The matrix is dense: callers with huge target sets must slice them
   /// to MaxTargetsPerRun() per call or the allocation alone defeats the
@@ -310,10 +311,9 @@ class BackwardWalkerBatchT {
     std::span<const NodeId> isources =
         g_.MapToInternal(sources, source_storage);
 
-    // Blocks accumulate beta-EXCLUSIVE score deltas (the scalar
-    // walker's score_delta_ sum, in the same step order); beta joins
-    // once at the end, so every cell is bit-identical to
-    // BackwardWalker::Score (DESIGN.md §3).
+    // Blocks accumulate beta-EXCLUSIVE score deltas, step by step;
+    // beta joins once at the end, so every cell is bit-identical to a
+    // resumed walk's and to the scalar reference walker's (DESIGN.md §3).
     std::vector<double> out(targets.size() * sources.size(), 0.0);
     const std::size_t num_blocks = (targets.size() + W - 1) / W;
     pool_.ParallelFor(static_cast<int64_t>(num_blocks), [&](int64_t block) {
@@ -521,8 +521,7 @@ class BackwardWalkerBatchT {
       *interrupted = stopped.load(std::memory_order_relaxed);
     }
     // Rows (and the snapshots written back above) are beta-exclusive
-    // deltas; hand callers real scores. beta + delta is exactly the
-    // scalar walker's read, so the output is bit-identical to it.
+    // deltas; hand callers real scores, adding beta exactly once.
     for (const BackwardAdvanceGroup& grp : groups) {
       const std::size_t cells = grp.targets.size() * grp.sources.size();
       for (std::size_t c = 0; c < cells; ++c) grp.out[c] += params.beta;
@@ -547,7 +546,7 @@ class BackwardWalkerBatchT {
   }
 
   /// Per-walker edges relaxed, summed over all lanes and runs,
-  /// comparable with sequential BackwardWalker::edges_relaxed: a sparse
+  /// comparable with a sequential walk's count: a sparse
   /// step bills each lane only for frontier nodes where that lane has
   /// mass; a dense pass bills every lane its sweep plan's edges (all of
   /// |E| when unrestricted — the work the blocked kernel performs per
@@ -720,7 +719,7 @@ class BackwardWalkerBatchT {
 using BackwardWalkerBatch = BackwardWalkerBatchT<8>;
 
 extern template class BackwardWalkerBatchT<8>;
-extern template class BackwardWalkerBatchT<4>;
+extern template class BackwardWalkerBatchT<1>;
 
 }  // namespace dhtjoin
 

@@ -20,8 +20,8 @@
 ///    nonzero rows in canonical order (the scalar Propagator's forward
 ///    dense step is a gather over in-rows instead);
 ///  * a LANE WIDTH W — 8 by default (one cache line of doubles), with
-///    W = 4 as the narrow-lane option for memory-tight graphs: half
-///    the workspace bytes per block and twice the blocks in flight,
+///    W = 1 for walks that deepen one target at a time (PJ-i's
+///    refinements), where a wider block would stride over dead lanes;
 ///    bit-identical results (lanes are independent columns; see the
 ///    parity tests).
 ///
@@ -56,10 +56,34 @@
 #include <vector>
 
 #include "dht/propagate.h"
-#include "dht/walker_state.h"
 #include "graph/graph.h"
 
 namespace dhtjoin {
+
+/// Autotuned walk-state byte budget for a graph of `num_nodes` nodes.
+///
+/// A saved sparse walk state costs up to ~24 bytes per touched node (a
+/// (node, mass) pair plus its share of the score row), and a walk can
+/// touch every node, so `num_nodes * 24` bounds one saturated snapshot.
+/// The budget leaves room for kAutotuneSnapshotHeadroom of those —
+/// enough for the IDJ schedules' live sets and a serving cache's working
+/// set — clamped so toy graphs still keep a useful pool and huge graphs
+/// do not silently claim the whole machine. Callers treat a configured
+/// budget of 0 as "autotune"; an explicit nonzero budget wins as before.
+inline constexpr std::size_t kAutotuneBytesPerNodeSnapshot = 24;
+inline constexpr std::size_t kAutotuneSnapshotHeadroom = 256;
+
+inline constexpr std::size_t kAutotuneMinBudgetBytes = std::size_t{64} << 20;
+inline constexpr std::size_t kAutotuneMaxBudgetBytes = std::size_t{1} << 30;
+
+inline std::size_t AutotuneStateBudgetBytes(int64_t num_nodes) {
+  const std::size_t per_snapshot =
+      static_cast<std::size_t>(std::max<int64_t>(num_nodes, 1)) *
+      kAutotuneBytesPerNodeSnapshot;
+  const std::size_t budget = per_snapshot * kAutotuneSnapshotHeadroom;
+  return std::clamp(budget, kAutotuneMinBudgetBytes, kAutotuneMaxBudgetBytes);
+}
+
 namespace batch_core {
 
 /// Workspace for one in-flight lane block. All arrays obey the
@@ -191,12 +215,11 @@ class BatchStateBudget {
     return evictions_.load(std::memory_order_relaxed);
   }
 
-  /// Feedback autotuning, mirroring WalkerStatePool::Retune: folds the
-  /// hit/miss/eviction deltas observed since the previous Retune back
-  /// into the budget — double on thrash (evictions with hits losing to
-  /// misses), halve on idle (no evictions, resident under a quarter of
-  /// the budget), clamped to [lo, hi] and never below the resident
-  /// bytes. Evicted snapshots restart bit-identically, so retuning
+  /// Feedback half of the budget autotuner: folds the hit/miss/eviction
+  /// deltas observed since the previous Retune back into the budget —
+  /// double on thrash (evictions with hits losing to misses), halve on
+  /// idle (no evictions, resident under a quarter of the budget),
+  /// clamped to [lo, hi] and never below the resident bytes. Evicted snapshots restart bit-identically, so retuning
   /// NEVER changes a result — only step counts. Call between advances
   /// (not concurrently with a running ParallelFor), and only when the
   /// budget came from the autotuner; explicit budgets are the caller's

@@ -14,8 +14,8 @@
 /// out-CSR pass.
 ///
 /// Walks are resumable two ways: Advance() continues from the current
-/// level in place, and Save()/Restore() snapshot the full walk state
-/// (see WalkerStatePool in dht/walker_state.h). A restored walk is
+/// level in place, and Save()/Restore() snapshot the full walk state,
+/// so one walker can interleave many pairs' walks. A restored walk is
 /// bit-identical to the walk it was saved from — and, by the engine's
 /// sorted-support determinism (DESIGN.md §3), to a from-scratch walk of
 /// the same depth.

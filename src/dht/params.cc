@@ -1,7 +1,10 @@
 #include "dht/params.h"
 
+#include <bit>
 #include <cmath>
 #include <string>
+
+#include "util/rng.h"
 
 namespace dhtjoin {
 
@@ -53,6 +56,21 @@ int DhtParams::StepsForEpsilon(double epsilon) const {
 
 double DhtParams::XBound(int l) const {
   return alpha * std::pow(lambda, l + 1) / (1.0 - lambda);
+}
+
+uint64_t ParamsFingerprint(const DhtParams& params, int d) {
+  uint64_t sm = 0x243f6a8885a308d3ULL;  // pi digits; fixed fingerprint seed
+  uint64_t acc = SplitMix64(sm);
+  auto fold = [&](uint64_t word) {
+    uint64_t s = acc ^ word;
+    acc = SplitMix64(s);
+  };
+  fold(std::bit_cast<uint64_t>(params.alpha));
+  fold(std::bit_cast<uint64_t>(params.beta));
+  fold(std::bit_cast<uint64_t>(params.lambda));
+  fold(params.first_hit ? 1u : 0u);
+  fold(static_cast<uint64_t>(static_cast<int64_t>(d)));
+  return acc;
 }
 
 }  // namespace dhtjoin

@@ -22,6 +22,8 @@
 #ifndef DHTJOIN_DHT_PARAMS_H_
 #define DHTJOIN_DHT_PARAMS_H_
 
+#include <cstdint>
+
 #include "util/status.h"
 
 namespace dhtjoin {
@@ -78,6 +80,14 @@ struct DhtParams {
   /// Score of an unreachable pair (the floor of h_d).
   double FloorScore() const { return beta; }
 };
+
+/// Content fingerprint of a measure configuration: the parameter double
+/// bits, the first-hit flag and the truncation depth d. Checkpoints
+/// (serve/session.h) and the cluster handshake (cluster/wire.h) carry
+/// it next to the graph fingerprint, so state computed under another
+/// measure is never loaded or routed to. Stable across builds: a
+/// changed value makes every existing checkpoint load cold.
+uint64_t ParamsFingerprint(const DhtParams& params, int d);
 
 }  // namespace dhtjoin
 

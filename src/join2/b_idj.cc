@@ -5,12 +5,64 @@
 #include <span>
 #include <vector>
 
+#include "dht/batch_core.h"
 #include "dht/bounds.h"
-#include "dht/walker_state.h"
 #include "obs/trace.h"
 #include "util/top_k.h"
 
 namespace dhtjoin {
+
+template <int W>
+bool ScoreTargets(const DhtParams& params, int l, const NodeSet& P,
+                  const NodeSet& Q, std::span<const std::size_t> live,
+                  BackwardWalkerBatchT<W>& batch, BackwardBatchStates* states,
+                  SaveStates save, const ExecContext* exec,
+                  int64_t* walks_started, const ScoreRowFn& score_row) {
+  std::vector<std::size_t> walk_pos;  // positions in `live` that walk
+  std::vector<ExtNodeId> walk_nodes;
+  std::vector<std::size_t> walk_slots;
+  std::vector<double> stored;
+  for (std::size_t i = 0; i < live.size(); ++i) {
+    const int level = states != nullptr ? states->level(live[i]) : 0;
+    if (level < l) {
+      walk_pos.push_back(i);
+      walk_nodes.push_back(Q[live[i]]);
+      walk_slots.push_back(live[i]);
+      continue;
+    }
+    // Stored rows are beta-exclusive deltas (BackwardBatchSnapshot
+    // semantics); add the floor back exactly as the engine does at
+    // output, so a stored row is bit-identical to a walked one.
+    std::span<const double> delta = states->Row(live[i]);
+    stored.assign(delta.begin(), delta.end());
+    for (double& cell : stored) cell += params.beta;
+    score_row(i, stored.data(), level);
+  }
+  auto consume = [&](std::size_t j, const double* row) {
+    score_row(walk_pos[j], row, l);
+  };
+  bool interrupted = false;
+  if (states != nullptr) {
+    *walks_started += batch.AdvanceChunked(
+        params, l, walk_nodes, walk_slots, P.nodes(), *states, consume, save,
+        /*max_targets_per_run=*/0, exec, &interrupted);
+  } else {
+    batch.RunChunked(params, l, walk_nodes, P.nodes(), consume);
+    *walks_started += static_cast<int64_t>(walk_nodes.size());
+  }
+  return !interrupted;
+}
+
+template bool ScoreTargets<8>(const DhtParams&, int, const NodeSet&,
+                              const NodeSet&, std::span<const std::size_t>,
+                              BackwardWalkerBatchT<8>&, BackwardBatchStates*,
+                              SaveStates, const ExecContext*, int64_t*,
+                              const ScoreRowFn&);
+template bool ScoreTargets<1>(const DhtParams&, int, const NodeSet&,
+                              const NodeSet&, std::span<const std::size_t>,
+                              BackwardWalkerBatchT<1>&, BackwardBatchStates*,
+                              SaveStates, const ExecContext*, int64_t*,
+                              const ScoreRowFn&);
 
 Result<std::vector<ScoredPair>> RunBIdjSchedule(const DhtParams& params,
                                                 int d, const NodeSet& P,
@@ -44,61 +96,21 @@ Result<std::vector<ScoredPair>> RunBIdjSchedule(const DhtParams& params,
     return pmax;
   };
 
-  int64_t batch_barriers_seen = 0;
-  // Hands score_row(i, row, level) the |P|-wide score row of every live
-  // target live[i] at `level`. A target whose state already sits at or
-  // past l is scored from its stored row at its own level. The others
-  // walk to l in one batch: with states, each continues from its saved
-  // state; without, each restarts from scratch — same rows either way
-  // (sorted-support determinism), different step counts. `save` says
-  // what the walked states keep (SaveStates). Returns false
-  // when a cooperative stop interrupted the round (resume schedule
-  // only; the restart schedule polls at level boundaries instead) — the
-  // round's partial output must then be DISCARDED. PairTopK's tie
-  // policy makes the order in which rows are offered irrelevant.
-  auto walk_live = [&](const std::vector<std::size_t>& live, int l,
-                       SaveStates save, auto&& score_row) {
-    std::vector<std::size_t> walk_pos;  // positions in `live` that walk
-    std::vector<ExtNodeId> walk_nodes;
-    std::vector<std::size_t> walk_slots;
-    std::vector<double> stored;
-    for (std::size_t i = 0; i < live.size(); ++i) {
-      const int level = states != nullptr ? states->level(live[i]) : 0;
-      if (level < l) {
-        walk_pos.push_back(i);
-        walk_nodes.push_back(Q[live[i]]);
-        walk_slots.push_back(live[i]);
-        continue;
-      }
-      // Stored rows are beta-exclusive deltas (BackwardBatchSnapshot
-      // semantics); add the floor back exactly as the engine does at
-      // output, so a stored row is bit-identical to a walked one.
-      std::span<const double> delta = states->Row(live[i]);
-      stored.assign(delta.begin(), delta.end());
-      for (double& cell : stored) cell += params.beta;
-      score_row(i, stored.data(), level);
-    }
-    auto consume = [&](std::size_t j, const double* row) {
-      score_row(walk_pos[j], row, l);
-    };
-    bool interrupted = false;
-    if (states != nullptr) {
-      stats->walks_started += batch.AdvanceChunked(
-          params, l, walk_nodes, walk_slots, P.nodes(), *states, consume,
-          save, /*max_targets_per_run=*/0, exec, &interrupted);
-    } else {
-      batch.RunChunked(params, l, walk_nodes, P.nodes(), consume);
-      stats->walks_started += static_cast<int64_t>(walk_nodes.size());
-    }
-    stats->barriers_per_iteration.push_back(batch.scheduler_barriers() -
-                                            batch_barriers_seen);
-    batch_barriers_seen = batch.scheduler_barriers();
-    return !interrupted;
-  };
-
   std::vector<std::size_t> live(Q.size());
   for (std::size_t qi = 0; qi < Q.size(); ++qi) live[qi] = qi;
   stats->live_per_iteration.push_back(static_cast<int64_t>(live.size()));
+
+  // One round's stored-row-or-walk step over `live`, and its barriers.
+  int64_t batch_barriers_seen = 0;
+  auto walk_live = [&](int l, SaveStates save, const ScoreRowFn& score_row) {
+    const bool completed =
+        ScoreTargets(params, l, P, Q, live, batch, states, save, exec,
+                     &stats->walks_started, score_row);
+    stats->barriers_per_iteration.push_back(batch.scheduler_barriers() -
+                                            batch_barriers_seen);
+    batch_barriers_seen = batch.scheduler_barriers();
+    return completed;
+  };
 
   auto max_remainder = [&](int l) {
     double eps = 0.0;
@@ -155,7 +167,7 @@ Result<std::vector<ScoredPair>> RunBIdjSchedule(const DhtParams& params,
     PairTopK bounds(k);  // B is reset every iteration (Alg. 2 Step 3)
     std::vector<double> q_upper(live.size());
     bool completed =
-        walk_live(live, l, SaveStates::kResumable,
+        walk_live(l, SaveStates::kResumable,
                   [&](std::size_t i, const double* row, int row_level) {
                     q_upper[i] = offer_row(bounds, Q[live[i]], row) +
                                  remainder(row_level, live[i]);
@@ -203,7 +215,7 @@ Result<std::vector<ScoredPair>> RunBIdjSchedule(const DhtParams& params,
     final_span.SetAttr("level", int64_t{d});
     final_span.SetAttr("frontier", static_cast<int64_t>(live.size()));
     bool completed =
-        walk_live(live, d,
+        walk_live(d,
                   parts.keep_states ? SaveStates::kRowOnly : SaveStates::kNone,
                   [&](std::size_t i, const double* row, int /*level*/) {
                     offer_row(best, Q[live[i]], row);

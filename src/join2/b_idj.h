@@ -21,10 +21,16 @@
 /// owns: the bound table, the batch engine, and the per-target states.
 /// BIdjJoin::Run builds them fresh for each query. The serving two-way
 /// executor (serve/session.h) seeds the states from its cache before
-/// the run and writes them back after it (DESIGN.md §6).
+/// the run and writes them back after it (DESIGN.md §6). Its rounds
+/// score their live targets through ScoreTargets, which PJ-i's
+/// enumerator (join2/incremental.h) shares.
 
 #ifndef DHTJOIN_JOIN2_B_IDJ_H_
 #define DHTJOIN_JOIN2_B_IDJ_H_
+
+#include <cstdint>
+#include <functional>
+#include <span>
 
 #include "dht/backward_batch.h"
 #include "join2/two_way_join.h"
@@ -32,6 +38,31 @@
 namespace dhtjoin {
 
 class YBoundTable;
+
+/// Receives ScoreTargets' rows: score_row(i, row, level) gets the
+/// |P|-wide score row of the i-th listed target at depth `level`.
+using ScoreRowFn = std::function<void(std::size_t, const double*, int)>;
+
+/// The stored-row-or-walk step of a deepening round: scores every
+/// target Q[live[i]] at level `l` or deeper. A target whose state
+/// already sits at or past l is scored from its stored row at its own
+/// level, which is valid and tighter (DESIGN.md §6). The others walk to
+/// l in one batch on `batch`: with `states`, each continues from its
+/// saved state and keeps what `save` says; without, each restarts from
+/// scratch — same rows either way (sorted-support determinism),
+/// different step counts. Adds the walks started from scratch to
+/// `*walks_started`. Returns false when a cooperative stop under `exec`
+/// interrupted the walk (resume schedule only); the caller must then
+/// discard the rows it got. Rows arrive stored first, then walked;
+/// PairTopK's tie policy makes that order irrelevant to the answer.
+/// Instantiated for W = 8 (the rounds) and W = 1 (PJ-i's single-target
+/// deepenings).
+template <int W>
+bool ScoreTargets(const DhtParams& params, int l, const NodeSet& P,
+                  const NodeSet& Q, std::span<const std::size_t> live,
+                  BackwardWalkerBatchT<W>& batch, BackwardBatchStates* states,
+                  SaveStates save, const ExecContext* exec,
+                  int64_t* walks_started, const ScoreRowFn& score_row);
 
 /// The caller-owned parts of one RunBIdjSchedule call.
 struct BIdjScheduleParts {

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <vector>
 
-#include "dht/walker_state.h"
+#include "dht/batch_core.h"
 #include "obs/trace.h"
 #include "util/top_k.h"
 

@@ -4,8 +4,7 @@
 #include <cmath>
 #include <limits>
 
-#include "dht/backward_batch.h"
-
+#include "join2/b_idj.h"
 #include "obs/trace.h"
 #include "util/top_k.h"
 
@@ -39,11 +38,11 @@ IncrementalTwoWayJoin::IncrementalTwoWayJoin(const Graph& g,
       P_(P),
       Q_(Q),
       options_(options),
-      walker_(g),
-      walker_states_(options.state_budget_bytes > 0
-                         ? options.state_budget_bytes
-                         : AutotuneStateBudgetBytes(g.num_nodes())),
-      autotune_budget_(options.state_budget_bytes == 0) {
+      states_(Q.size(), options.state_budget_bytes > 0
+                            ? options.state_budget_bytes
+                            : AutotuneStateBudgetBytes(g.num_nodes())),
+      autotune_budget_(options.state_budget_bytes == 0),
+      single_(g, {.num_threads = 1, .soa_gather = true}) {
   if (options_.bound == UpperBoundKind::kY) {
     if (options_.snapshots != nullptr) {
       ybound_ = options_.snapshots->SharedYBound(P, Q, d, &ybound_cached_);
@@ -57,6 +56,15 @@ IncrementalTwoWayJoin::IncrementalTwoWayJoin(const Graph& g,
     // and nothing when the table was served from the cache.
     if (!ybound_cached_) stats_.walk_steps += ybound_->edges_relaxed();
   }
+  if (options_.snapshots != nullptr) {
+    options_.snapshots->Import(P_, Q_, d_, states_);
+    imported_level_.resize(Q_.size());
+    for (std::size_t qi = 0; qi < Q_.size(); ++qi) {
+      imported_level_[qi] = states_.level(qi);
+      if (imported_level_[qi] > 0) ++warm_targets_;
+    }
+  }
+  cold_targets_ = static_cast<int64_t>(Q_.size()) - warm_targets_;
   q_level_.assign(Q_.size(), 0);
   q_pmax_.assign(Q_.size(), params_.beta);
   f_handles_.resize(Q_.size());
@@ -100,133 +108,52 @@ int IncrementalTwoWayJoin::NextLevel(int l) const {
 void IncrementalTwoWayJoin::DeepenTarget(std::size_t qi, int new_level) {
   DHTJOIN_CHECK_GT(new_level, q_level_[qi]);
   DHTJOIN_CHECK_LE(new_level, d_);
-  // Feedback autotune: every so many walks, fold the pool's OBSERVED
-  // hit/eviction behaviour back into its byte budget (grow on thrash,
-  // shrink on idle). Explicit budgets are left alone. Shrink-evicted
-  // states restart bit-identically, so this never changes a result.
+  // Feedback autotune: every so many deepenings, fold the states'
+  // OBSERVED hit/eviction behaviour back into their byte budget (grow
+  // on thrash, shrink on idle). Explicit budgets are left alone.
+  // Shrink-evicted states restart bit-identically, so this never
+  // changes a result.
   constexpr int64_t kRetunePeriod = 64;
   if (autotune_budget_ && ++deepen_calls_ % kRetunePeriod == 0) {
-    walker_states_.Retune();
+    states_.Retune();
   }
-  ExtNodeId q = Q_[qi];
-  // The deepest walk of q on hand: the local pool's (valid only at
-  // exactly the current level) or the cross-query provider's (the
-  // serving cache), whichever is deeper. A provider walk past d_ would
-  // overshoot the truncated measure, so it is not used.
-  const BackwardWalkerState* from = nullptr;
-  BackwardWalkerState* saved = walker_states_.Find(static_cast<uint64_t>(qi));
-  if (saved != nullptr && saved->level == q_level_[qi] &&
-      q_level_[qi] > 0) {
-    from = saved;
-  }
-  std::shared_ptr<const BackwardWalkerState> external;
-  if (options_.snapshots != nullptr) {
-    external = options_.snapshots->Fetch(q);
-    if (external != nullptr && external->target == q &&
-        external->level <= d_ &&
-        external->level > (from == nullptr ? 0 : from->level)) {
-      from = external.get();
-    }
-  }
-  if (q_level_[qi] == 0) {
-    if (from != nullptr) {
-      ++warm_targets_;
-    } else {
-      ++cold_targets_;
-    }
-  }
-
-  if (from != nullptr && from->level >= new_level) {
-    // Stored at or past the requested depth (only a provider walk can
-    // be): score q at the walk's own level, whose remainder is tighter
-    // (DESIGN.md §1, §6), straight from its deltas — no restore, no
-    // step.
-    stats_.state_hits++;
-    ReadRow(*from);
-    ApplyRow(qi, from->level, row_buffer_.data());
-    return;
-  }
-
-  // Resume the deepest walk, or restart (bit-identical scores by
-  // DESIGN.md §3, just more steps for that target).
-  int64_t edges_before = walker_.edges_relaxed();
-  if (from != nullptr) {
-    walker_.Restore(params_, *from);
-    walker_.Advance(new_level - from->level);
-    stats_.state_hits++;
-  } else {
-    walker_.Reset(params_, q);
-    walker_.Advance(new_level);
-    stats_.walks_started++;
-    stats_.state_misses++;
-  }
-  stats_.walk_steps += walker_.edges_relaxed() - edges_before;
-  // One Save serves both consumers; the provider copy is skipped
-  // entirely when its cache already holds an equal-or-deeper walk
-  // (WantsLevel — the common warm case).
-  const bool offer = options_.snapshots != nullptr &&
-                     options_.snapshots->WantsLevel(q, new_level);
-  if (new_level < d_) {
-    BackwardWalkerState snapshot;
-    walker_.Save(&snapshot);
-    if (offer) options_.snapshots->Store(q, snapshot);
-    walker_states_.Put(static_cast<uint64_t>(qi), std::move(snapshot));
-  } else {
-    // Depth d is final for the truncated measure; the local state is
-    // dead (the provider may keep a copy for other queries). A provider
-    // walk at d sits at or past every level a later query asks for, so
-    // it is only ever read through ReadRow: the copy keeps its deltas
-    // and drops the mass.
-    walker_states_.Erase(static_cast<uint64_t>(qi));
-    if (offer) {
-      BackwardWalkerState snapshot;
-      walker_.Save(&snapshot);
-      snapshot.engine = PropagatorState{};
-      options_.snapshots->Store(q, std::move(snapshot));
-    }
-  }
-  stats_.state_evictions = walker_states_.evictions() + schedule_evictions_;
-  stats_.state_resident_bytes = static_cast<int64_t>(walker_states_.bytes());
-
-  row_buffer_.resize(P_.size());
-  for (std::size_t pi = 0; pi < P_.size(); ++pi) {
-    row_buffer_[pi] = walker_.Score(P_[pi]);
-  }
-  ApplyRow(qi, new_level, row_buffer_.data());
+  Deepen(std::span<const std::size_t>(&qi, 1), new_level, single_);
 }
 
-void IncrementalTwoWayJoin::ReadRow(const BackwardWalkerState& state) {
-  if (p_by_internal_.empty()) {
-    p_by_internal_.reserve(P_.size());
-    for (std::size_t pi = 0; pi < P_.size(); ++pi) {
-      p_by_internal_.emplace_back(g_.ToInternal(P_[pi]).value(),
-                                  static_cast<uint32_t>(pi));
-    }
-    std::sort(p_by_internal_.begin(), p_by_internal_.end());
+template <int W>
+int64_t IncrementalTwoWayJoin::Deepen(std::span<const std::size_t> targets,
+                                      int level,
+                                      BackwardWalkerBatchT<W>& engine) {
+  // Depth d is final for the truncated measure: a walk there is never
+  // advanced again, so its state keeps only the row, and only for the
+  // provider; without one the state is freed.
+  const SaveStates save = level < d_ ? SaveStates::kResumable
+                          : options_.snapshots != nullptr
+                              ? SaveStates::kRowOnly
+                              : SaveStates::kNone;
+  const int64_t edges_before = engine.edges_relaxed();
+  const int64_t barriers_before = engine.scheduler_barriers();
+  ScoreTargets(params_, level, P_, Q_, targets, engine, &states_, save,
+               /*exec=*/nullptr, &stats_.walks_started,
+               [&](std::size_t i, const double* row, int row_level) {
+                 ApplyRow(targets[i], row_level, row);
+               });
+  if (save == SaveStates::kNone) {
+    for (std::size_t qi : targets) states_.Drop(qi);
   }
-  // Deltas are ascending by INTERNAL id; an absent node holds an exact
-  // 0.0, as in the walker's dense vector. Each of P's ids is found by
-  // galloping from the previous hit: probe 1, 2, 4, ... entries ahead
-  // until an id >= u, then binary-search the last gap.
-  const std::pair<NodeId, double>* const deltas = state.score_delta.data();
-  const std::size_t end = state.score_delta.size();
-  row_buffer_.assign(P_.size(), 0.0);
-  std::size_t lo = 0;
-  for (const auto& [u, pi] : p_by_internal_) {
-    std::size_t hi = lo;
-    for (std::size_t step = 1; hi < end && deltas[hi].first < u; step *= 2) {
-      lo = hi + 1;
-      hi = lo + step;
-    }
-    lo = static_cast<std::size_t>(
-        std::lower_bound(deltas + lo, deltas + std::min(hi, end), u,
-                         [](const std::pair<NodeId, double>& e, NodeId id) {
-                           return e.first < id;
-                         }) -
-        deltas);
-    if (lo < end && deltas[lo].first == u) row_buffer_[pi] = deltas[lo].second;
-  }
-  for (double& cell : row_buffer_) cell = params_.beta + cell;
+  const int64_t barriers = engine.scheduler_barriers() - barriers_before;
+  stats_.walk_steps += engine.edges_relaxed() - edges_before;
+  stats_.pool_barriers += barriers;
+  stats_.state_hits = states_.hits();
+  stats_.state_misses = states_.misses();
+  stats_.state_evictions = states_.evictions();
+  stats_.state_resident_bytes = static_cast<int64_t>(states_.bytes());
+  return barriers;
+}
+
+void IncrementalTwoWayJoin::WriteBackStates() {
+  if (options_.snapshots == nullptr) return;
+  options_.snapshots->WriteBack(P_, Q_, d_, states_, imported_level_);
 }
 
 void IncrementalTwoWayJoin::ApplyRow(std::size_t qi, int new_level,
@@ -300,15 +227,36 @@ void IncrementalTwoWayJoin::RunInitialSchedule(std::size_t m) {
   if (m == 0) return;  // fully lazy; Next() drives everything
   obs::Trace* const trace = obs::TraceOf(options_.exec);
   obs::ScopedSpan sched_span(trace, "schedule");
+  // The rounds advance the whole live set through the fused core: one
+  // fork/join barrier per round instead of one walk per target.
+  BackwardWalkerBatch batch(
+      g_, {.num_threads = options_.snapshots != nullptr ? 1 : 0});
   std::vector<std::size_t> live(Q_.size());
   for (std::size_t qi = 0; qi < Q_.size(); ++qi) live[qi] = qi;
   stats_.live_per_iteration.push_back(static_cast<int64_t>(live.size()));
 
-  // The round's prune: a target survives while max_p h + U^+ at its
-  // current level (>= the round's, when a cached walk put it deeper —
-  // a valid, tighter bound by DESIGN.md §1) reaches the m-th best
-  // lower bound.
-  auto prune = [&](obs::ScopedSpan& round_span) {
+  // The live targets still below `level`, into `need`; one a stored
+  // state already put at or past `level` keeps its deeper bounds.
+  std::vector<std::size_t> need;
+  auto below = [&](int level) {
+    need.clear();
+    for (std::size_t qi : live) {
+      if (q_level_[qi] < level) need.push_back(qi);
+    }
+    return !need.empty();
+  };
+
+  for (int l = 1; l < d_; l *= 2) {
+    obs::ScopedSpan round_span(trace, "round");
+    round_span.SetAttr("level", int64_t{l});
+    round_span.SetAttr("frontier", static_cast<int64_t>(live.size()));
+    if (below(l)) {
+      stats_.barriers_per_iteration.push_back(Deepen(need, l, batch));
+    }
+    // A target survives while max_p h + U^+ at its current level (>= l
+    // when a stored state put it deeper — a valid, tighter bound by
+    // DESIGN.md §1) reaches the m-th best lower bound. A pruned target
+    // keeps its state: Next() resumes it if it re-activates the target.
     const double tm = LowerThreshold(m);
     std::vector<std::size_t> survivors;
     survivors.reserve(live.size());
@@ -323,111 +271,16 @@ void IncrementalTwoWayJoin::RunInitialSchedule(std::size_t m) {
     live.swap(survivors);
     stats_.live_per_iteration.push_back(static_cast<int64_t>(live.size()));
     round_span.SetAttr("survivors", static_cast<int64_t>(live.size()));
-  };
-
-  if (options_.snapshots != nullptr) {
-    // Scalar schedule, kept for the serving path: the provider's
-    // snapshots are scalar walks with a full score surface (reusable
-    // under ANY query's P), which only the scalar walker can produce
-    // and consume — DeepenTarget imports/offers them per target. A
-    // target already at or past the round's level is not walked.
-    for (int l = 1; l < d_; l *= 2) {
-      obs::ScopedSpan round_span(trace, "round");
-      round_span.SetAttr("level", int64_t{l});
-      round_span.SetAttr("frontier", static_cast<int64_t>(live.size()));
-      for (std::size_t qi : live) {
-        if (q_level_[qi] < l) DeepenTarget(qi, l);
-      }
-      prune(round_span);
-    }
-    obs::ScopedSpan final_span(trace, "final");
-    final_span.SetAttr("level", int64_t{d_});
-    final_span.SetAttr("frontier", static_cast<int64_t>(live.size()));
-    for (std::size_t qi : live) {
-      if (q_level_[qi] < d_) DeepenTarget(qi, d_);
-    }
-    return;
+    // Grow the state budget on thrash, shrink it on idle (never changes
+    // a result).
+    if (autotune_budget_) states_.Retune();
   }
-
-  // Batch-driven eager schedule (the default): the whole live set
-  // deepens through the fused core — one fork/join barrier per round
-  // instead of one scalar walk per target per level — with per-target
-  // resumable states local to the schedule. Next() keeps the scalar
-  // resume pool: its single-target refinements would pay the full
-  // W-lane stride for one live lane. A target pruned here restarts
-  // from scratch if Next() later re-activates it — bit-identical
-  // scores, just 2x the steps for that target (DESIGN.md §3, §8).
-  BackwardWalkerBatch batch(g_);
-  BackwardBatchStates batch_states(Q_.size(), walker_states_.max_bytes());
-  // Every target's first walk starts here, from scratch.
-  cold_targets_ += static_cast<int64_t>(Q_.size());
-  // All counter folds from the batch run through this one delta-based
-  // accountant, called once per deepening round. The engine counters
-  // (edges, barriers, resume hits/misses) are cumulative on the batch
-  // objects; folding deltas here keeps each event counted exactly once
-  // — the same "one hit or miss per (target, round) resume attempt"
-  // semantics the scalar DeepenTarget implements with its manual
-  // increments — and makes a second fold of the same round impossible
-  // (the old one-shot `+= batch_states.hits()` after the whole
-  // schedule double-counts as soon as anything reads or folds
-  // mid-schedule).
-  int64_t edges_seen = 0;
-  int64_t barriers_seen = 0;
-  int64_t hits_seen = 0;
-  int64_t misses_seen = 0;
-  auto account = [&] {
-    stats_.walk_steps += batch.edges_relaxed() - edges_seen;
-    edges_seen = batch.edges_relaxed();
-    stats_.barriers_per_iteration.push_back(batch.scheduler_barriers() -
-                                            barriers_seen);
-    stats_.pool_barriers += batch.scheduler_barriers() - barriers_seen;
-    barriers_seen = batch.scheduler_barriers();
-    stats_.state_hits += batch_states.hits() - hits_seen;
-    hits_seen = batch_states.hits();
-    stats_.state_misses += batch_states.misses() - misses_seen;
-    misses_seen = batch_states.misses();
-  };
-  for (int l = 1; l < d_; l *= 2) {
-    obs::ScopedSpan round_span(trace, "round");
-    round_span.SetAttr("level", int64_t{l});
-    round_span.SetAttr("frontier", static_cast<int64_t>(live.size()));
-    std::vector<ExtNodeId> nodes(live.size());
-    for (std::size_t i = 0; i < live.size(); ++i) nodes[i] = Q_[live[i]];
-    stats_.walks_started += batch.AdvanceChunked(
-        params_, l, nodes, live, P_.nodes(), batch_states,
-        [&](std::size_t i, const double* row) { ApplyRow(live[i], l, row); });
-    account();
-    prune(round_span);
-    // Same feedback autotuning the scalar pool gets: grow the schedule's
-    // state budget on thrash, shrink on idle (never changes a result).
-    if (autotune_budget_) batch_states.Retune();
-  }
-  // Final exact-d pass for survivors; their states die with the
-  // schedule (depth d is final for the truncated measure), so skip the
-  // write-back.
-  std::vector<std::size_t> need;
-  for (std::size_t qi : live) {
-    if (q_level_[qi] < d_) need.push_back(qi);
-  }
-  if (!need.empty()) {
-    obs::ScopedSpan final_span(trace, "final");
-    final_span.SetAttr("level", int64_t{d_});
-    final_span.SetAttr("frontier", static_cast<int64_t>(need.size()));
-    std::vector<ExtNodeId> nodes(need.size());
-    for (std::size_t i = 0; i < need.size(); ++i) nodes[i] = Q_[need[i]];
-    stats_.walks_started += batch.AdvanceChunked(
-        params_, d_, nodes, need, P_.nodes(), batch_states,
-        [&](std::size_t i, const double* row) {
-          ApplyRow(need[i], d_, row);
-        },
-        SaveStates::kNone);
-    account();
-  }
-  // Remember the schedule's evictions: DeepenTarget refreshes
-  // stats_.state_evictions from the scalar pool on every later call,
-  // using this same formula — keep the two sites identical.
-  schedule_evictions_ = batch_states.evictions();
-  stats_.state_evictions = walker_states_.evictions() + schedule_evictions_;
+  // Final exact-d pass for the survivors.
+  if (!below(d_)) return;
+  obs::ScopedSpan final_span(trace, "final");
+  final_span.SetAttr("level", int64_t{d_});
+  final_span.SetAttr("frontier", static_cast<int64_t>(need.size()));
+  stats_.barriers_per_iteration.push_back(Deepen(need, d_, batch));
 }
 
 ScoredPair IncrementalTwoWayJoin::EmitTieRun(double s) {

@@ -35,23 +35,73 @@
 /// in key order, so the stream (and PBRJ's answer over it) depends only
 /// on the exact scores, never on which walks happened to be cached or
 /// at what depth (DESIGN.md §2).
+///
+/// Every walk runs on the batch engine over one BackwardBatchStates,
+/// slot qi for Q[qi], which lives as long as the join: the top-m
+/// schedule's rounds advance the whole live set at W = 8 through
+/// ScoreTargets, the step B-IDJ's rounds use (join2/b_idj.h), and
+/// Next()'s single-target deepenings resume the same states at W = 1.
+/// A target the schedule pruned is therefore resumed, not restarted,
+/// when Next() re-activates it. With a BatchStateProvider attached (the
+/// serving cache), the states start from the provider's states of
+/// (q, P) — the two-way executor's — and go back to it at the end.
 
 #ifndef DHTJOIN_JOIN2_INCREMENTAL_H_
 #define DHTJOIN_JOIN2_INCREMENTAL_H_
 
 #include <memory>
 #include <optional>
-#include <utility>
+#include <span>
 #include <vector>
 
-#include "dht/backward.h"
+#include "dht/backward_batch.h"
 #include "dht/bounds.h"
-#include "dht/walker_state.h"
 #include "join2/two_way_join.h"
 #include "util/deadline.h"
 #include "util/mutable_heap.h"
 
 namespace dhtjoin {
+
+/// Cross-query store of per-target batch walk states and Y-bound
+/// tables, implemented by the serving cache (serve/session.h). A state
+/// is keyed by its target AND the source set P its score row covers —
+/// the serving two-way executor's key — so a two-way query and a PJ-i
+/// query edge over the same (P, Q) warm each other (DESIGN.md §6).
+/// Importing nothing and keeping nothing are both always legal: the
+/// provider is a cache, not a store of record. Implementations must be
+/// thread-safe: concurrent query sessions share one provider.
+class BatchStateProvider {
+ public:
+  virtual ~BatchStateProvider() = default;
+
+  /// Seeds slot i of `states` with the stored state of (Q[i], P), when
+  /// the provider holds one for depth-`d` queries and it fits the
+  /// states' budget. Its level lies in [1, d]; at d it may be row-only.
+  virtual void Import(const NodeSet& P, const NodeSet& Q, int d,
+                      BackwardBatchStates& states) = 0;
+
+  /// Offers back every slot of `states` deeper than `imported_level[i]`,
+  /// the level Import left in it; may move the states out.
+  virtual void WriteBack(const NodeSet& P, const NodeSet& Q, int d,
+                         BackwardBatchStates& states,
+                         std::span<const int> imported_level) = 0;
+
+  /// Y-bound table of (P, Q) at depth d, shared with other queries
+  /// (two-way ones included) over the same sets. On success `*cached`
+  /// says whether it was already held; false means this call ran the
+  /// sweep, whose edges the caller charges. nullptr (the default) means
+  /// the caller builds its own table.
+  virtual std::shared_ptr<const YBoundTable> SharedYBound(const NodeSet& P,
+                                                          const NodeSet& Q,
+                                                          int d,
+                                                          bool* cached) {
+    (void)P;
+    (void)Q;
+    (void)d;
+    (void)cached;
+    return nullptr;
+  }
+};
 
 /// Produces the 2-way join results of (P, Q) one at a time, in
 /// descending h_d order, resuming cheaply between calls.
@@ -59,18 +109,21 @@ class IncrementalTwoWayJoin {
  public:
   struct Options {
     UpperBoundKind bound = UpperBoundKind::kY;
-    /// Byte budget for the per-target resume pool; 0 means autotune
-    /// from graph size (AutotuneStateBudgetBytes).
+    /// Byte budget for the per-target walk states; 0 means autotune
+    /// from graph size (AutotuneStateBudgetBytes) and retune from the
+    /// observed hits and evictions. An evicted state restarts its walk,
+    /// bit-identically.
     std::size_t state_budget_bytes = 0;
-    /// Optional cross-query source of walks and Y-bound tables (the
-    /// serving cache). DeepenTarget takes the deeper of the local pool's
-    /// and the provider's walk of q: one at or past the requested level
-    /// is scored at its own level straight from its stored deltas, a
-    /// shallower one is resumed; its own walks are offered back. The
-    /// Y-bound table of (P, Q) comes from the provider when it has one.
+    /// Optional cross-query store (the serving cache). The join imports
+    /// its states when it is created: a target whose state sits at or
+    /// past the level it needs is scored at that level straight from
+    /// the stored row, a shallower one is resumed. WriteBackStates()
+    /// returns every state that got deeper. The Y-bound table of (P, Q)
+    /// comes from the provider when it has one, and the engines run
+    /// single-threaded, as the serving two-way executor's do.
     /// Bit-identical either way (DESIGN.md §3, §6). Must outlive the
     /// join.
-    BackwardSnapshotProvider* snapshots = nullptr;
+    BatchStateProvider* snapshots = nullptr;
     /// Used for TRACING only (obs::TraceOf): the initial schedule
     /// records per-round spans (level, frontier, survivors) on the
     /// attached trace. Deadline/cancel are deliberately NOT polled in
@@ -95,15 +148,21 @@ class IncrementalTwoWayJoin {
   /// (p, q)); nullopt when every valid pair has been returned.
   std::optional<ScoredPair> Next();
 
+  /// Hands the provider every state that got deeper than what it
+  /// imported; call once, when the query ends. Later Next() calls stay
+  /// exact but restart the targets whose states went back. A no-op
+  /// without a provider.
+  void WriteBackStates();
+
   /// Number of pairs returned so far.
   std::size_t num_returned() const { return num_returned_; }
 
-  /// Walk and pool counters; walk_steps includes the Y-bound sweep when
+  /// Walk and state counters; walk_steps includes the Y-bound sweep when
   /// this join ran it (not when the provider supplied the table).
   const TwoWayJoinStats& stats() const { return stats_; }
 
-  /// Targets whose first walk in this join started from a provider walk
-  /// (scored from it or resumed) vs from scratch.
+  /// Targets whose state the provider seeded when the join was created
+  /// vs the rest of Q.
   int64_t warm_targets() const { return warm_targets_; }
   int64_t cold_targets() const { return cold_targets_; }
 
@@ -130,24 +189,23 @@ class IncrementalTwoWayJoin {
   /// min(2l, d) (to 1 when never walked).
   int NextLevel(int l) const;
 
-  /// Brings target qi to depth >= `new_level` (> current), inserting /
-  /// tightening F entries and refreshing the residual bound. A cached
-  /// walk at or past `new_level` is scored at its own level without a
-  /// step; otherwise the deepest cached walk is resumed, or q restarts.
+  /// Brings target qi to depth >= `new_level` (> current) on the W = 1
+  /// engine: Deepen over qi alone.
   void DeepenTarget(std::size_t qi, int new_level);
 
-  /// Fills row_buffer_ with h_l(P[pi], q) read from a saved walk's
-  /// score deltas — the same arithmetic as BackwardWalker::Score, so
-  /// bit-identical to restoring the walk, without the restore. P's ids
-  /// are found in the ascending delta list by galloping search:
-  /// O(|P| log(t / |P|)) for a walk that touched t nodes.
-  void ReadRow(const BackwardWalkerState& state);
+  /// Scores every target qi of `targets` (each below `level`) at
+  /// `level` or deeper through ScoreTargets on `engine` — a stored row
+  /// at or past `level` is read at its own level, the rest resume or
+  /// restart — folds each row into F (ApplyRow) and the walk work into
+  /// stats_. Returns the fork/join barriers the engine paid.
+  template <int W>
+  int64_t Deepen(std::span<const std::size_t> targets, int level,
+                 BackwardWalkerBatchT<W>& engine);
 
   /// The F-maintenance half of a deepening: folds target qi's score row
   /// over P (h_{new_level}(P[pi], Q[qi]) at row[pi]) into the candidate
   /// heap — merging it with the target's handle list — and residual
-  /// bound, and records the new level and the row's best score. Shared
-  /// by DeepenTarget and the batch-driven initial schedule.
+  /// bound, and records the new level and the row's best score.
   void ApplyRow(std::size_t qi, int new_level, const double* row);
 
   /// Resolves every pair whose bound still reaches `s` (the exact top
@@ -157,15 +215,11 @@ class IncrementalTwoWayJoin {
   ScoredPair EmitTieRun(double s);
 
   /// Runs the B-IDJ deepening schedule with pruning threshold from the
-  /// m-th best lower bound. Driven by the fused batch engine
-  /// (BackwardWalkerBatch::AdvanceMany via AdvanceChunked) — one
-  /// fork/join per deepening round over the whole live set — except
-  /// when a cross-query snapshot provider is attached: provider
-  /// snapshots are SCALAR walks (a full score surface, reusable under
-  /// any P), which a batch row over this query's P cannot produce, so
-  /// that path keeps the scalar walker and its cache import/export, and
-  /// its rounds skip targets a cached walk already put at or past the
-  /// round's level. Scores are identical either way (DESIGN.md §3, §6).
+  /// m-th best lower bound. Each round walks the live targets below its
+  /// level through the fused batch engine (one fork/join barrier per
+  /// round); a target a stored state already put at or past the level
+  /// is scored from its row instead. Pruned targets keep their states
+  /// for Next().
   void RunInitialSchedule(std::size_t m);
 
   /// m-th largest lower bound currently in F (-inf when |F| < m).
@@ -179,23 +233,21 @@ class IncrementalTwoWayJoin {
   Options options_;
   std::shared_ptr<const YBoundTable> ybound_;  // own sweep or provider's
   bool ybound_cached_ = false;
-  BackwardWalker walker_;
-  // Saved per-target walk states so DeepenTarget resumes from a
-  // target's current level instead of replaying it from scratch (the
-  // paper's min(2l, d) refinement revisits the same targets over and
-  // over). LRU under a byte budget; an evicted target restarts with
-  // bit-identical results (DESIGN.md §3). When the budget came from the
-  // autotuner (Options::state_budget_bytes == 0), the pool's observed
-  // hit/eviction counters feed back into it periodically
-  // (WalkerStatePool::Retune): grow on thrash, shrink on idle.
-  WalkerStatePool<BackwardWalkerState> walker_states_;
+  // Every target's resumable walk state, slot qi for Q_[qi], shared by
+  // the schedule and Next(). Best-effort under its byte budget: an
+  // evicted state restarts bit-identically (DESIGN.md §3). An autotuned
+  // budget is retuned between rounds and every kRetunePeriod deepenings
+  // (grow on thrash, shrink on idle). Depth d is final: a state there
+  // is dropped, or kept row-only for the provider.
+  BackwardBatchStates states_;
   bool autotune_budget_ = false;
   int64_t deepen_calls_ = 0;
-  int64_t schedule_evictions_ = 0;  // from the batch-driven top-m setup
-  std::vector<double> row_buffer_;  // scratch: one score row over P_
-  // (internal id, index into P_) of every member of P, ascending by
-  // internal id; built on the first ReadRow.
-  std::vector<std::pair<NodeId, uint32_t>> p_by_internal_;
+  // Each slot's level after the provider's Import (empty without one).
+  std::vector<int> imported_level_;
+  // Next()'s engine: one target per block, so no dead lanes. With one
+  // madd per edge its dense gather is stream-bound, so it streams the
+  // split SoA arrays (BackwardWalkerBatchT::Options::soa_gather).
+  BackwardWalkerBatchT<1> single_;
   int64_t warm_targets_ = 0;
   int64_t cold_targets_ = 0;
 

@@ -135,7 +135,7 @@ struct TwoWayJoinStats {
   /// snapshots the byte budget forced out. `state_resident_bytes` is the
   /// pool's footprint when the run finished — together with the budget
   /// these are the inputs an autotuner needs (see
-  /// AutotuneStateBudgetBytes in dht/walker_state.h).
+  /// AutotuneStateBudgetBytes in dht/batch_core.h).
   int64_t state_hits = 0;
   int64_t state_misses = 0;
   int64_t state_evictions = 0;

@@ -121,13 +121,6 @@ std::shared_ptr<const CacheEntry> ScoreCache::Get(const CacheKey& key) {
   return it->second->entry;
 }
 
-std::shared_ptr<const CacheEntry> ScoreCache::Peek(const CacheKey& key) {
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.index.find(key);
-  return it == shard.index.end() ? nullptr : it->second->entry;
-}
-
 void ScoreCache::Put(const CacheKey& key,
                      std::shared_ptr<const CacheEntry> entry) {
   PutIf(key, std::move(entry),

@@ -3,13 +3,14 @@
 ///
 /// Every join in the library is cold today at the process level: NL
 /// rebuilds its per-edge tables per Run(), the IDJ engines' resumable
-/// snapshots die with the join object, and the Y-bound sweep is repaid
+/// states die with the join object, and the Y-bound sweep is repaid
 /// per query. ScoreCache is the shared, thread-safe store that lets a
 /// stream of queries amortize all of that: a sharded, byte-budgeted LRU
-/// generalizing dht/walker_state.h's WalkerStatePool, keyed exactly by
-/// everything a payload's bits depend on — graph fingerprint, DhtParams
-/// coefficients, truncation depth d where it matters, walk direction,
-/// and the seed node / seed node sets (see CacheKey).
+/// keyed exactly by everything a payload's bits depend on — graph
+/// fingerprint, DhtParams coefficients, truncation depth d where it
+/// matters, payload kind, and the seed node / seed node sets (see
+/// CacheKey). Walk states are the batch engine's, one per (target,
+/// source set): the two-way executor and PJ-i's query edges share them.
 ///
 /// Keying is EXACT, not probabilistic: besides the 64-bit content
 /// digests used for hashing, a key carries shared_ptr copies of its
@@ -19,8 +20,8 @@
 /// this is what makes a warm hit BYTE-safe: a resumed or reused payload
 /// is bit-identical to what a cold query would recompute.
 ///
-/// Eviction is always safe (the WalkerStatePool argument): a dropped
-/// entry costs the next query time, never correctness. Entries are
+/// Eviction is always safe (DESIGN.md §3): a dropped entry costs the
+/// next query time, never correctness. Entries are
 /// handed out as shared_ptr<const ...>, so a reader holding a payload
 /// is unaffected by concurrent eviction.
 
@@ -39,7 +40,6 @@
 #include <utility>
 #include <vector>
 
-#include "dht/backward.h"
 #include "dht/backward_batch.h"
 #include "dht/bounds.h"
 #include "dht/params.h"
@@ -59,26 +59,27 @@ uint64_t GraphFingerprint(const Graph& g);
 uint64_t DigestNodes(std::span<const ExtNodeId> nodes);
 
 /// What a cache entry holds; part of the key, so one cache serves all
-/// payload kinds without any chance of cross-kind aliasing.
+/// payload kinds without any chance of cross-kind aliasing. The values
+/// are fixed because CacheKey::Hash mixes them: a renumbering would
+/// move keys to other shards and change which entries a full cache
+/// evicts. Value 0 held scalar walks and is retired.
 enum class CachePayload : uint8_t {
-  kBackwardSnapshot,  ///< scalar BackwardWalkerState of one target
-  kBatchState,        ///< BackwardBatchSnapshot of (target, source set)
-  kEdgeTable,         ///< NL's |L| x |R| forward score table
-  kYBound,            ///< YBoundTable of (P, Q) at depth d
+  kBatchState = 1,  ///< BackwardBatchSnapshot of (target, source set)
+  kEdgeTable = 2,   ///< NL's |L| x |R| forward score table
+  kYBound = 3,      ///< YBoundTable of (P, Q) at depth d
 };
 
 /// Exact cache key. `d` is set only for payloads whose key must name
-/// the truncation depth (kEdgeTable, kYBound); level-carrying walk
-/// states (kBackwardSnapshot, kBatchState) carry their depth as their
-/// level and leave it 0. They need no d in the key because a cache
-/// belongs to one service, which runs one d, and checkpoints
-/// fingerprint d: a walk state at the service's d is final and holds
-/// only its score row or deltas (DESIGN.md §6). Seed sets are carried
+/// the truncation depth (kEdgeTable, kYBound); walk states (kBatchState)
+/// carry their depth as their level and leave it 0. They need no d in
+/// the key because a cache belongs to one service, which runs one d,
+/// and checkpoints fingerprint d: a walk state at the service's d is
+/// final and holds only its score row (DESIGN.md §6). Seed sets are carried
 /// by shared_ptr and compared by CONTENT — the pointers just keep one
 /// copy alive per key instead of one per comparison.
 struct CacheKey {
   uint64_t graph_fp = 0;
-  CachePayload kind = CachePayload::kBackwardSnapshot;
+  CachePayload kind = CachePayload::kBatchState;
   DhtParams params;
   int d = 0;
   /// Seed/target node (EXTERNAL id), when the payload has one. Keys
@@ -103,19 +104,8 @@ class CacheEntry {
   virtual int WalkLevel() const { return 0; }
 };
 
-/// Scalar backward-walker snapshot (IncrementalTwoWayJoin / PJ-i).
-struct CachedBackwardSnapshot final : CacheEntry {
-  explicit CachedBackwardSnapshot(BackwardWalkerState s)
-      : state(std::move(s)) {}
-  BackwardWalkerState state;
-  std::size_t ApproxBytes() const override {
-    return sizeof(*this) + state.ApproxBytes();
-  }
-  int WalkLevel() const override { return state.level; }
-};
-
-/// Batched backward walk state of one (target, pinned source set) pair
-/// (the serving two-way executor's unit of warmth).
+/// Batched backward walk state of one (target, pinned source set) pair:
+/// the unit of warmth of the two-way executor and of PJ-i's query edges.
 struct CachedBatchState final : CacheEntry {
   explicit CachedBatchState(BackwardBatchSnapshot s) : snap(std::move(s)) {}
   BackwardBatchSnapshot snap;
@@ -204,16 +194,6 @@ class ScoreCache {
   template <typename T>
   std::shared_ptr<const T> GetAs(const CacheKey& key) {
     return std::dynamic_pointer_cast<const T>(Get(key));
-  }
-
-  /// Get without the LRU bump or hit/miss accounting — for write-back
-  /// guards ("is the cached state already deeper than mine?") that
-  /// should not distort serving metrics or recency.
-  std::shared_ptr<const CacheEntry> Peek(const CacheKey& key);
-
-  template <typename T>
-  std::shared_ptr<const T> PeekAs(const CacheKey& key) {
-    return std::dynamic_pointer_cast<const T>(Peek(key));
   }
 
   /// Inserts (or replaces) `entry` under `key`, then evicts the shard's

@@ -4,52 +4,38 @@
 #include <string>
 #include <utility>
 
-#include "cluster/wire.h"
 #include "dht/backward_batch.h"
-#include "dht/walker_state.h"
 #include "join2/b_idj.h"
+#include "join2/incremental.h"
 #include "obs/trace.h"
 #include "serve/warm_state.h"
 
 namespace dhtjoin::serve {
 
-/// BackwardSnapshotProvider over the cache: scalar walk snapshots are
-/// keyed by target only (besides graph/params), so ANY query — 2-way or
-/// n-way, any P/Q — that deepens the same target resumes the deepest
-/// walk any earlier query left behind.
-class DhtJoinService::SnapshotAdapter final : public BackwardSnapshotProvider {
+/// BatchStateProvider over the cache: PJ-i's query edges import and
+/// write back the two-way executor's (target, P) batch states through
+/// the same two service steps, and share its Y-bound tables.
+class DhtJoinService::StateAdapter final : public BatchStateProvider {
  public:
-  explicit SnapshotAdapter(DhtJoinService* service) : service_(service) {}
+  explicit StateAdapter(DhtJoinService* service) : service_(service) {}
 
-  std::shared_ptr<const BackwardWalkerState> Fetch(ExtNodeId target) override {
-    CacheKey key = service_->BaseKey(CachePayload::kBackwardSnapshot);
-    key.seed = target;
-    auto entry = service_->cache_.GetAs<CachedBackwardSnapshot>(key);
-    if (entry == nullptr) return nullptr;
-    // Aliasing shared_ptr: the state lives exactly as long as the entry.
-    return {entry, &entry->state};
+  // The cache holds states and tables of the service depth only.
+  void Import(const NodeSet& P, const NodeSet& Q, int d,
+              BackwardBatchStates& states) override {
+    if (d == service_->d_) service_->ImportStates(P, Q, states);
   }
 
-  void Store(ExtNodeId target, BackwardWalkerState state) override {
-    CacheKey key = service_->BaseKey(CachePayload::kBackwardSnapshot);
-    key.seed = target;
-    // Never replace a deeper walk with a shallower one: depth only ever
-    // helps the next query, and both are byte-safe to read.
-    service_->cache_.PutDeepest(
-        key, std::make_shared<CachedBackwardSnapshot>(std::move(state)));
-  }
-
-  bool WantsLevel(ExtNodeId target, int level) override {
-    CacheKey key = service_->BaseKey(CachePayload::kBackwardSnapshot);
-    key.seed = target;
-    auto existing = service_->cache_.Peek(key);
-    return existing == nullptr || existing->WalkLevel() < level;
+  void WriteBack(const NodeSet& P, const NodeSet& Q, int d,
+                 BackwardBatchStates& states,
+                 std::span<const int> imported_level) override {
+    if (d == service_->d_) {
+      service_->WriteBackStates(P, Q, states, imported_level);
+    }
   }
 
   std::shared_ptr<const YBoundTable> SharedYBound(const NodeSet& P,
                                                   const NodeSet& Q, int d,
                                                   bool* cached) override {
-    // The cache holds tables of the service depth only.
     if (d != service_->d_) return nullptr;
     auto entry = service_->YBoundFor(P, Q, /*exec=*/nullptr, cached);
     return {entry, &entry->table};
@@ -98,7 +84,7 @@ DhtJoinService::DhtJoinService(const Graph& g, const DhtParams& params, int d,
       pool_(options.num_threads > 0 ? options.num_threads
                                     : ThreadPool::DefaultThreadCount()),
       admission_(options.admission),
-      snapshots_(std::make_unique<SnapshotAdapter>(this)),
+      states_(std::make_unique<StateAdapter>(this)),
       tables_(std::make_unique<TableAdapter>(this)),
       clock_(options.clock != nullptr ? options.clock
                                       : obs::SystemClock::Get()),
@@ -143,6 +129,47 @@ CacheKey DhtJoinService::SetsKey(CachePayload kind, const NodeSet& A,
   key.digest_a = DigestNodes(*key.set_a);
   key.digest_b = DigestNodes(*key.set_b);
   return key;
+}
+
+CacheKey DhtJoinService::StatesKey(const NodeSet& P) const {
+  CacheKey key = BaseKey(CachePayload::kBatchState);
+  key.set_a = std::make_shared<const std::vector<ExtNodeId>>(P.nodes());
+  key.digest_a = DigestNodes(*key.set_a);
+  return key;
+}
+
+std::vector<int> DhtJoinService::ImportStates(const NodeSet& P,
+                                              const NodeSet& Q,
+                                              BackwardBatchStates& states) {
+  std::vector<int> imported_level(Q.size(), 0);
+  CacheKey key = StatesKey(P);
+  for (std::size_t qi = 0; qi < Q.size(); ++qi) {
+    key.seed = Q[qi];
+    auto entry = cache_.GetAs<CachedBatchState>(key);
+    if (entry != nullptr && entry->snap.level <= d_ &&
+        entry->snap.row.size() == P.size() &&
+        states.Import(qi, entry->snap)) {
+      imported_level[qi] = entry->snap.level;
+    }
+  }
+  return imported_level;
+}
+
+int64_t DhtJoinService::WriteBackStates(const NodeSet& P, const NodeSet& Q,
+                                        BackwardBatchStates& states,
+                                        std::span<const int> imported_level) {
+  CacheKey key = StatesKey(P);
+  int64_t written = 0;
+  for (std::size_t qi = 0; qi < Q.size(); ++qi) {
+    if (states.level(qi) <= imported_level[qi]) continue;
+    BackwardBatchSnapshot snap;
+    if (!states.Take(qi, &snap)) continue;
+    key.seed = Q[qi];
+    cache_.PutDeepest(key,
+                      std::make_shared<CachedBatchState>(std::move(snap)));
+    ++written;
+  }
+  return written;
 }
 
 std::shared_ptr<const CachedYBound> DhtJoinService::YBoundFor(
@@ -307,7 +334,7 @@ Status DhtJoinService::SaveWarmState(const std::string& path,
                                      const persist::CheckpointHook& hook) {
   persist::SnapshotFile file;
   file.graph_fp = graph_fp_;
-  file.params_fp = cluster::ParamsFingerprint(params_, d_);
+  file.params_fp = ParamsFingerprint(params_, d_);
   std::vector<ScoreCache::ExportedEntry> entries = cache_.Export();
   file.sections.reserve(entries.size());
   for (const ScoreCache::ExportedEntry& e : entries) {
@@ -337,7 +364,7 @@ Result<int64_t> DhtJoinService::LoadWarmState(const std::string& path) {
     return decoded.status();
   }
   if (decoded->graph_fp != graph_fp_ ||
-      decoded->params_fp != cluster::ParamsFingerprint(params_, d_)) {
+      decoded->params_fp != ParamsFingerprint(params_, d_)) {
     // Someone else's snapshot (different graph, layout epoch, or
     // measure): silently cold — restoring it could only break the
     // byte-identity invariant the cache keying protects.
@@ -383,9 +410,6 @@ Result<std::vector<ScoredPair>> DhtJoinService::RunTwoWay(
   obs::Trace* const trace = obs::TraceOf(exec);
   QueryStats qs;
 
-  auto p_nodes = std::make_shared<const std::vector<ExtNodeId>>(P.nodes());
-  const uint64_t p_digest = DigestNodes(*p_nodes);
-
   // Y-bound table: cached whole per (P, Q, d), shared with PJ-i. An
   // abandoned construction is returned uncached; the run then degrades
   // at level 0.
@@ -397,34 +421,19 @@ Result<std::vector<ScoredPair>> DhtJoinService::RunTwoWay(
     ybound_span.SetAttr("cached", int64_t{qs.ybound_cached ? 1 : 0});
   }
 
-  auto batch_key = [&](std::size_t qi) {
-    CacheKey key = BaseKey(CachePayload::kBatchState);
-    key.seed = Q[qi];
-    key.set_a = p_nodes;
-    key.digest_a = p_digest;
-    return key;
-  };
-
-  // Import each target's deepest cached walk state (level <= d, row
-  // pinned to exactly this P — the key guarantees both).
+  // Import each target's cached walk state (level <= d, row pinned to
+  // exactly this P — the key guarantees both).
   BackwardWalkerBatch batch(g_, {.num_threads = 1});
   BackwardBatchStates states(Q.size(),
                              AutotuneStateBudgetBytes(g_.num_nodes()));
   if (exec != nullptr && exec->commit_fault) {
     states.set_commit_fault(exec->commit_fault);
   }
-  std::vector<int> imported_level(Q.size(), 0);
+  std::vector<int> imported_level;
   {
     obs::ScopedSpan import_span(trace, "import");
-    for (std::size_t qi = 0; qi < Q.size(); ++qi) {
-      auto entry = cache_.GetAs<CachedBatchState>(batch_key(qi));
-      if (entry != nullptr && entry->snap.level <= d_ &&
-          entry->snap.row.size() == P.size() &&
-          states.Import(qi, entry->snap)) {
-        imported_level[qi] = entry->snap.level;
-        ++qs.warm_targets;
-      }
-    }
+    imported_level = ImportStates(P, Q, states);
+    for (int level : imported_level) qs.warm_targets += level > 0 ? 1 : 0;
     qs.cold_targets = static_cast<int64_t>(Q.size()) - qs.warm_targets;
     import_span.SetAttr("warm", qs.warm_targets);
     import_span.SetAttr("cold", qs.cold_targets);
@@ -449,17 +458,8 @@ Result<std::vector<ScoredPair>> DhtJoinService::RunTwoWay(
   // when concurrent sessions race on one target (DESIGN.md §6).
   {
     obs::ScopedSpan wb_span(trace, "write_back");
-    int64_t exported = 0;
-    for (std::size_t qi = 0; qi < Q.size(); ++qi) {
-      if (states.level(qi) <= imported_level[qi]) continue;
-      BackwardBatchSnapshot snap;
-      if (states.Take(qi, &snap)) {
-        cache_.PutDeepest(batch_key(qi),
-                          std::make_shared<CachedBatchState>(std::move(snap)));
-        ++exported;
-      }
-    }
-    wb_span.SetAttr("exported", exported);
+    wb_span.SetAttr("exported",
+                    WriteBackStates(P, Q, states, imported_level));
   }
   *out = std::move(qs);
   return result;
@@ -492,7 +492,7 @@ Result<std::vector<TupleAnswer>> DhtJoinService::Nway(const QueryGraph& query,
     } else {
       PartialJoin join(PartialJoin::Options{.incremental = true,
                                             .bound = options_.bound,
-                                            .snapshots = snapshots_.get()});
+                                            .snapshots = states_.get()});
       result = join.Run(g_, params_, d_, query, f, k);
       const PartialJoin::Stats& js = join.stats();
       qs->join = js.join;

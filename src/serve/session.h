@@ -12,19 +12,24 @@
 /// The two-way executor is a cache-aware B-IDJ. It runs the library's
 /// Algorithm-2 schedule (RunBIdjSchedule, join2/b_idj.h) and owns only
 /// the cache work around it: it imports each target's batched backward
-/// walk state (BackwardBatchSnapshot) before the run and writes back
-/// every state that got deeper after it, however the run ended: a
-/// pruned target with its walk mass, a target exactified at d with its
-/// score row alone (h_d is final). A warm query therefore RESUMES every
-/// target at its deepest previously-walked level — an exactly repeated
-/// query does near-zero walk work — while a cold query runs the
-/// ordinary schedule. Warm and cold results
-/// are byte-identical (DESIGN.md §6). The Y-bound table of each (P, Q)
-/// is cached whole. N-way queries route NL's per-edge tables and PJ-i's
-/// backward walk snapshots through the same cache via the provider
-/// hooks in core/nl_join.h and dht/backward.h; PJ-i scores a target
-/// straight from a cached walk already at or past the level it needs,
-/// and shares each (P, Q) Y-bound table with the two-way executor.
+/// walk state (BackwardBatchSnapshot, keyed by target and P) before the
+/// run and writes back every state that got deeper after it, however
+/// the run ended: a pruned target with its walk mass, a target
+/// exactified at d with its score row alone (h_d is final). A warm
+/// query therefore RESUMES every target at its deepest previously-walked
+/// level — an exactly repeated query does near-zero walk work — while a
+/// cold query runs the ordinary schedule. Warm and cold results are
+/// byte-identical (DESIGN.md §6). The Y-bound table of each (P, Q) is
+/// cached whole.
+///
+/// N-way queries route NL's per-edge tables and PJ-i's walk states
+/// through the same cache via the provider hooks in core/nl_join.h and
+/// join2/incremental.h. Each PJ-i query edge over (P, Q) imports the
+/// same (target, P) states when it is created and writes back the
+/// deeper ones when the query ends — ImportStates and WriteBackStates,
+/// the two-way executor's own steps — so a two-way query and a PJ-i
+/// edge over the same sets warm each other, and they share each (P, Q)
+/// Y-bound table.
 
 #ifndef DHTJOIN_SERVE_SESSION_H_
 #define DHTJOIN_SERVE_SESSION_H_
@@ -34,6 +39,7 @@
 #include <future>
 #include <limits>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/nl_join.h"
@@ -80,9 +86,8 @@ struct ServiceStats {
 /// Per-query observability, filled by the executing session.
 struct QueryStats {
   double seconds = 0.0;
-  /// Two-way: targets resumed from cached batch states vs started cold.
-  /// PJ-i: targets first scored from (or resumed from) a cached walk vs
-  /// walked from scratch, summed over the query edges.
+  /// Targets whose batch state was imported from the cache vs the rest
+  /// of Q; for PJ-i summed over the query edges.
   int64_t warm_targets = 0;
   int64_t cold_targets = 0;
   /// With the Y bound: whether the (P, Q) sweep was cached — for PJ-i,
@@ -177,7 +182,7 @@ class DhtJoinService {
                                          const ExecContext* exec = nullptr);
 
   enum class NwayAlgo {
-    kPartialJoinIncremental,  ///< PJ-i, walk snapshots through the cache
+    kPartialJoinIncremental,  ///< PJ-i, walk states through the cache
     kNestedLoop,              ///< NL, per-edge tables through the cache
   };
 
@@ -253,10 +258,29 @@ class DhtJoinService {
   Result<int64_t> LoadWarmState(const std::string& path);
 
  private:
-  class SnapshotAdapter;  // BackwardSnapshotProvider over the cache
-  class TableAdapter;     // EdgeScoreTableProvider over the cache
+  class StateAdapter;  // BatchStateProvider over the cache
+  class TableAdapter;  // EdgeScoreTableProvider over the cache
 
   CacheKey BaseKey(CachePayload kind) const;
+
+  /// Key of the batch states whose rows cover P; set `seed` to a target.
+  CacheKey StatesKey(const NodeSet& P) const;
+
+  /// Seeds slot i of `states` with the cached batch state of (Q[i], P)
+  /// when its level is at most d_, its row covers P and it fits the
+  /// states' budget; returns each slot's imported level (0 = cold). The
+  /// one import step of the two-way executor and of PJ-i's query edges.
+  std::vector<int> ImportStates(const NodeSet& P, const NodeSet& Q,
+                                BackwardBatchStates& states);
+
+  /// Moves every slot of `states` deeper than `imported_level` into the
+  /// cache, deepest-wins (ScoreCache::PutDeepest): a state below d with
+  /// its mass, one at d row-only. Every such state is a completed level,
+  /// so this is safe after a degraded or cancelled run too. Returns the
+  /// number written. Shared like ImportStates.
+  int64_t WriteBackStates(const NodeSet& P, const NodeSet& Q,
+                          BackwardBatchStates& states,
+                          std::span<const int> imported_level);
 
   /// Key of a depth-d_ payload over two node sets (NL edge tables,
   /// Y-bound tables): both sets compared by content.
@@ -295,7 +319,7 @@ class DhtJoinService {
   ScoreCache cache_;
   ThreadPool pool_;
   AdmissionController admission_;
-  std::unique_ptr<SnapshotAdapter> snapshots_;
+  std::unique_ptr<StateAdapter> states_;
   std::unique_ptr<TableAdapter> tables_;
   std::atomic<int64_t> stat_degraded_{0};
   std::atomic<int64_t> stat_cancelled_{0};

@@ -11,8 +11,9 @@ namespace {
 
 // Stable on-disk section kinds (decoupled from the enum's numeric
 // values so reordering CachePayload can never silently re-type disk
-// records).
-constexpr uint32_t kSectionBackwardSnapshot = 1;
+// records). Kind 1 held scalar walk snapshots and is retired: the
+// decoder refuses it like any unknown kind, so a checkpoint holding one
+// loads cold.
 constexpr uint32_t kSectionBatchState = 2;
 constexpr uint32_t kSectionEdgeTable = 3;
 constexpr uint32_t kSectionYBound = 4;
@@ -79,10 +80,9 @@ Status ReadNodeList(ByteReader& r,
   return Status::OK();
 }
 
-/// Reads a sparse (INTERNAL id, value) list. The engines index n-sized
-/// vectors with these ids unchecked (BackwardWalker::Restore,
-/// batch_core::LoadLaneMass; Propagator::RestoreState only DCHECKs), so
-/// an id outside [0, num_nodes) is refused here.
+/// Reads a sparse (INTERNAL id, value) list. The engine indexes n-sized
+/// vectors with these ids unchecked (batch_core::LoadLaneMass), so an
+/// id outside [0, num_nodes) is refused here.
 Status ReadMass(ByteReader& r, NodeId num_nodes,
                 std::vector<std::pair<NodeId, double>>* out) {
   const uint64_t count = r.U64();
@@ -103,20 +103,6 @@ Status ReadMass(ByteReader& r, NodeId num_nodes,
     out->emplace_back(static_cast<NodeId>(node), value);
   }
   return r.status();
-}
-
-/// Score deltas are saved strictly ascending by id and nonzero
-/// (BackwardWalkerState::score_delta); PJ-i's warm read searches them.
-Status CheckScoreDeltas(const std::vector<std::pair<NodeId, double>>& deltas) {
-  for (std::size_t i = 0; i < deltas.size(); ++i) {
-    if (deltas[i].second == 0.0 ||
-        (i > 0 && deltas[i].first <= deltas[i - 1].first)) {
-      return Status::InvalidArgument(
-          "warm record corrupt: score deltas not strictly ascending and "
-          "nonzero");
-    }
-  }
-  return Status::OK();
 }
 
 /// A walk state's level must lie in [1, d] for the loading service's
@@ -146,7 +132,6 @@ Status ReadDoubles(ByteReader& r, std::vector<double>* out) {
 
 uint32_t SectionKindFor(CachePayload kind) {
   switch (kind) {
-    case CachePayload::kBackwardSnapshot: return kSectionBackwardSnapshot;
     case CachePayload::kBatchState: return kSectionBatchState;
     case CachePayload::kEdgeTable: return kSectionEdgeTable;
     case CachePayload::kYBound: return kSectionYBound;
@@ -159,16 +144,6 @@ std::vector<uint8_t> EncodeCacheRecord(const CacheKey& key,
   ByteWriter w;
   WriteKeyCommon(w, key);
   switch (key.kind) {
-    case CachePayload::kBackwardSnapshot: {
-      const auto* snap = dynamic_cast<const CachedBackwardSnapshot*>(&entry);
-      if (snap == nullptr) return {};
-      w.I64(snap->state.target.value());
-      w.I64(snap->state.level);
-      w.F64Bits(snap->state.lambda_pow);
-      WriteMass(w, snap->state.engine.mass);
-      WriteMass(w, snap->state.score_delta);
-      break;
-    }
     case CachePayload::kBatchState: {
       const auto* batch = dynamic_cast<const CachedBatchState*>(&entry);
       if (batch == nullptr) return {};
@@ -218,21 +193,6 @@ Result<DecodedCacheRecord> DecodeCacheRecord(uint32_t section_kind,
       ReadNodeList(r, &record.key.set_b, &record.key.digest_b));
 
   switch (section_kind) {
-    case kSectionBackwardSnapshot: {
-      record.key.kind = CachePayload::kBackwardSnapshot;
-      BackwardWalkerState state;
-      state.target = ExtNodeId(static_cast<NodeId>(r.I64()));
-      const int64_t level = r.I64();
-      DHTJOIN_RETURN_NOT_OK(CheckWalkLevel(level, d));
-      state.level = static_cast<int>(level);
-      state.lambda_pow = r.F64Bits();
-      DHTJOIN_RETURN_NOT_OK(ReadMass(r, num_nodes, &state.engine.mass));
-      DHTJOIN_RETURN_NOT_OK(ReadMass(r, num_nodes, &state.score_delta));
-      DHTJOIN_RETURN_NOT_OK(CheckScoreDeltas(state.score_delta));
-      record.entry =
-          std::make_shared<CachedBackwardSnapshot>(std::move(state));
-      break;
-    }
     case kSectionBatchState: {
       record.key.kind = CachePayload::kBatchState;
       BackwardBatchSnapshot snap;

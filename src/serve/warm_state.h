@@ -15,10 +15,10 @@
 /// rebuilt key AFTER validating those fingerprints. A snapshot from a
 /// different graph or measure therefore cannot smuggle records in.
 ///
-/// Decoding is fail-closed: any underflow, trailing bytes, or
-/// structurally impossible field — a node id outside the graph, score
-/// deltas out of order, a walk level outside [1, d], a Y-bound table
-/// not shaped like its key — yields kInvalidArgument, never a
+/// Decoding is fail-closed: any underflow, trailing bytes, unknown or
+/// retired section kind, or structurally impossible field — a node id
+/// outside the graph, a walk level outside [1, d], a Y-bound table not
+/// shaped like its key — yields kInvalidArgument, never a
 /// partially-filled record.
 
 #ifndef DHTJOIN_SERVE_WARM_STATE_H_
@@ -52,10 +52,10 @@ struct DecodedCacheRecord {
 /// and the truncation depth `d` come from the LOADING service (the
 /// caller validated the snapshot header's fingerprints against them);
 /// the record carries everything else. Beyond structure, the decoder
-/// checks what the engines will index or walk: every node id of a mass
-/// or delta list lies in [0, num_nodes), score deltas are strictly
-/// ascending and nonzero, a walk state's level lies in [1, d], and a
-/// Y-bound table has one row per member of its key's Q and the key's d.
+/// checks what the engine will index or walk: every node id of a mass
+/// list lies in [0, num_nodes), a walk state's level lies in [1, d],
+/// and a Y-bound table has one row per member of its key's Q and the
+/// key's d.
 /// An empty mass is legal at any level: below d it is a walk whose
 /// mass died, at d a state saved row-only.
 Result<DecodedCacheRecord> DecodeCacheRecord(uint32_t section_kind,

@@ -107,5 +107,17 @@ TEST(DhtParamsTest, ScoreRange) {
   EXPECT_GT(DhtParams::Exponential().MaxScore(), 0.0);
 }
 
+TEST(DhtParamsTest, ParamsFingerprintValuesArePinned) {
+  // Checkpoints and the cluster handshake carry these values. A change
+  // would make every existing checkpoint load cold and every worker of
+  // the previous build refuse to serve.
+  EXPECT_EQ(ParamsFingerprint(DhtParams::Lambda(0.2), 8),
+            0xe2da14c8b2e906e8ULL);
+  EXPECT_EQ(ParamsFingerprint(DhtParams::Exponential(), 6),
+            0x750a7d028428659cULL);
+  EXPECT_EQ(ParamsFingerprint(DhtParams::PersonalizedPageRank(0.85), 8),
+            0x2e3a8b304588d5d9ULL);
+}
+
 }  // namespace
 }  // namespace dhtjoin

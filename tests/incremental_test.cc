@@ -6,7 +6,9 @@
 
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "join2/incremental.h"
 #include "testing/reference.h"
@@ -101,13 +103,12 @@ TEST(IncrementalTest, ScoresAreExactDStepValues) {
   auto join = IncrementalTwoWayJoin::Create(g, p, d, Range("P", 0, 15),
                                             Range("Q", 20, 35), 5);
   ASSERT_TRUE(join.ok());
-  BackwardWalker w(g);
   for (int i = 0; i < 20; ++i) {
     auto next = (*join)->Next();
     if (!next) break;
-    w.Reset(p, ExtNodeId(next->q));
-    w.Advance(d);
-    EXPECT_NEAR(next->score, w.Score(ExtNodeId(next->p)), 1e-12);
+    const std::vector<double> h =
+        testing::RefBackwardSweep(g, p, d, ExtNodeId(next->q));
+    EXPECT_NEAR(next->score, h[static_cast<std::size_t>(next->p)], 1e-12);
   }
 }
 
@@ -212,9 +213,9 @@ TEST(IncrementalTest, BatchScheduleResumeCountersAreExact) {
   EXPECT_EQ(st.pool_barriers, total);
 }
 
-TEST(IncrementalTest, ScalarPathCountsOneMissPerColdTarget) {
-  // The m = 0 enumerator deepens targets one scalar walk at a time:
-  // with an un-evicting pool each target is cold exactly once, so
+TEST(IncrementalTest, LazyPathCountsOneMissPerColdTarget) {
+  // The m = 0 enumerator deepens targets one W = 1 walk at a time:
+  // with an un-evicting budget each target is cold exactly once, so
   // misses == touched targets, independent of how many levels each
   // target is later resumed through (those are hits).
   Graph g = RandomGraph(40, 120, 216, /*undirected=*/true,
@@ -233,23 +234,39 @@ TEST(IncrementalTest, ScalarPathCountsOneMissPerColdTarget) {
 
 // ------------------------------------------------ canonical order on ties
 
-/// Single-threaded BackwardSnapshotProvider keeping the deepest walk per
-/// target, like the serving cache.
-class MapProvider final : public BackwardSnapshotProvider {
+/// Single-threaded BatchStateProvider keeping the deepest state per
+/// (target, P), like the serving cache.
+class MapProvider final : public BatchStateProvider {
  public:
-  std::shared_ptr<const BackwardWalkerState> Fetch(ExtNodeId target) override {
-    auto it = walks_.find(target.value());
-    return it == walks_.end() ? nullptr : it->second;
+  void Import(const NodeSet& P, const NodeSet& Q, int /*d*/,
+              BackwardBatchStates& states) override {
+    for (std::size_t qi = 0; qi < Q.size(); ++qi) {
+      auto it = states_.find(Key(P, Q[qi]));
+      if (it != states_.end()) states.Import(qi, it->second);
+    }
   }
-  void Store(ExtNodeId target, BackwardWalkerState state) override {
-    auto& slot = walks_[target.value()];
-    if (slot == nullptr || slot->level < state.level) {
-      slot = std::make_shared<const BackwardWalkerState>(std::move(state));
+  void WriteBack(const NodeSet& P, const NodeSet& Q, int /*d*/,
+                 BackwardBatchStates& states,
+                 std::span<const int> imported_level) override {
+    for (std::size_t qi = 0; qi < Q.size(); ++qi) {
+      BackwardBatchSnapshot snap;
+      if (states.level(qi) <= imported_level[qi] || !states.Take(qi, &snap)) {
+        continue;
+      }
+      BackwardBatchSnapshot& slot = states_[Key(P, Q[qi])];
+      if (slot.level < snap.level) slot = std::move(snap);
     }
   }
 
  private:
-  std::map<NodeId, std::shared_ptr<const BackwardWalkerState>> walks_;
+  static std::vector<NodeId> Key(const NodeSet& P, ExtNodeId q) {
+    std::vector<NodeId> key;
+    for (ExtNodeId p : P) key.push_back(p.value());
+    key.push_back(q.value());
+    return key;
+  }
+
+  std::map<std::vector<NodeId>, BackwardBatchSnapshot> states_;
 };
 
 struct TieGraph {
@@ -275,6 +292,30 @@ std::vector<ScoredPair> Drain(IncrementalTwoWayJoin& join) {
   std::vector<ScoredPair> out;
   while (auto next = join.Next()) out.push_back(*next);
   return out;
+}
+
+TEST(IncrementalTest, DrainStartsEveryTargetOnce) {
+  // The schedule's pruned targets keep their states and Next() resumes
+  // them: with a budget that evicts nothing, draining the whole stream
+  // starts each target's walk from scratch exactly once.
+  Graph g = RandomGraph(50, 150, 218, /*undirected=*/true,
+                        /*weighted=*/true);
+  DhtParams p = DhtParams::Lambda(0.2);
+  NodeSet P = Range("P", 0, 18);
+  NodeSet Q = Range("Q", 24, 42);
+  auto join = IncrementalTwoWayJoin::Create(
+      g, p, 8, P, Q, 3,
+      IncrementalTwoWayJoin::Options{.state_budget_bytes = std::size_t{1}
+                                                           << 30});
+  ASSERT_TRUE(join.ok());
+  const TwoWayJoinStats& st = (*join)->stats();
+  ASSERT_LT(st.live_per_iteration.back(), static_cast<int64_t>(Q.size()))
+      << "the schedule must prune for Next() to re-activate anything";
+  EXPECT_EQ(Drain(**join),
+            RefTwoWayJoin(g, p, 8, P, Q, static_cast<std::size_t>(-1)));
+  EXPECT_EQ(st.state_evictions, 0);
+  EXPECT_EQ(st.walks_started, static_cast<int64_t>(Q.size()));
+  EXPECT_EQ(st.state_misses, static_cast<int64_t>(Q.size()));
 }
 
 TEST(IncrementalTest, TieHeavyStreamsAreCanonical) {
@@ -344,14 +385,14 @@ TEST(IncrementalTest, TightYBoundTiesStayCanonical) {
 }
 
 TEST(IncrementalTest, ProviderWarmedStreamEqualsColdStream) {
-  // A provider holding walks at assorted levels (left by a query with a
-  // wider P over the same targets) changes which walks run, never the
-  // stream; and the warm enumerator really scores from those walks.
+  // A provider holding states of the same (P, Q) at assorted levels —
+  // left by a query with another m that stopped after a few pairs —
+  // changes which walks run, never the stream; and the warm enumerator
+  // really scores from those states, eagerly and lazily.
   const int d = 8;
   for (const TieGraph& tg : TieHeavyGraphs()) {
     const NodeId n = tg.g.num_nodes();
     NodeSet P = Range("P", 0, n / 2);
-    NodeSet wide = Range("W", 0, n);
     NodeSet Q = Range("Q", n / 4, n);
     for (double lambda : {0.2, 0.6}) {
       SCOPED_TRACE(tg.name + " lambda=" + std::to_string(lambda));
@@ -362,20 +403,27 @@ TEST(IncrementalTest, ProviderWarmedStreamEqualsColdStream) {
 
       MapProvider provider;
       IncrementalTwoWayJoin::Options opts{.snapshots = &provider};
-      auto prewarm = IncrementalTwoWayJoin::Create(tg.g, p, d, wide, Q, 5, opts);
+      auto prewarm = IncrementalTwoWayJoin::Create(tg.g, p, d, P, Q, 1, opts);
       ASSERT_TRUE(prewarm.ok());
       for (int i = 0; i < 7 && (*prewarm)->Next().has_value(); ++i) {
       }
+      (*prewarm)->WriteBackStates();
+      auto lazy = IncrementalTwoWayJoin::Create(tg.g, p, d, P, Q, 0, opts);
+      ASSERT_TRUE(lazy.ok());
+      EXPECT_EQ(Drain(**lazy), want);
+      EXPECT_GT((*lazy)->warm_targets(), 0);
       auto warm = IncrementalTwoWayJoin::Create(tg.g, p, d, P, Q, 5, opts);
       ASSERT_TRUE(warm.ok());
       EXPECT_EQ(Drain(**warm), want);
       EXPECT_GT((*warm)->warm_targets(), 0);
+      (*warm)->WriteBackStates();
 
-      // A repeat reads every target straight from its stored walk.
+      // A repeat starts every target from its stored state.
       auto again = IncrementalTwoWayJoin::Create(tg.g, p, d, P, Q, 5, opts);
       ASSERT_TRUE(again.ok());
       EXPECT_EQ(Drain(**again), want);
       EXPECT_EQ((*again)->cold_targets(), 0);
+      EXPECT_EQ((*again)->stats().walks_started, 0);
       EXPECT_LT((*again)->stats().walk_steps, (*cold)->stats().walk_steps);
     }
   }

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "join2/b_bj.h"
 #include "join2/b_idj.h"
@@ -129,11 +130,10 @@ TEST(TwoWayJoinTest, ScoresAreExactNotBounds) {
   BIdjJoin algo(BIdjJoin::Options{UpperBoundKind::kY});
   auto got = algo.Run(g, p, d, Range("P", 0, 15), Range("Q", 20, 35), 10);
   ASSERT_TRUE(got.ok());
-  BackwardWalker w(g);
   for (const ScoredPair& sp : *got) {
-    w.Reset(p, ExtNodeId(sp.q));
-    w.Advance(d);
-    EXPECT_NEAR(sp.score, w.Score(ExtNodeId(sp.p)), 1e-12);
+    const std::vector<double> h =
+        testing::RefBackwardSweep(g, p, d, ExtNodeId(sp.q));
+    EXPECT_NEAR(sp.score, h[static_cast<std::size_t>(sp.p)], 1e-12);
   }
 }
 

@@ -16,12 +16,12 @@
 #include <vector>
 
 #include "cluster/chaos.h"
-#include "cluster/wire.h"
 #include "persist/metrics.h"
 #include "persist/snapshot.h"
 #include "serve/session.h"
 #include "serve/warm_state.h"
 #include "testing/reference.h"
+#include "util/bytes.h"
 
 namespace dhtjoin {
 namespace {
@@ -280,10 +280,10 @@ TEST_F(WarmStateTest, TwoWayWriteBackSavesDepthDStatesRowOnly) {
 }
 
 TEST_F(WarmStateTest, RestoredServiceAnswersPjiByteIdenticallyAndWarm) {
-  // PJ-i's warm state is the serving cache's scalar walks (their score
-  // deltas ascending by internal id) and the Y-bound tables of its
-  // query edges. A restored service must read them back and answer a
-  // 3-chain A -> B -> C exactly as the service that saved them.
+  // PJ-i's warm state is the serving cache's batch states of its query
+  // edges' (target, P) pairs and their Y-bound tables. A restored
+  // service must read them back and answer a 3-chain A -> B -> C
+  // exactly as the service that saved them.
   QueryGraph query;
   query.AddNodeSet(Range("A", 0, 20));
   query.AddNodeSet(Range("B", 20, 40));
@@ -304,17 +304,16 @@ TEST_F(WarmStateTest, RestoredServiceAnswersPjiByteIdenticallyAndWarm) {
     want.push_back(*answer);
   }
   ASSERT_TRUE(cold.SaveWarmState(path).ok());
-  // A provider walk at d is only ever scored from its deltas, so it is
-  // saved without its engine mass.
+  // A PJ-i walk at d is only ever scored from its row, so it is saved
+  // without its mass, as the two-way executor saves its survivors.
   int walks_at_d = 0;
   for (const serve::DecodedCacheRecord& record : SavedRecords(cold, path)) {
-    if (record.key.kind != serve::CachePayload::kBackwardSnapshot) continue;
-    const BackwardWalkerState& state =
-        static_cast<const serve::CachedBackwardSnapshot&>(*record.entry).state;
-    if (state.level != kD) continue;
+    if (record.key.kind != serve::CachePayload::kBatchState) continue;
+    const BackwardBatchSnapshot& snap =
+        static_cast<const serve::CachedBatchState&>(*record.entry).snap;
+    if (snap.level != kD) continue;
     ++walks_at_d;
-    EXPECT_TRUE(state.engine.mass.empty())
-        << "target " << state.target.value();
+    EXPECT_TRUE(snap.mass.empty()) << "target " << record.key.seed.value();
   }
   EXPECT_GT(walks_at_d, 0);
 
@@ -411,9 +410,9 @@ TEST_F(WarmStateTest, GarbageSectionPayloadsAreRejectedByRecordDecode) {
   const std::string path = TempPath("warm_garbage.snap");
   SnapshotFile file;
   file.graph_fp = service.graph_fingerprint();
-  file.params_fp = cluster::ParamsFingerprint(params_, kD);
-  // kind 1 = backward snapshot, with a payload that is far too short.
-  file.sections.push_back(SnapshotSection{1, {0xff, 0x01, 0x02}});
+  file.params_fp = ParamsFingerprint(params_, kD);
+  // kind 2 = batch state, with a payload that is far too short.
+  file.sections.push_back(SnapshotSection{2, {0xff, 0x01, 0x02}});
   ASSERT_TRUE(WriteSnapshotFile(path, file).ok());
   Result<int64_t> r = service.LoadWarmState(path);
   ASSERT_FALSE(r.ok());
@@ -430,31 +429,25 @@ TEST_F(WarmStateTest, GarbageSectionPayloadsAreRejectedByRecordDecode) {
 
 /// Records with valid section checksums, encoded exactly as
 /// SaveWarmState encodes them and keyed as the service keys them, whose
-/// contents the engines would index out of bounds, search wrongly, or
-/// walk from a level they cannot have.
+/// contents the engine would index out of bounds or walk from a level
+/// it cannot have — and a record of the retired scalar-walk kind.
 enum class BadRecord {
-  kDescendingScoreDeltas,
-  kEngineMassIdN,
-  kScoreDeltaIdN,
+  kRetiredScalarWalk,
   kBatchMassIdN,
   kYBoundOneRowShort,
   kYBoundShallowerThanKey,
   kBatchLevelNegative,
   kBatchLevelPastD,
-  kWalkLevelPastD,
 };
 
 std::string BadRecordName(const ::testing::TestParamInfo<BadRecord>& info) {
   switch (info.param) {
-    case BadRecord::kDescendingScoreDeltas: return "DescendingScoreDeltas";
-    case BadRecord::kEngineMassIdN: return "EngineMassIdN";
-    case BadRecord::kScoreDeltaIdN: return "ScoreDeltaIdN";
+    case BadRecord::kRetiredScalarWalk: return "RetiredScalarWalk";
     case BadRecord::kBatchMassIdN: return "BatchMassIdN";
     case BadRecord::kYBoundOneRowShort: return "YBoundOneRowShort";
     case BadRecord::kYBoundShallowerThanKey: return "YBoundShallowerThanKey";
     case BadRecord::kBatchLevelNegative: return "BatchLevelNegative";
     case BadRecord::kBatchLevelPastD: return "BatchLevelPastD";
-    case BadRecord::kWalkLevelPastD: return "WalkLevelPastD";
   }
   return "Unknown";
 }
@@ -467,22 +460,36 @@ class BadWarmRecordTest : public WarmStateTest,
   SnapshotFile BadSnapshot(const DhtJoinService& service) const {
     const NodeId n = g_.num_nodes();
     const double lambda_pow = params_.lambda * params_.lambda;
+    SnapshotFile file;
+    file.graph_fp = service.graph_fingerprint();
+    file.params_fp = ParamsFingerprint(params_, kD);
+    if (GetParam() == BadRecord::kRetiredScalarWalk) {
+      // A scalar walk snapshot of Q[0] at level 2, laid out as section
+      // kind 1 held it before PJ-i moved onto batch states: the common
+      // key fields, then target, level, lambda^level, the engine mass
+      // and the score deltas.
+      ByteWriter w;
+      w.I64(0);
+      w.I64(Q_[0].value());
+      w.U8(0);
+      w.U8(0);
+      w.I64(Q_[0].value());
+      w.I64(2);
+      w.F64Bits(lambda_pow);
+      w.U64(1);
+      w.I64(1);
+      w.F64Bits(0.5);
+      w.U64(2);
+      w.I64(3);
+      w.F64Bits(0.25);
+      w.I64(7);
+      w.F64Bits(0.125);
+      file.sections.push_back(SnapshotSection{1, w.Take()});
+      return file;
+    }
     serve::CacheKey key;
     key.params = params_;
     std::shared_ptr<const serve::CacheEntry> entry;
-    auto walk = [&](std::vector<std::pair<NodeId, double>> mass,
-                    std::vector<std::pair<NodeId, double>> deltas,
-                    int level = 2) {
-      key.kind = serve::CachePayload::kBackwardSnapshot;
-      key.seed = Q_[0];
-      BackwardWalkerState state;
-      state.target = Q_[0];
-      state.level = level;
-      state.lambda_pow = lambda_pow;
-      state.engine.mass = std::move(mass);
-      state.score_delta = std::move(deltas);
-      entry = std::make_shared<serve::CachedBackwardSnapshot>(std::move(state));
-    };
     auto batch = [&](std::vector<std::pair<NodeId, double>> mass,
                      int level = 2) {
       key.kind = serve::CachePayload::kBatchState;
@@ -506,14 +513,7 @@ class BadWarmRecordTest : public WarmStateTest,
           YBoundTable::FromSuffixRows(d, 0, std::move(suffix)));
     };
     switch (GetParam()) {
-      case BadRecord::kDescendingScoreDeltas:
-        walk({{1, 0.5}}, {{7, 0.125}, {3, 0.25}});
-        break;
-      case BadRecord::kEngineMassIdN:
-        walk({{1, 0.5}, {n, 0.5}}, {{3, 0.25}, {7, 0.125}});
-        break;
-      case BadRecord::kScoreDeltaIdN:
-        walk({{1, 0.5}}, {{3, 0.25}, {n, 0.125}});
+      case BadRecord::kRetiredScalarWalk:
         break;
       case BadRecord::kBatchMassIdN:
         batch({{1, 0.5}, {n, 0.5}});
@@ -532,13 +532,7 @@ class BadWarmRecordTest : public WarmStateTest,
       case BadRecord::kBatchLevelPastD:
         batch({{1, 0.5}}, kD + 1);
         break;
-      case BadRecord::kWalkLevelPastD:
-        walk({}, {{3, 0.25}}, kD + 1);
-        break;
     }
-    SnapshotFile file;
-    file.graph_fp = service.graph_fingerprint();
-    file.params_fp = cluster::ParamsFingerprint(params_, kD);
     file.sections.push_back(
         SnapshotSection{serve::SectionKindFor(key.kind),
                         serve::EncodeCacheRecord(key, *entry)});
@@ -569,12 +563,11 @@ TEST_P(BadWarmRecordTest, LoadIsRefusedAndServiceAnswersAsCold) {
 
 INSTANTIATE_TEST_SUITE_P(
     Records, BadWarmRecordTest,
-    ::testing::Values(BadRecord::kDescendingScoreDeltas,
-                      BadRecord::kEngineMassIdN, BadRecord::kScoreDeltaIdN,
-                      BadRecord::kBatchMassIdN, BadRecord::kYBoundOneRowShort,
+    ::testing::Values(BadRecord::kRetiredScalarWalk, BadRecord::kBatchMassIdN,
+                      BadRecord::kYBoundOneRowShort,
                       BadRecord::kYBoundShallowerThanKey,
                       BadRecord::kBatchLevelNegative,
-                      BadRecord::kBatchLevelPastD, BadRecord::kWalkLevelPastD),
+                      BadRecord::kBatchLevelPastD),
     BadRecordName);
 
 TEST_F(WarmStateTest, PersistMetricsTickOnSaveAndRestore) {

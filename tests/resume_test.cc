@@ -18,7 +18,6 @@
 #include "dht/backward_batch.h"
 #include "dht/forward.h"
 #include "dht/forward_batch.h"
-#include "dht/walker_state.h"
 #include "graph/reorder.h"
 #include "join2/b_idj.h"
 #include "join2/f_idj.h"
@@ -29,7 +28,6 @@ namespace {
 
 using testing::RandomGraph;
 using testing::Range;
-using testing::StarGraph;
 using testing::TwoCommunityGraph;
 
 std::vector<DhtParams> Semantics() {
@@ -182,76 +180,6 @@ TEST(ResumeTest, ForwardSaveRestoreResumesExactly) {
   for (int i = 1; i <= 9; ++i) {
     EXPECT_EQ(walker.HitProbability(i), reference.HitProbability(i));
   }
-}
-
-// ------------------------------------------------ walker state pool
-
-TEST(ResumeTest, WalkerStatePoolFindsPutAndEvictsLru) {
-  Graph g = StarGraph(16);
-  DhtParams p = DhtParams::Lambda(0.2);
-  BackwardWalker walker(g);
-
-  BackwardWalkerState proto;
-  walker.Reset(p, ExtNodeId(1));
-  walker.Advance(2);
-  walker.Save(&proto);
-  const std::size_t per_state = proto.ApproxBytes();
-
-  // Budget for about two states.
-  WalkerStatePool<BackwardWalkerState> pool(2 * per_state + per_state / 2);
-  pool.Put(10, proto);
-  pool.Put(11, proto);
-  EXPECT_EQ(pool.size(), 2u);
-  ASSERT_NE(pool.Find(10), nullptr);  // bump 10 to most-recent
-  pool.Put(12, proto);                // evicts 11, the LRU entry
-  EXPECT_EQ(pool.Find(11), nullptr);
-  EXPECT_NE(pool.Find(10), nullptr);
-  EXPECT_NE(pool.Find(12), nullptr);
-  pool.Erase(10);
-  EXPECT_EQ(pool.Find(10), nullptr);
-  EXPECT_EQ(pool.size(), 1u);
-
-  // A state larger than the whole budget is not retained.
-  WalkerStatePool<BackwardWalkerState> tiny(1);
-  tiny.Put(1, proto);
-  EXPECT_EQ(tiny.Find(1), nullptr);
-}
-
-TEST(ResumeTest, WalkerStatePoolRetuneGrowsOnThrashShrinksOnIdle) {
-  Graph g = StarGraph(16);
-  DhtParams p = DhtParams::Lambda(0.2);
-  BackwardWalker walker(g);
-  BackwardWalkerState proto;
-  walker.Reset(p, ExtNodeId(1));
-  walker.Advance(2);
-  walker.Save(&proto);
-  const std::size_t per_state = proto.ApproxBytes();
-
-  // THRASH: four keys cycling through a one-state budget — misses and
-  // evictions dominate, so the feedback autotuner doubles the budget.
-  WalkerStatePool<BackwardWalkerState> pool(per_state + per_state / 2);
-  for (uint64_t k = 0; k < 8; ++k) {
-    EXPECT_EQ(pool.Find(k % 4), nullptr);
-    pool.Put(k % 4, proto);
-  }
-  EXPECT_GT(pool.evictions(), 0);
-  const std::size_t before = pool.max_bytes();
-  EXPECT_EQ(pool.Retune(per_state, 100 * per_state), 2 * before);
-  EXPECT_EQ(pool.budget_grows(), 1);
-  // No new activity since: the budget holds steady.
-  EXPECT_EQ(pool.Retune(per_state, 100 * per_state), 2 * before);
-  EXPECT_EQ(pool.budget_grows(), 1);
-
-  // IDLE: all hits, no evictions, resident far below the budget — the
-  // autotuner halves it (never below `lo` or the resident bytes).
-  WalkerStatePool<BackwardWalkerState> idle(64 * per_state);
-  idle.Put(1, proto);
-  for (int i = 0; i < 8; ++i) EXPECT_NE(idle.Find(1), nullptr);
-  EXPECT_EQ(idle.Retune(per_state, 100 * per_state), 32 * per_state);
-  EXPECT_EQ(idle.budget_shrinks(), 1);
-  // Repeated idle periods keep shrinking, but never below `lo`.
-  for (int i = 0; i < 20; ++i) idle.Retune(4 * per_state, 100 * per_state);
-  EXPECT_EQ(idle.max_bytes(), 4 * per_state);
 }
 
 TEST(ResumeTest, BatchWorkspacePoolCapDiscardsIdleWorkspaces) {
@@ -746,10 +674,11 @@ TEST(ResumeTest, BackwardAdvanceManyMultiGroupMatchesSequentialBitwise) {
 }
 
 TEST(ResumeTest, NarrowLaneWidthIsBitIdenticalToDefault) {
-  // kLaneWidth = 4: half the workspace bytes per block, twice the
-  // blocks in flight, identical bits — lanes are independent columns
-  // and the union support only ever contributes exact zeros to lanes
-  // that don't own a node.
+  // kLaneWidth = 1 (PJ-i's single-target deepenings): identical bits —
+  // lanes are independent columns and the union support only ever
+  // contributes exact zeros to lanes that don't own a node. A state
+  // saved at one width resumes at the other: the saved mass is per
+  // lane, whatever block it was walked in.
   Graph g = RandomGraph(50, 170, 64, true, true);
   std::vector<ExtNodeId> targets = {
       ExtNodeId(3), ExtNodeId(9), ExtNodeId(14), ExtNodeId(20),
@@ -759,31 +688,56 @@ TEST(ResumeTest, NarrowLaneWidthIsBitIdenticalToDefault) {
   for (NodeId u = 0; u < 22; ++u) sources.push_back(ExtNodeId(u));
   std::vector<std::size_t> slots(targets.size());
   for (std::size_t i = 0; i < targets.size(); ++i) slots[i] = i;
+  auto advance = [&](auto& engine, const DhtParams& p, int l,
+                     BackwardBatchStates& states) {
+    std::vector<double> rows(targets.size() * sources.size());
+    engine.AdvanceChunked(p, l, targets, slots, sources, states,
+                          [&](std::size_t i, const double* row) {
+                            std::copy(row, row + sources.size(),
+                                      rows.data() + i * sources.size());
+                          });
+    return rows;
+  };
   for (const DhtParams& p : Semantics()) {
     BackwardWalkerBatchT<8> wide(g);
-    BackwardWalkerBatchT<4> narrow(g);
+    BackwardWalkerBatchT<1> narrow(g);
     EXPECT_EQ(wide.Run(p, 8, targets, sources),
               narrow.Run(p, 8, targets, sources))
         << "first_hit=" << p.first_hit;
 
-    // The resumable deepening path too, per level.
+    // The resumable deepening path too, per level, and across widths:
+    // `w_to_n` walks its odd levels wide and its even ones narrow,
+    // `n_to_w` the other way round.
     BackwardBatchStates ws(targets.size()), ns(targets.size());
-    std::vector<double> wrow(targets.size() * sources.size());
-    std::vector<double> nrow(wrow.size());
+    BackwardBatchStates w_to_n(targets.size()), n_to_w(targets.size());
+    int step = 0;
     for (int l : {1, 2, 4, 8}) {
-      wide.AdvanceChunked(p, l, targets, slots, sources, ws,
-                          [&](std::size_t i, const double* row) {
-                            std::copy(row, row + sources.size(),
-                                      wrow.data() + i * sources.size());
-                          });
-      narrow.AdvanceChunked(p, l, targets, slots, sources, ns,
-                            [&](std::size_t i, const double* row) {
-                              std::copy(row, row + sources.size(),
-                                        nrow.data() + i * sources.size());
-                            });
-      for (std::size_t i = 0; i < wrow.size(); ++i) {
-        EXPECT_EQ(nrow[i], wrow[i])
-            << "first_hit=" << p.first_hit << " l=" << l << " i=" << i;
+      const std::vector<double> want = wide.Run(p, l, targets, sources);
+      const std::vector<double> wrow = advance(wide, p, l, ws);
+      const std::vector<double> nrow = advance(narrow, p, l, ns);
+      const std::vector<double> wn = step % 2 == 0
+                                         ? advance(wide, p, l, w_to_n)
+                                         : advance(narrow, p, l, w_to_n);
+      const std::vector<double> nw = step % 2 == 0
+                                         ? advance(narrow, p, l, n_to_w)
+                                         : advance(wide, p, l, n_to_w);
+      ++step;
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        const std::string where = "first_hit=" + std::to_string(p.first_hit) +
+                                  " l=" + std::to_string(l) +
+                                  " i=" + std::to_string(i);
+        EXPECT_EQ(std::bit_cast<uint64_t>(wrow[i]),
+                  std::bit_cast<uint64_t>(want[i]))
+            << where;
+        EXPECT_EQ(std::bit_cast<uint64_t>(nrow[i]),
+                  std::bit_cast<uint64_t>(want[i]))
+            << where;
+        EXPECT_EQ(std::bit_cast<uint64_t>(wn[i]),
+                  std::bit_cast<uint64_t>(want[i]))
+            << where << " wide then narrow";
+        EXPECT_EQ(std::bit_cast<uint64_t>(nw[i]),
+                  std::bit_cast<uint64_t>(want[i]))
+            << where << " narrow then wide";
       }
     }
 

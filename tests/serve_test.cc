@@ -21,8 +21,8 @@
 
 #include "core/nl_join.h"
 #include "core/partial_join.h"
+#include "dht/batch_core.h"
 #include "dht/forward_batch.h"
-#include "dht/walker_state.h"
 #include "join2/b_idj.h"
 #include "join2/incremental.h"
 #include "rankjoin/aggregate.h"
@@ -173,17 +173,6 @@ TEST(ScoreCacheTest, ZeroBudgetHoldsNothing) {
   EXPECT_GT(cache.stats().evictions, 0);
 }
 
-TEST(ScoreCacheTest, PeekDoesNotTouchCounters) {
-  ScoreCache cache({.max_bytes = 1 << 16, .num_shards = 1});
-  CacheKey key = TableKey(5, {1}, {2});
-  cache.Put(key, MakeTable(4));
-  EXPECT_NE(cache.PeekAs<CachedTable>(key), nullptr);
-  EXPECT_EQ(cache.PeekAs<CachedTable>(TableKey(5, {9}, {2})), nullptr);
-  CacheStats stats = cache.stats();
-  EXPECT_EQ(stats.hits, 0);
-  EXPECT_EQ(stats.misses, 0);
-}
-
 // ------------------------------------------- warm/cold equivalence
 
 struct TwoWayFixture {
@@ -291,8 +280,8 @@ TEST(DhtJoinServiceTest, OverlappingQueriesShareTargetStates) {
 
 // The byte-identity tests above compare the service with BIdjJoin::Run,
 // which runs the same Algorithm-2 schedule (join2/b_idj.h). These two
-// compare it with the brute-force scalar-walker join, which shares none
-// of it: every answer must match it bit for bit, and every degraded
+// compare it with the brute-force plain-loop join, which shares none
+// of it nor of the walk engine: every answer must match it bit for bit, and every degraded
 // answer must bracket its exact scores within the reported eps_bound.
 struct OracleFixture {
   DhtParams p = DhtParams::Lambda(0.2);
@@ -505,9 +494,68 @@ TEST(DhtJoinServiceTest, PartialJoinIncrementalThroughSnapshotCache) {
   EXPECT_GT(warm.warm_targets, 0);
   EXPECT_EQ(warm.cold_targets, 0);
   EXPECT_EQ(warm.join.walks_started, 0);  // no target restarted
+  EXPECT_EQ(warm.join.state_misses, 0);
   EXPECT_TRUE(warm.ybound_cached);
   EXPECT_LT(warm.join.walk_steps, cold.join.walk_steps);
-  EXPECT_GT(warm.join.state_hits, 0);
+}
+
+TEST(DhtJoinServiceTest, TwoWayAndPjiEdgeOverSameSetsWarmEachOther) {
+  // A two-way query over (P, Q) and a PJ-i query edge over (P, Q) keep
+  // the same (target, P) batch states: whichever runs first leaves every
+  // target of Q warm for the other, which then walks less than it does
+  // cold and answers byte-identically to the cold library.
+  Graph g = RandomGraph(60, 220, 29, /*undirected=*/true, /*weighted=*/true);
+  DhtParams p = DhtParams::Lambda(0.2);
+  const int d = 8;
+  const std::size_t k = 10;
+  NodeSet P = Range("P", 0, 20);
+  NodeSet Q = Range("Q", 15, 50);
+  QueryGraph query;
+  query.AddNodeSet(P);
+  query.AddNodeSet(Q);
+  ASSERT_TRUE(query.AddEdge(0, 1).ok());
+  SumAggregate f;
+  const auto pji = DhtJoinService::NwayAlgo::kPartialJoinIncremental;
+
+  PartialJoin pji_join(PartialJoin::Options{.incremental = true});
+  auto pji_want = pji_join.Run(g, p, d, query, f, k);
+  ASSERT_TRUE(pji_want.ok());
+  BIdjJoin two_join;
+  auto two_want = two_join.Run(g, p, d, P, Q, k);
+  ASSERT_TRUE(two_want.ok());
+  serve::QueryStats pji_cold, two_cold;
+  {
+    DhtJoinService service(g, p, d, {.num_threads = 1});
+    ASSERT_TRUE(service.Nway(query, f, k, pji, &pji_cold).ok());
+  }
+  {
+    DhtJoinService service(g, p, d, {.num_threads = 1});
+    ASSERT_TRUE(service.TwoWay(P, Q, k, &two_cold).ok());
+  }
+  const auto targets = static_cast<int64_t>(Q.size());
+
+  {
+    DhtJoinService service(g, p, d, {.num_threads = 1});
+    ASSERT_TRUE(service.TwoWay(P, Q, k).ok());
+    serve::QueryStats qs;
+    auto got = service.Nway(query, f, k, pji, &qs);
+    ASSERT_TRUE(got.ok());
+    testing::ExpectSameTuples(*got, *pji_want, "PJ-i after two-way");
+    EXPECT_EQ(qs.warm_targets, targets);
+    EXPECT_EQ(qs.cold_targets, 0);
+    EXPECT_LT(qs.join.walk_steps, pji_cold.join.walk_steps);
+  }
+  {
+    DhtJoinService service(g, p, d, {.num_threads = 1});
+    ASSERT_TRUE(service.Nway(query, f, k, pji).ok());
+    serve::QueryStats qs;
+    auto got = service.TwoWay(P, Q, k, &qs);
+    ASSERT_TRUE(got.ok());
+    ExpectSamePairs(*got, *two_want, "two-way after PJ-i");
+    EXPECT_EQ(qs.warm_targets, targets);
+    EXPECT_EQ(qs.cold_targets, 0);
+    EXPECT_LT(qs.join.walk_steps, two_cold.join.walk_steps);
+  }
 }
 
 /// Exact equality of two n-way answers (nodes, edge scores, aggregate);
@@ -529,10 +577,10 @@ std::string TupleDiff(const std::vector<TupleAnswer>& want,
 
 TEST(DhtJoinServiceTest, PartialJoinIncrementalTieHeavyByteIdentity) {
   // PJ-i through the service must answer exactly as a cold library
-  // PartialJoin::Run — cold, warm, and after another query left walks at
-  // other levels and a two-way query left the shared Y-bound table —
-  // on graphs whose pair scores tie heavily (canonical emission order,
-  // DESIGN.md §2, §6).
+  // PartialJoin::Run — cold, warm, and after the same query at another
+  // k and a two-way query over its first edge left states at other
+  // levels and the shared Y-bound table — on graphs whose pair scores
+  // tie heavily (canonical emission order, DESIGN.md §2, §6).
   struct Case {
     std::string name;
     Graph g;
@@ -556,7 +604,6 @@ TEST(DhtJoinServiceTest, PartialJoinIncrementalTieHeavyByteIdentity) {
     std::vector<NodeSet> sets = {Range("A", 0, n / 2),
                                  Range("B", n / 4, n * 3 / 4),
                                  Range("C", n / 2, n)};
-    NodeSet wide = Range("W", 0, n);
     for (double lambda : {0.2, 0.6}) {
       DhtParams p = DhtParams::Lambda(lambda);
       // One service per measure; clearing its cache makes it cold again.
@@ -574,17 +621,6 @@ TEST(DhtJoinServiceTest, PartialJoinIncrementalTieHeavyByteIdentity) {
           ASSERT_TRUE(query.AddBidirectionalEdge(0, 1).ok());
           ASSERT_TRUE(query.AddBidirectionalEdge(1, 2).ok());
           ASSERT_TRUE(query.AddBidirectionalEdge(2, 0).ok());
-        }
-        // The pre-warming query: a wider P into every target set.
-        QueryGraph prewarm;
-        prewarm.AddNodeSet(wide);
-        std::vector<int> targets;
-        for (const JoinEdge& e : query.edges()) targets.push_back(e.right);
-        std::sort(targets.begin(), targets.end());
-        targets.erase(std::unique(targets.begin(), targets.end()),
-                      targets.end());
-        for (int t : targets) {
-          ASSERT_TRUE(prewarm.AddEdge(0, prewarm.AddNodeSet(sets[t])).ok());
         }
         const JoinEdge first = query.edges()[0];
         for (const Aggregate* f : {static_cast<const Aggregate*>(&min_f),
@@ -611,8 +647,10 @@ TEST(DhtJoinServiceTest, PartialJoinIncrementalTieHeavyByteIdentity) {
             service.cache().Clear();
             check("cold", service.Nway(query, *f, k));
             check("warm", service.Nway(query, *f, k));
+            // Pre-warm the same edges to other levels: the query at
+            // another k, then a two-way query over its first edge.
             service.cache().Clear();
-            ASSERT_TRUE(service.Nway(prewarm, *f, 7).ok());
+            ASSERT_TRUE(service.Nway(query, *f, 7).ok());
             ASSERT_TRUE(service
                             .TwoWay(query.set(first.left),
                                     query.set(first.right), k)

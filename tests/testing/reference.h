@@ -5,10 +5,11 @@
 /// RefFirstHitProb enumerates every walk explicitly (exponential in d;
 /// only for tiny graphs) — a genuinely independent check of both the
 /// forward and backward propagation engines. RefVisitSweep is the Y
-/// bound's S_i(P, q) sweep as plain loops. RefTwoWayJoin and
-/// RefNwayJoin are brute-force joins built on top of it / of the
-/// (separately validated) walkers. ExpectSamePairs and ExpectSameTuples
-/// compare answers byte for byte.
+/// bound's S_i(P, q) sweep and RefBackwardSweep the backward first-hit
+/// walk, both as plain loops over the out-edge lists. RefTwoWayJoin and
+/// RefNwayJoin are brute-force joins on RefBackwardSweep, so they share
+/// no code with the engines they judge. ExpectSamePairs and
+/// ExpectSameTuples compare answers byte for byte.
 
 #ifndef DHTJOIN_TESTS_TESTING_REFERENCE_H_
 #define DHTJOIN_TESTS_TESTING_REFERENCE_H_
@@ -21,9 +22,9 @@
 #include <limits>
 #include <string>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
-#include "dht/backward.h"
 #include "dht/params.h"
 #include "graph/graph.h"
 #include "graph/graph_builder.h"
@@ -100,21 +101,62 @@ inline std::vector<std::vector<double>> RefVisitSweep(const Graph& g,
   return out;
 }
 
-/// Brute-force 2-way join via the backward walker (validated separately
+/// The backward first-hit walk from `q` as plain loops: h_d(u, q) for
+/// every node u, indexed by EXTERNAL id (u == q holds the meaningless
+/// return score). Each step takes the frontier nodes v in ascending
+/// external id and adds p_uv * cur[v] to next[u] for every edge u -> v,
+/// so each next[u] adds its terms in the canonical order the engines
+/// promise (DESIGN.md §3). Then alpha * lambda^i * next[u] goes onto
+/// u's delta, the mass that reached q is absorbed, and beta joins last,
+/// as the engines add it — an engine that keeps its promise matches
+/// bit for bit.
+inline std::vector<double> RefBackwardSweep(const Graph& g,
+                                            const DhtParams& params, int d,
+                                            ExtNodeId q) {
+  const auto n = static_cast<std::size_t>(g.num_nodes());
+  // in[v]: every (u, p_uv) with an edge u -> v.
+  std::vector<std::vector<std::pair<std::size_t, double>>> in(n);
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    for (const OutEdge& e : g.OutEdges(g.ToInternal(ExtNodeId(u)))) {
+      const NodeId v = g.ToExternal(IntNodeId(e.to)).value();
+      in[static_cast<std::size_t>(v)].emplace_back(
+          static_cast<std::size_t>(u), e.prob);
+    }
+  }
+  const auto target = static_cast<std::size_t>(q.value());
+  std::vector<double> cur(n, 0.0);
+  std::vector<double> delta(n, 0.0);
+  cur[target] = 1.0;
+  double lambda_pow = 1.0;
+  for (int i = 1; i <= d; ++i) {
+    std::vector<double> next(n, 0.0);
+    for (std::size_t v = 0; v < n; ++v) {
+      if (cur[v] == 0.0) continue;
+      for (const auto& [u, p_uv] : in[v]) next[u] += p_uv * cur[v];
+    }
+    lambda_pow *= params.lambda;
+    const double coeff = params.alpha * lambda_pow;
+    for (std::size_t u = 0; u < n; ++u) delta[u] += coeff * next[u];
+    if (params.first_hit) next[target] = 0.0;
+    cur = std::move(next);
+  }
+  for (double& cell : delta) cell = params.beta + cell;
+  return delta;
+}
+
+/// Brute-force 2-way join on RefBackwardSweep (checked separately
 /// against RefHd). Returns all valid pairs sorted, truncated to k.
 inline std::vector<ScoredPair> RefTwoWayJoin(const Graph& g,
                                              const DhtParams& params, int d,
                                              const NodeSet& P,
                                              const NodeSet& Q,
                                              std::size_t k) {
-  BackwardWalker walker(g);
   std::vector<ScoredPair> out;
   for (ExtNodeId q : Q) {
-    walker.Reset(params, q);
-    walker.Advance(d);
+    const std::vector<double> h = RefBackwardSweep(g, params, d, q);
     for (ExtNodeId p : P) {
       if (p == q) continue;
-      double s = walker.Score(p);
+      const double s = h[static_cast<std::size_t>(p.value())];
       if (s > params.beta) {
         out.push_back(ScoredPair{p.value(), q.value(), s});
       }
@@ -125,9 +167,9 @@ inline std::vector<ScoredPair> RefTwoWayJoin(const Graph& g,
   return out;
 }
 
-/// Brute-force n-way join: all pair scores via the backward walker, full
+/// Brute-force n-way join: all pair scores via RefTwoWayJoin, full
 /// tuple enumeration, validity filtering, top-k by f. Independent of the
-/// PBRJ machinery.
+/// walk engines and of the PBRJ machinery.
 inline std::vector<TupleAnswer> RefNwayJoin(
     const Graph& g, const DhtParams& params, int d,
     const std::vector<NodeSet>& sets, const std::vector<JoinEdge>& edges,

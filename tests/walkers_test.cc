@@ -1,22 +1,31 @@
 /// \file tests/walkers_test.cc
 /// \brief Forward and backward first-hit walkers vs the path-enumeration
-/// oracle, plus the analytic invariants of h_d.
+/// oracle, plus the analytic invariants of h_d, and the plain-loop
+/// reference sweep behind the brute-force joins vs both.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include "dht/backward.h"
+#include "dht/backward_batch.h"
 #include "dht/forward.h"
 #include "testing/reference.h"
 
 namespace dhtjoin {
 namespace {
 
+using testing::AllLayouts;
+using testing::ClusteredGraph;
 using testing::CompleteGraph;
 using testing::CycleGraph;
 using testing::PathGraph;
 using testing::RandomGraph;
+using testing::RefBackwardSweep;
 using testing::RefFirstHitProb;
 using testing::RefHd;
 using testing::StarGraph;
@@ -266,6 +275,92 @@ TEST(WalkerInvariants, WeightsChangeScores) {
   ForwardWalker we(even), ws(skew);
   EXPECT_LT(we.Compute(p, 4, ExtNodeId(0), ExtNodeId(1)),
             ws.Compute(p, 4, ExtNodeId(0), ExtNodeId(1)));
+}
+
+// ----------------------------------------- the reference backward sweep
+
+TEST(RefBackwardSweepTest, MatchesPathEnumerationOracle) {
+  // The brute-force joins' sweep against the walk enumeration, which
+  // shares nothing with it.
+  std::vector<Graph> graphs;
+  graphs.push_back(TwoCommunityGraph());
+  graphs.push_back(PathGraph(5));
+  graphs.push_back(CycleGraph(6));
+  graphs.push_back(RandomGraph(8, 16, 71, /*undirected=*/false,
+                               /*weighted=*/true));
+  const int d = 6;
+  for (const Graph& g : graphs) {
+    for (const DhtParams& p : {DhtParams::Lambda(0.3), DhtParams::Exponential()}) {
+      for (NodeId v = 0; v < g.num_nodes(); v += 2) {
+        const std::vector<double> h = RefBackwardSweep(g, p, d, ExtNodeId(v));
+        for (NodeId u = 0; u < g.num_nodes(); ++u) {
+          if (u == v) continue;
+          EXPECT_NEAR(h[static_cast<std::size_t>(u)], RefHd(g, p, d, u, v),
+                      1e-12)
+              << "n=" << g.num_nodes() << " u=" << u << " v=" << v;
+        }
+      }
+    }
+  }
+}
+
+TEST(RefBackwardSweepTest, MatchesBatchEngineBitwiseInEveryLayout) {
+  // Every row the batch engine produces — from scratch and resumed level
+  // by level, at W = 8 and W = 1 — equals the plain-loop sweep bit for
+  // bit, in every layout and under both semantics. Four clusters make
+  // the engine's dense steps restricted sweeps; its pushes sort their
+  // frontier first.
+  const Graph base = ClusteredGraph(4, 40, 120, 35);
+  std::vector<ExtNodeId> targets;
+  for (NodeId u = 1; u < base.num_nodes(); u += 9) targets.push_back(ExtNodeId(u));
+  std::vector<ExtNodeId> sources;
+  for (NodeId u = 0; u < base.num_nodes(); ++u) sources.push_back(ExtNodeId(u));
+  std::vector<std::size_t> slots(targets.size());
+  for (std::size_t i = 0; i < slots.size(); ++i) slots[i] = i;
+  int layout = 0;
+  for (const Graph& g : AllLayouts(base)) {
+    for (const DhtParams& p :
+         {DhtParams::Lambda(0.3), DhtParams::Lambda(0.8),
+          DhtParams::Exponential(), DhtParams::PersonalizedPageRank(0.7)}) {
+      BackwardWalkerBatch wide(g, {.num_threads = 1});
+      BackwardWalkerBatchT<1> narrow(g, {.num_threads = 1});
+      BackwardBatchStates wide_states(targets.size());
+      BackwardBatchStates narrow_states(targets.size());
+      for (int d : {1, 2, 4, 8}) {
+        const std::vector<double> scratch = wide.Run(p, d, targets, sources);
+        std::vector<double> resumed(scratch.size());
+        std::vector<double> resumed1(scratch.size());
+        auto into = [&](std::vector<double>& out) {
+          return [&out, &sources](std::size_t i, const double* row) {
+            std::copy(row, row + sources.size(),
+                      out.data() + i * sources.size());
+          };
+        };
+        wide.AdvanceChunked(p, d, targets, slots, sources, wide_states,
+                            into(resumed));
+        narrow.AdvanceChunked(p, d, targets, slots, sources, narrow_states,
+                              into(resumed1));
+        for (std::size_t t = 0; t < targets.size(); ++t) {
+          const std::vector<double> want = RefBackwardSweep(g, p, d, targets[t]);
+          for (std::size_t s = 0; s < sources.size(); ++s) {
+            const uint64_t bits = std::bit_cast<uint64_t>(
+                want[static_cast<std::size_t>(sources[s].value())]);
+            const std::size_t cell = t * sources.size() + s;
+            const std::string where =
+                "layout " + std::to_string(layout) + " first_hit=" +
+                std::to_string(p.first_hit) + " lambda=" +
+                std::to_string(p.lambda) + " d=" + std::to_string(d) +
+                " q=" + std::to_string(targets[t].value()) +
+                " u=" + std::to_string(sources[s].value());
+            ASSERT_EQ(std::bit_cast<uint64_t>(scratch[cell]), bits) << where;
+            ASSERT_EQ(std::bit_cast<uint64_t>(resumed[cell]), bits) << where;
+            ASSERT_EQ(std::bit_cast<uint64_t>(resumed1[cell]), bits) << where;
+          }
+        }
+      }
+    }
+    ++layout;
+  }
 }
 
 }  // namespace
