@@ -102,14 +102,16 @@ namespace dhtjoin {
 struct BackwardBatchSnapshot {
   int level = 0;
   double lambda_pow = 1.0;
-  /// Nonzero masses in the saved block's support order: the last
-  /// step's emission order (a push's first-touch order or a gather's
-  /// row order), not sorted. A resumed block's first push sorts. Empty
-  /// in two cases: a walk whose mass died (no edge enters the target's
-  /// ball), which resumes exactly from nothing, and a state saved
-  /// row-only at the truncation depth d (SaveStates::kRowOnly), which
-  /// is only ever scored from `row`, never advanced.
-  std::vector<std::pair<NodeId, double>> mass;
+  /// Nonzero masses as two exact-sized parallel arrays (node ids and
+  /// masses, batch_core::SparseMass), in the saved block's support
+  /// order: the last step's emission order (a push's first-touch order
+  /// or a gather's row order), not sorted. A resumed block's first push
+  /// sorts. Empty in two cases: a walk whose mass died (no edge enters
+  /// the target's ball), which resumes exactly from nothing, and a
+  /// state saved row-only at the truncation depth d
+  /// (SaveStates::kRowOnly), which is only ever scored from `row`,
+  /// never advanced.
+  batch_core::SparseMass mass;
   /// Score DELTAS over the pinned sources: h_level(p, q) - beta per
   /// source p. Kept beta-exclusive so a resumed row continues the exact
   /// floating-point sum a from-scratch walk accumulates — the engine
@@ -118,7 +120,7 @@ struct BackwardBatchSnapshot {
   std::vector<double> row;
 
   std::size_t ApproxBytes() const {
-    return sizeof(*this) + mass.capacity() * sizeof(mass[0]) +
+    return sizeof(*this) + mass.ApproxBytes() +
            row.capacity() * sizeof(double);
   }
 };
@@ -141,7 +143,7 @@ class BackwardBatchStates : public batch_core::BatchStateBudget {
   static constexpr std::size_t kDefaultMaxBytes = std::size_t{256} << 20;
 
   /// Walked depth of `slot`; 0 means no saved state (fresh or evicted).
-  int level(std::size_t slot) const { return slots_[slot].level; }
+  int level(std::size_t slot) const { return slots_[slot].snap.level; }
 
   /// Drops the saved state of `slot` (e.g. a pruned target).
   void Drop(std::size_t slot) {
@@ -155,20 +157,16 @@ class BackwardBatchStates : public batch_core::BatchStateBudget {
   /// semantics — add beta to read scores). Empty when the slot holds no
   /// state. Valid until the slot is next advanced, dropped, or taken.
   std::span<const double> Row(std::size_t slot) const {
-    return slots_[slot].row;
+    return slots_[slot].snap.row;
   }
 
   /// Moves the state of `slot` out into `out`, clearing the slot.
   /// Returns false (leaving `out` untouched) when the slot is empty.
   bool Take(std::size_t slot, BackwardBatchSnapshot* out) {
     Slot& s = slots_[slot];
-    if (s.level == 0) return false;
-    out->level = s.level;
-    out->lambda_pow = s.lambda_pow;
-    out->mass = std::move(s.mass);
-    out->row = std::move(s.row);
-    bytes_.fetch_sub(s.bytes, std::memory_order_relaxed);
-    s = Slot{};
+    if (s.snap.level == 0) return false;
+    *out = std::move(s.snap);
+    Drop(slot);
     return true;
   }
 
@@ -179,30 +177,21 @@ class BackwardBatchStates : public batch_core::BatchStateBudget {
   bool Import(std::size_t slot, const BackwardBatchSnapshot& snap) {
     Drop(slot);
     if (snap.level == 0) return false;
-    Slot cand;
-    cand.level = snap.level;
-    cand.lambda_pow = snap.lambda_pow;
-    cand.mass = snap.mass;
-    cand.row = snap.row;
-    cand.bytes = cand.ApproxBytes();
-    return TryCommit(slots_[slot], std::move(cand));
+    return TryCommit(slots_[slot], Slot(snap));
   }
 
  private:
   template <int>
   friend class BackwardWalkerBatchT;
 
+  /// A saved state and the bytes it bills: what its snapshot bills.
   struct Slot {
-    int level = 0;
-    double lambda_pow = 1.0;
-    std::vector<std::pair<NodeId, double>> mass;  // as in the snapshot
-    std::vector<double> row;  // score row over the pinned source set
-    std::size_t bytes = 0;
+    Slot() = default;
+    explicit Slot(BackwardBatchSnapshot s)
+        : snap(std::move(s)), bytes(snap.ApproxBytes()) {}
 
-    std::size_t ApproxBytes() const {
-      return sizeof(*this) + mass.capacity() * sizeof(mass[0]) +
-             row.capacity() * sizeof(double);
-    }
+    BackwardBatchSnapshot snap;
+    std::size_t bytes = 0;
   };
 
   std::vector<Slot> slots_;
@@ -463,22 +452,22 @@ class BackwardWalkerBatchT {
       BackwardBatchStates& states = *grp.states;
       const std::size_t num_sources = grp.sources.size();
       for (std::size_t i = 0; i < grp.targets.size(); ++i) {
-        const BackwardBatchStates::Slot& slot = states.slots_[grp.slots[i]];
-        DHTJOIN_CHECK_LE(slot.level, grp.to_level);
+        const BackwardBatchSnapshot& saved = states.slots_[grp.slots[i]].snap;
+        DHTJOIN_CHECK_LE(saved.level, grp.to_level);
         double* row = grp.out + i * num_sources;
-        if (slot.level == 0) {
+        if (saved.level == 0) {
           std::fill(row, row + num_sources, 0.0);
           ++fresh;
           states.misses_.fetch_add(1, std::memory_order_relaxed);
         } else {
-          DHTJOIN_CHECK_EQ(slot.row.size(), num_sources);
-          std::copy(slot.row.begin(), slot.row.end(), row);
+          DHTJOIN_CHECK_EQ(saved.row.size(), num_sources);
+          std::copy(saved.row.begin(), saved.row.end(), row);
           states.hits_.fetch_add(1, std::memory_order_relaxed);
         }
       }
       batch_core::AppendLevelBlocks(
           gi, grp.targets.size(), grp.to_level, W,
-          [&](std::size_t i) { return states.slots_[grp.slots[i]].level; },
+          [&](std::size_t i) { return states.level(grp.slots[i]); },
           blocks);
     }
 
@@ -655,8 +644,9 @@ class BackwardWalkerBatchT {
     }
     batch_core::LoadLaneMass<W>(
         st, from_level, lane_target, width,
-        [&](int b) -> const std::vector<std::pair<NodeId, double>>& {
-          return states.slots_[lane_slots[static_cast<std::size_t>(b)]].mass;
+        [&](int b) -> const batch_core::SparseMass& {
+          return states.slots_[lane_slots[static_cast<std::size_t>(b)]]
+              .snap.mass;
         });
     st.plan = options_.restrict_dense
                   ? g_.PlanDenseSweep({lane_target,
@@ -667,7 +657,7 @@ class BackwardWalkerBatchT {
     // level (and thus bit-equal saved lambda^level values), so lane 0
     // speaks for the block; fresh blocks start at lambda^0.
     double lambda_pow =
-        from_level == 0 ? 1.0 : states.slots_[lane_slots[0]].lambda_pow;
+        from_level == 0 ? 1.0 : states.slots_[lane_slots[0]].snap.lambda_pow;
 
     for (int step = from_level; step < to_level; ++step) {
       Step(st, width);
@@ -693,17 +683,15 @@ class BackwardWalkerBatchT {
     // final advance skips the snapshots entirely (kNone) or keeps only
     // their rows (kRowOnly).
     for (int b = 0; save_states != SaveStates::kNone && b < width; ++b) {
-      BackwardBatchStates::Slot& slot =
-          states.slots_[lane_slots[static_cast<std::size_t>(b)]];
-      BackwardBatchStates::Slot cand;
-      cand.level = to_level;
-      cand.lambda_pow = lambda_pow;
+      BackwardBatchSnapshot snap;
+      snap.level = to_level;
+      snap.lambda_pow = lambda_pow;
       if (save_states == SaveStates::kResumable) {
-        batch_core::CollectLaneMass(st, b, cand.mass);
+        snap.mass = batch_core::CollectLaneMass(st, b);
       }
-      cand.row.assign(rows[b], rows[b] + num_sources);
-      cand.bytes = cand.ApproxBytes();
-      states.TryCommit(slot, std::move(cand));
+      snap.row.assign(rows[b], rows[b] + num_sources);
+      states.TryCommit(states.slots_[lane_slots[static_cast<std::size_t>(b)]],
+                       BackwardBatchStates::Slot(std::move(snap)));
     }
 
     st.RestoreZeroInvariant();

@@ -62,14 +62,16 @@ namespace dhtjoin {
 
 /// Autotuned walk-state byte budget for a graph of `num_nodes` nodes.
 ///
-/// A saved sparse walk state costs up to ~24 bytes per touched node (a
-/// (node, mass) pair plus its share of the score row), and a walk can
-/// touch every node, so `num_nodes * 24` bounds one saturated snapshot.
-/// The budget leaves room for kAutotuneSnapshotHeadroom of those —
-/// enough for the IDJ schedules' live sets and a serving cache's working
-/// set — clamped so toy graphs still keep a useful pool and huge graphs
-/// do not silently claim the whole machine. Callers treat a configured
-/// budget of 0 as "autotune"; an explicit nonzero budget wins as before.
+/// A saved sparse walk state costs 12 bytes per mass entry (a 4-byte
+/// node id and an 8-byte mass, SparseMass) plus 8 bytes per score-row
+/// cell. A walk can touch every node and a row can cover every source,
+/// so `num_nodes * 24` bounds one saturated snapshot (at most 20 bytes
+/// per node). The budget leaves room for kAutotuneSnapshotHeadroom of
+/// those — enough for the IDJ schedules' live sets and a serving
+/// cache's working set — clamped so toy graphs still keep a useful pool
+/// and huge graphs do not silently claim the whole machine. Callers
+/// treat a configured budget of 0 as "autotune"; an explicit nonzero
+/// budget wins as before.
 inline constexpr std::size_t kAutotuneBytesPerNodeSnapshot = 24;
 inline constexpr std::size_t kAutotuneSnapshotHeadroom = 256;
 
@@ -85,6 +87,26 @@ inline std::size_t AutotuneStateBudgetBytes(int64_t num_nodes) {
 }
 
 namespace batch_core {
+
+/// A saved walk's nonzero masses, as two parallel arrays: node ids
+/// (INTERNAL) and their masses, in the order CollectLaneMass emitted
+/// them. 12 bytes per entry, where a (node, mass) pair vector pays 16
+/// for its padding; CollectLaneMass sizes both arrays exactly, so a
+/// byte budget that bills capacity bills what the state holds.
+struct SparseMass {
+  std::vector<NodeId> nodes;
+  std::vector<double> values;  // parallel to nodes
+
+  std::size_t size() const { return nodes.size(); }
+  bool empty() const { return nodes.empty(); }
+
+  /// Heap bytes of both arrays, by capacity; the enclosing state's
+  /// sizeof covers the array headers.
+  std::size_t ApproxBytes() const {
+    return nodes.capacity() * sizeof(NodeId) +
+           values.capacity() * sizeof(double);
+  }
+};
 
 /// Workspace for one in-flight lane block. All arrays obey the
 /// propagate.h zero-invariant (exactly 0.0 / false outside the support
@@ -472,14 +494,16 @@ void LoadLaneMass(BlockWorkspace<W>& st, int from_level, const NodeId* seeds,
       }
       slot = 1.0;
     } else {
-      for (const auto& [v, m] : saved_mass(b)) {
+      const SparseMass& saved = saved_mass(b);
+      for (std::size_t i = 0; i < saved.size(); ++i) {
+        const NodeId v = saved.nodes[i];
         double& slot = st.mass[static_cast<std::size_t>(v) * W +
                                static_cast<std::size_t>(b)];
         if (slot == 0.0 && st.in_next[static_cast<std::size_t>(v)] == 0) {
           st.in_next[static_cast<std::size_t>(v)] = 1;
           st.support.push_back(v);
         }
-        slot = m;
+        slot = saved.values[i];
       }
     }
   }
@@ -487,17 +511,29 @@ void LoadLaneMass(BlockWorkspace<W>& st, int from_level, const NodeId* seeds,
   st.support_canonical = false;
 }
 
-/// Extracts lane b's nonzero masses into a snapshot's sparse mass
-/// list, in support order: a push's emission order, or a gather's row
-/// order (LoadLaneMass does not rely on either).
+/// Returns lane b's nonzero masses, in support order: a push's
+/// emission order, or a gather's row order (LoadLaneMass does not rely
+/// on either). Counts them first, so both arrays hold exactly that many
+/// entries and a state bills no growth slack.
 template <int W>
-void CollectLaneMass(const BlockWorkspace<W>& st, int b,
-                     std::vector<std::pair<NodeId, double>>& out) {
+SparseMass CollectLaneMass(const BlockWorkspace<W>& st, int b) {
+  auto lane = [&](NodeId v) {
+    return st.mass[static_cast<std::size_t>(v) * W +
+                   static_cast<std::size_t>(b)];
+  };
+  std::size_t count = 0;
+  for (NodeId v : st.support) count += lane(v) != 0.0 ? 1 : 0;
+  SparseMass out;
+  out.nodes.reserve(count);
+  out.values.reserve(count);
   for (NodeId v : st.support) {
-    double m = st.mass[static_cast<std::size_t>(v) * W +
-                       static_cast<std::size_t>(b)];
-    if (m != 0.0) out.emplace_back(v, m);
+    const double m = lane(v);
+    if (m != 0.0) {
+      out.nodes.push_back(v);
+      out.values.push_back(m);
+    }
   }
+  return out;
 }
 
 // ------------------------------------------- fused block enumeration

@@ -119,6 +119,13 @@ class ForwardBatchStates : public batch_core::BatchStateBudget {
   /// Number of pairs currently holding a saved state.
   std::size_t size() const { return slots_.size(); }
 
+  /// Saved mass of `slot` (INTERNAL ids); nullptr when the slot holds
+  /// no state.
+  const batch_core::SparseMass* mass(std::size_t slot) const {
+    const Slot* s = FindSlot(slot);
+    return s == nullptr || s->level == 0 ? nullptr : &s->mass;
+  }
+
  private:
   template <int>
   friend class ForwardWalkerBatchT;
@@ -129,14 +136,11 @@ class ForwardBatchStates : public batch_core::BatchStateBudget {
     double score = 0.0;  // h_level(p, q); meaningless while level == 0
     // Nonzero, in the saved block's support order (the last push's
     // emission order, not sorted); a resumed block's first push sorts.
-    std::vector<std::pair<NodeId, double>> mass;
+    batch_core::SparseMass mass;
     std::size_t bytes = 0;
 
-    /// Includes the hash-map node the slot occupies, so the byte budget
-    /// reflects the sparse container's real footprint.
     std::size_t ApproxBytes() const {
-      return sizeof(*this) + kMapEntryOverheadBytes +
-             mass.capacity() * sizeof(mass[0]);
+      return kStateOverheadBytes + mass.ApproxBytes();
     }
   };
 
@@ -154,6 +158,13 @@ class ForwardBatchStates : public batch_core::BatchStateBudget {
   }
 
   std::unordered_map<std::size_t, Slot> slots_;
+
+ public:
+  /// What one saved state bills besides its mass: the slot and the
+  /// hash-map node it occupies, so the byte budget reflects the sparse
+  /// container's real footprint.
+  static constexpr std::size_t kStateOverheadBytes =
+      sizeof(Slot) + kMapEntryOverheadBytes;
 };
 
 /// One target's share of a fused forward round (AdvanceMany): advance
@@ -567,7 +578,7 @@ class ForwardWalkerBatchT {
     // components, so the plan from the lane sources covers both).
     batch_core::LoadLaneMass<W>(
         st, from_level, lane_source, width,
-        [&](int b) -> const std::vector<std::pair<NodeId, double>>& {
+        [&](int b) -> const batch_core::SparseMass& {
           return states.FindSlot(lane_slot[b])->mass;
         });
     st.plan = options_.restrict_dense
@@ -607,7 +618,7 @@ class ForwardWalkerBatchT {
       cand.level = to_level;
       cand.lambda_pow = lambda_pow;
       cand.score = *lane_out[b];
-      batch_core::CollectLaneMass(st, b, cand.mass);
+      cand.mass = batch_core::CollectLaneMass(st, b);
       cand.bytes = cand.ApproxBytes();
       states.TryCommit(slot, std::move(cand));
     }

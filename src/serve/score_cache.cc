@@ -132,6 +132,14 @@ void ScoreCache::PutIf(
     const std::function<bool(const CacheEntry&)>& keep_existing) {
   if (entry == nullptr) return;
   const std::size_t bytes = entry->ApproxBytes();
+  // An entry over the shard's slice could only be held by evicting every
+  // other entry, and then itself: refuse it before touching the shard.
+  // A resident entry under `key` stays; every resident state is
+  // bit-safe (DESIGN.md §6). The refusal counts as the entry's eviction.
+  if (bytes > shard_budget_) {
+    evictions_.fetch_add(1, std::memory_order_relaxed);
+    return;
+  }
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.index.find(key);

@@ -106,11 +106,14 @@ class CacheEntry {
 
 /// Batched backward walk state of one (target, pinned source set) pair:
 /// the unit of warmth of the two-way executor and of PJ-i's query edges.
+/// Bills the entry header, 12 bytes per mass entry and 8 per row cell
+/// (BackwardBatchSnapshot::ApproxBytes over exact-sized arrays).
 struct CachedBatchState final : CacheEntry {
   explicit CachedBatchState(BackwardBatchSnapshot s) : snap(std::move(s)) {}
   BackwardBatchSnapshot snap;
   std::size_t ApproxBytes() const override {
-    return sizeof(*this) + snap.ApproxBytes();
+    // snap.ApproxBytes() counts sizeof(snap) once already.
+    return sizeof(*this) - sizeof(snap) + snap.ApproxBytes();
   }
   int WalkLevel() const override { return snap.level; }
 };
@@ -161,7 +164,7 @@ struct CacheStats {
 /// Each shard owns an independent mutex, LRU list, and an equal slice
 /// of the byte budget, so concurrent query sessions contend only when
 /// they hash to the same shard. A budget of 0 disables retention
-/// entirely (every Put is immediately evicted) — the "cold" serving
+/// entirely (every Put is refused as an eviction) — the "cold" serving
 /// configuration used by benchmarks and the budget-0 equivalence tests.
 class ScoreCache {
  public:

@@ -36,12 +36,12 @@ void WriteKeyCommon(ByteWriter& w, const CacheKey& key) {
   WriteNodeList(w, key.set_b);
 }
 
-void WriteMass(ByteWriter& w,
-               const std::vector<std::pair<NodeId, double>>& mass) {
+/// One (I64 node, F64 bits) entry per mass entry, in saved order.
+void WriteMass(ByteWriter& w, const batch_core::SparseMass& mass) {
   w.U64(mass.size());
-  for (const auto& [node, value] : mass) {
-    w.I64(node);
-    w.F64Bits(value);
+  for (std::size_t i = 0; i < mass.size(); ++i) {
+    w.I64(mass.nodes[i]);
+    w.F64Bits(mass.values[i]);
   }
 }
 
@@ -84,14 +84,15 @@ Status ReadNodeList(ByteReader& r,
 /// vectors with these ids unchecked (batch_core::LoadLaneMass), so an
 /// id outside [0, num_nodes) is refused here.
 Status ReadMass(ByteReader& r, NodeId num_nodes,
-                std::vector<std::pair<NodeId, double>>* out) {
+                batch_core::SparseMass* out) {
   const uint64_t count = r.U64();
   if (!r.ok() ||
       !PlausibleCount(r, count, sizeof(int64_t) + sizeof(double))) {
     return Status::InvalidArgument("warm record corrupt: mass count");
   }
-  out->clear();
-  out->reserve(static_cast<std::size_t>(count));
+  *out = batch_core::SparseMass{};
+  out->nodes.reserve(static_cast<std::size_t>(count));
+  out->values.reserve(static_cast<std::size_t>(count));
   for (uint64_t i = 0; i < count; ++i) {
     const int64_t node = r.I64();
     const double value = r.F64Bits();
@@ -100,7 +101,8 @@ Status ReadMass(ByteReader& r, NodeId num_nodes,
                                      std::to_string(node) + " outside [0, " +
                                      std::to_string(num_nodes) + ")");
     }
-    out->emplace_back(static_cast<NodeId>(node), value);
+    out->nodes.push_back(static_cast<NodeId>(node));
+    out->values.push_back(value);
   }
   return r.status();
 }

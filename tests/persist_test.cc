@@ -427,6 +427,53 @@ TEST_F(WarmStateTest, GarbageSectionPayloadsAreRejectedByRecordDecode) {
   std::remove(path.c_str());
 }
 
+TEST(WarmRecordTest, BatchStateRecordBytesArePinned) {
+  // A checkpoint stores a batch state's mass as one (I64 node, F64 bits)
+  // entry per mass entry, in saved order, whatever layout the engine
+  // keeps in memory. These bytes were computed with the (node, mass)
+  // pair layout the packed arrays replaced: a change would make every
+  // existing checkpoint load cold.
+  serve::CacheKey key;
+  key.kind = serve::CachePayload::kBatchState;
+  key.seed = ExtNodeId(7);
+  key.set_a = std::make_shared<const std::vector<ExtNodeId>>(
+      std::vector<ExtNodeId>{ExtNodeId(2), ExtNodeId(3)});
+  key.digest_a = serve::DigestNodes(*key.set_a);
+  BackwardBatchSnapshot snap;
+  snap.level = 2;
+  snap.lambda_pow = 0.04;
+  snap.mass = {{9, 1, 4}, {0.5, 0.25, -0.125}};
+  snap.row = {0.0625, -0.75};
+  const std::vector<uint8_t> bytes =
+      serve::EncodeCacheRecord(key, serve::CachedBatchState(snap));
+  std::string hex;
+  for (uint8_t b : bytes) {
+    char digits[3];
+    std::snprintf(digits, sizeof(digits), "%02x", b);
+    hex += digits;
+  }
+  EXPECT_EQ(hex,
+            "0000000000000000070000000000000001020000000000000002000000000000"
+            "0003000000000000000002000000000000007b14ae47e17aa43f030000000000"
+            "00000900000000000000000000000000e03f0100000000000000000000000000"
+            "d03f0400000000000000000000000000c0bf0200000000000000000000000000"
+            "b03f000000000000e8bf");
+
+  // The pinned bytes decode to the same state, mass in saved order.
+  Result<serve::DecodedCacheRecord> decoded = serve::DecodeCacheRecord(
+      serve::SectionKindFor(key.kind), bytes, key.graph_fp, key.params,
+      /*num_nodes=*/10, /*d=*/8);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_TRUE(decoded->key == key);
+  const BackwardBatchSnapshot& got =
+      static_cast<const serve::CachedBatchState&>(*decoded->entry).snap;
+  EXPECT_EQ(got.level, snap.level);
+  EXPECT_EQ(got.lambda_pow, snap.lambda_pow);
+  EXPECT_EQ(got.mass.nodes, snap.mass.nodes);
+  EXPECT_EQ(got.mass.values, snap.mass.values);
+  EXPECT_EQ(got.row, snap.row);
+}
+
 /// Records with valid section checksums, encoded exactly as
 /// SaveWarmState encodes them and keyed as the service keys them, whose
 /// contents the engine would index out of bounds or walk from a level
@@ -490,8 +537,7 @@ class BadWarmRecordTest : public WarmStateTest,
     serve::CacheKey key;
     key.params = params_;
     std::shared_ptr<const serve::CacheEntry> entry;
-    auto batch = [&](std::vector<std::pair<NodeId, double>> mass,
-                     int level = 2) {
+    auto batch = [&](batch_core::SparseMass mass, int level = 2) {
       key.kind = serve::CachePayload::kBatchState;
       key.seed = Q_[0];
       key.set_a = std::make_shared<const std::vector<ExtNodeId>>(P_.nodes());
@@ -516,7 +562,7 @@ class BadWarmRecordTest : public WarmStateTest,
       case BadRecord::kRetiredScalarWalk:
         break;
       case BadRecord::kBatchMassIdN:
-        batch({{1, 0.5}, {n, 0.5}});
+        batch({{1, n}, {0.5, 0.5}});
         break;
       case BadRecord::kYBoundOneRowShort:
         ybound(kD, Q_.size() - 1);
@@ -527,10 +573,10 @@ class BadWarmRecordTest : public WarmStateTest,
       // A walk state is resumed from its level and never walked past
       // d: a level <= 0 would walk to_level - level steps from its mass.
       case BadRecord::kBatchLevelNegative:
-        batch({{1, 0.5}}, -2);
+        batch({{1}, {0.5}}, -2);
         break;
       case BadRecord::kBatchLevelPastD:
-        batch({{1, 0.5}}, kD + 1);
+        batch({{1}, {0.5}}, kD + 1);
         break;
     }
     file.sections.push_back(

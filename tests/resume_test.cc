@@ -799,6 +799,108 @@ TEST(ResumeTest, BatchStatesRetuneGrowsOnThrashShrinksOnIdle) {
   EXPECT_EQ(fstarving.budget_grows(), 1);
 }
 
+// A saved state bills exactly what it holds: CollectLaneMass counts a
+// lane's nonzeros before it fills the two mass arrays, so a state pays
+// 12 bytes per mass entry and nothing for growth slack.
+
+template <int W>
+void ExpectBackwardStatesBillExactSizes(const Graph& g,
+                                        const std::string& label) {
+  std::vector<ExtNodeId> targets, sources;
+  for (NodeId c = 0; c < 8; ++c) {
+    targets.push_back(ExtNodeId(c * 100 + 7));
+    targets.push_back(ExtNodeId(c * 100 + 61));
+    sources.push_back(ExtNodeId(c * 100 + 40));
+  }
+  std::vector<std::size_t> slots(targets.size());
+  for (std::size_t i = 0; i < targets.size(); ++i) slots[i] = i;
+  BackwardWalkerBatchT<W> batch(g);
+  BackwardBatchStates states(targets.size());
+  for (int l : {1, 2, 4}) {
+    batch.AdvanceChunked(DhtParams::Lambda(0.2), l, targets, slots, sources,
+                         states, [](std::size_t, const double*) {},
+                         SaveStates::kResumable);
+  }
+  const std::size_t billed = states.bytes();
+  std::size_t exact = 0;
+  std::size_t entries = 0;
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    BackwardBatchSnapshot snap;
+    ASSERT_TRUE(states.Take(i, &snap)) << label << " target " << i;
+    EXPECT_EQ(snap.mass.nodes.size(), snap.mass.values.size()) << label;
+    EXPECT_EQ(snap.mass.nodes.capacity(), snap.mass.size()) << label;
+    EXPECT_EQ(snap.mass.values.capacity(), snap.mass.size()) << label;
+    EXPECT_EQ(snap.row.capacity(), snap.row.size()) << label;
+    exact += sizeof(BackwardBatchSnapshot) + 12 * snap.mass.size() +
+             8 * snap.row.size();
+    entries += snap.mass.size();
+  }
+  EXPECT_GT(entries, 0u) << label;
+  EXPECT_EQ(billed, exact) << label;
+  EXPECT_EQ(states.bytes(), 0u) << label;
+}
+
+TEST(ResumeTest, BackwardStatesBillExactSizes) {
+  int layout = 0;
+  for (const Graph& g : ClusteredLayouts()) {
+    const std::string label = "layout " + std::to_string(layout++);
+    ExpectBackwardStatesBillExactSizes<8>(g, label + " W=8");
+    ExpectBackwardStatesBillExactSizes<1>(g, label + " W=1");
+  }
+}
+
+template <int W>
+void ExpectForwardStatesBillExactSizes(const Graph& g,
+                                       const std::string& label) {
+  // F-IDJ's advance: one plan per target, slots on the (source, target)
+  // grid, every pair saved at each level.
+  std::vector<ExtNodeId> sources, targets;
+  for (NodeId off = 3; off < 100; off += 11) {
+    sources.push_back(ExtNodeId(400 + off));
+  }
+  targets = {ExtNodeId(450), ExtNodeId(481)};
+  std::vector<double> out(targets.size() * sources.size());
+  std::vector<std::size_t> slots(out.size());
+  std::vector<ForwardTargetPlan> plans(targets.size());
+  for (std::size_t t = 0; t < targets.size(); ++t) {
+    for (std::size_t i = 0; i < sources.size(); ++i) {
+      slots[t * sources.size() + i] = i * targets.size() + t;
+    }
+    plans[t].target = targets[t];
+    plans[t].sources = sources;
+    plans[t].slots = {slots.data() + t * sources.size(), sources.size()};
+    plans[t].out = out.data() + t * sources.size();
+  }
+  ForwardWalkerBatchT<W> batch(g);
+  ForwardBatchStates states;
+  for (int l : {1, 2, 4}) {
+    batch.AdvanceMany(DhtParams::Lambda(0.2), l, plans, states, true);
+  }
+  ASSERT_EQ(states.size(), slots.size()) << label;
+  std::size_t exact = 0;
+  std::size_t entries = 0;
+  for (std::size_t slot : slots) {
+    const batch_core::SparseMass* mass = states.mass(slot);
+    ASSERT_NE(mass, nullptr) << label << " slot " << slot;
+    EXPECT_EQ(mass->nodes.size(), mass->values.size()) << label;
+    EXPECT_EQ(mass->nodes.capacity(), mass->size()) << label;
+    EXPECT_EQ(mass->values.capacity(), mass->size()) << label;
+    exact += ForwardBatchStates::kStateOverheadBytes + 12 * mass->size();
+    entries += mass->size();
+  }
+  EXPECT_GT(entries, 0u) << label;
+  EXPECT_EQ(states.bytes(), exact) << label;
+}
+
+TEST(ResumeTest, ForwardStatesBillExactSizes) {
+  int layout = 0;
+  for (const Graph& g : ClusteredLayouts()) {
+    const std::string label = "layout " + std::to_string(layout++);
+    ExpectForwardStatesBillExactSizes<8>(g, label + " W=8");
+    ExpectForwardStatesBillExactSizes<4>(g, label + " W=4");
+  }
+}
+
 // ------------------------------------------- joins: resume ≡ restart
 
 TEST(ResumeTest, BIdjResumeIsByteIdenticalWithFewerSteps) {

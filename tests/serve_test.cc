@@ -173,6 +173,36 @@ TEST(ScoreCacheTest, ZeroBudgetHoldsNothing) {
   EXPECT_GT(cache.stats().evictions, 0);
 }
 
+TEST(ScoreCacheTest, OversizedPutKeepsShardResident) {
+  // One shard: the three small tables share the slice that the 8 KB
+  // table could never fit in. Refusing it must not flush them first.
+  ScoreCache cache({.max_bytes = 4096, .num_shards = 1});
+  for (NodeId i = 0; i < 3; ++i) {
+    cache.Put(TableKey(1, {i}, {i + 100}), MakeTable(64));
+  }
+  ASSERT_EQ(cache.stats().entries, 3u);
+  ASSERT_EQ(cache.stats().evictions, 0);
+  const std::size_t resident = cache.stats().resident_bytes;
+
+  cache.Put(TableKey(1, {50}, {150}), MakeTable(1024));
+  CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.entries, 3u);
+  EXPECT_EQ(stats.resident_bytes, resident);
+  EXPECT_EQ(stats.evictions, 1);  // the refused entry, nothing else
+  EXPECT_EQ(cache.GetAs<CachedTable>(TableKey(1, {50}, {150})), nullptr);
+  for (NodeId i = 0; i < 3; ++i) {
+    EXPECT_NE(cache.GetAs<CachedTable>(TableKey(1, {i}, {i + 100})), nullptr)
+        << "table " << i;
+  }
+
+  // An oversized replacement leaves the resident entry under its key.
+  cache.Put(TableKey(1, {0}, {100}), MakeTable(1024));
+  auto kept = cache.GetAs<CachedTable>(TableKey(1, {0}, {100}));
+  ASSERT_NE(kept, nullptr);
+  EXPECT_EQ(kept->table->size(), 64u);
+  EXPECT_EQ(cache.stats().entries, 3u);
+}
+
 // ------------------------------------------- warm/cold equivalence
 
 struct TwoWayFixture {
@@ -556,6 +586,55 @@ TEST(DhtJoinServiceTest, TwoWayAndPjiEdgeOverSameSetsWarmEachOther) {
     EXPECT_EQ(qs.cold_targets, 0);
     EXPECT_LT(qs.join.walk_steps, two_cold.join.walk_steps);
   }
+}
+
+TEST(DhtJoinServiceTest, CacheBillsBatchStatesExactly) {
+  // A cached batch state bills its entry header, 12 bytes per saved
+  // mass entry (a 4-byte node id and an 8-byte mass) and 8 per row
+  // cell: no growth slack, no pair padding. Two-way queries write back
+  // states with mass (targets pruned below d) and row-only states (at
+  // d); the PJ-i query writes back its query edges' states.
+  Graph g = RandomGraph(60, 200, 7);
+  DhtParams p = DhtParams::Lambda(0.2);
+  const int d = 6;
+  NodeSet A = Range("A", 0, 20);
+  NodeSet B = Range("B", 25, 55);
+  NodeSet C = Range("C", 40, 60);
+  DhtJoinService service(
+      g, p, d,
+      {.cache_budget_bytes = std::size_t{1} << 40, .num_threads = 1});
+  ASSERT_TRUE(service.TwoWay(A, B, 15).ok());
+  ASSERT_TRUE(service.TwoWay(B, C, 10).ok());
+  QueryGraph query;
+  query.AddNodeSet(A);
+  query.AddNodeSet(B);
+  query.AddNodeSet(C);
+  ASSERT_TRUE(query.AddEdge(0, 1).ok());
+  ASSERT_TRUE(query.AddEdge(1, 2).ok());
+  ASSERT_TRUE(service
+                  .Nway(query, SumAggregate(), 10,
+                        DhtJoinService::NwayAlgo::kPartialJoinIncremental)
+                  .ok());
+
+  std::size_t want = 0;
+  int64_t mass_entries = 0;
+  int64_t states = 0;
+  for (const ScoreCache::ExportedEntry& e : service.cache().Export()) {
+    if (e.key.kind != CachePayload::kBatchState) {
+      want += e.entry->ApproxBytes();
+      continue;
+    }
+    const BackwardBatchSnapshot& snap =
+        static_cast<const serve::CachedBatchState&>(*e.entry).snap;
+    want += sizeof(serve::CachedBatchState) + 12 * snap.mass.size() +
+            8 * snap.row.size();
+    mass_entries += static_cast<int64_t>(snap.mass.size());
+    ++states;
+  }
+  EXPECT_GT(states, 0);
+  EXPECT_GT(mass_entries, 0);
+  EXPECT_EQ(service.cache_stats().evictions, 0);
+  EXPECT_EQ(service.cache_stats().resident_bytes, want);
 }
 
 /// Exact equality of two n-way answers (nodes, edge scores, aggregate);
