@@ -96,9 +96,11 @@ namespace dhtjoin {
 
 /// Portable snapshot of one saved target walk: depth, discount, sparse
 /// mass, and the score row over the pinned source set. The serving
-/// layer (src/serve/) moves these between a query's BackwardBatchStates
+/// layer (src/serve/) shares these between a query's BackwardBatchStates
 /// and a cross-query cache via Import/Take; the engine itself only ever
-/// sees slots.
+/// sees slots. A snapshot is immutable once saved: an advance commits a
+/// new one to its slot and never writes the old one, so any number of
+/// slots and cache entries may hold the same snapshot at once.
 struct BackwardBatchSnapshot {
   int level = 0;
   double lambda_pow = 1.0;
@@ -143,7 +145,10 @@ class BackwardBatchStates : public batch_core::BatchStateBudget {
   static constexpr std::size_t kDefaultMaxBytes = std::size_t{256} << 20;
 
   /// Walked depth of `slot`; 0 means no saved state (fresh or evicted).
-  int level(std::size_t slot) const { return slots_[slot].snap.level; }
+  int level(std::size_t slot) const {
+    const Slot& s = slots_[slot];
+    return s.snap != nullptr ? s.snap->level : 0;
+  }
 
   /// Drops the saved state of `slot` (e.g. a pruned target).
   void Drop(std::size_t slot) {
@@ -155,29 +160,34 @@ class BackwardBatchStates : public batch_core::BatchStateBudget {
   /// Score DELTA row of `slot` over the pinned source set, at depth
   /// level(slot): h_level - beta per source (BackwardBatchSnapshot::row
   /// semantics — add beta to read scores). Empty when the slot holds no
-  /// state. Valid until the slot is next advanced, dropped, or taken.
+  /// state. It is the saved snapshot's own row, valid while the slot or
+  /// anyone else holds that snapshot.
   std::span<const double> Row(std::size_t slot) const {
-    return slots_[slot].snap.row;
+    const Slot& s = slots_[slot];
+    if (s.snap == nullptr) return {};
+    return s.snap->row;
   }
 
-  /// Moves the state of `slot` out into `out`, clearing the slot.
-  /// Returns false (leaving `out` untouched) when the slot is empty.
-  bool Take(std::size_t slot, BackwardBatchSnapshot* out) {
-    Slot& s = slots_[slot];
-    if (s.snap.level == 0) return false;
-    *out = std::move(s.snap);
+  /// Hands the snapshot of `slot` back, clearing the slot; null when
+  /// the slot is empty.
+  std::shared_ptr<const BackwardBatchSnapshot> Take(std::size_t slot) {
+    std::shared_ptr<const BackwardBatchSnapshot> out =
+        std::move(slots_[slot].snap);
     Drop(slot);
-    return true;
+    return out;
   }
 
-  /// Copies `snap` into `slot` (replacing any saved state). Returns
-  /// false — slot left empty — when the copy would not fit the budget;
-  /// the walk then simply restarts from scratch, bit-identically. A
-  /// row-only snapshot costs its |P| row doubles and nothing else.
-  bool Import(std::size_t slot, const BackwardBatchSnapshot& snap) {
+  /// Shares `snap` into `slot` (replacing any saved state); nothing is
+  /// copied, and the engine never writes it (BackwardBatchSnapshot).
+  /// The slot bills the snapshot's ApproxBytes all the same, as if it
+  /// owned it. Returns false — slot left empty — when that would not
+  /// fit the budget; the walk then simply restarts from scratch,
+  /// bit-identically.
+  bool Import(std::size_t slot,
+              std::shared_ptr<const BackwardBatchSnapshot> snap) {
     Drop(slot);
-    if (snap.level == 0) return false;
-    return TryCommit(slots_[slot], Slot(snap));
+    if (snap == nullptr || snap->level == 0) return false;
+    return TryCommit(slots_[slot], Slot(std::move(snap)));
   }
 
  private:
@@ -187,10 +197,10 @@ class BackwardBatchStates : public batch_core::BatchStateBudget {
   /// A saved state and the bytes it bills: what its snapshot bills.
   struct Slot {
     Slot() = default;
-    explicit Slot(BackwardBatchSnapshot s)
-        : snap(std::move(s)), bytes(snap.ApproxBytes()) {}
+    explicit Slot(std::shared_ptr<const BackwardBatchSnapshot> s)
+        : snap(std::move(s)), bytes(snap->ApproxBytes()) {}
 
-    BackwardBatchSnapshot snap;
+    std::shared_ptr<const BackwardBatchSnapshot> snap;
     std::size_t bytes = 0;
   };
 
@@ -452,16 +462,17 @@ class BackwardWalkerBatchT {
       BackwardBatchStates& states = *grp.states;
       const std::size_t num_sources = grp.sources.size();
       for (std::size_t i = 0; i < grp.targets.size(); ++i) {
-        const BackwardBatchSnapshot& saved = states.slots_[grp.slots[i]].snap;
-        DHTJOIN_CHECK_LE(saved.level, grp.to_level);
+        const BackwardBatchSnapshot* saved =
+            states.slots_[grp.slots[i]].snap.get();
         double* row = grp.out + i * num_sources;
-        if (saved.level == 0) {
+        if (saved == nullptr) {
           std::fill(row, row + num_sources, 0.0);
           ++fresh;
           states.misses_.fetch_add(1, std::memory_order_relaxed);
         } else {
-          DHTJOIN_CHECK_EQ(saved.row.size(), num_sources);
-          std::copy(saved.row.begin(), saved.row.end(), row);
+          DHTJOIN_CHECK_LE(saved->level, grp.to_level);
+          DHTJOIN_CHECK_EQ(saved->row.size(), num_sources);
+          std::copy(saved->row.begin(), saved->row.end(), row);
           states.hits_.fetch_add(1, std::memory_order_relaxed);
         }
       }
@@ -646,7 +657,7 @@ class BackwardWalkerBatchT {
         st, from_level, lane_target, width,
         [&](int b) -> const batch_core::SparseMass& {
           return states.slots_[lane_slots[static_cast<std::size_t>(b)]]
-              .snap.mass;
+              .snap->mass;
         });
     st.plan = options_.restrict_dense
                   ? g_.PlanDenseSweep({lane_target,
@@ -657,7 +668,7 @@ class BackwardWalkerBatchT {
     // level (and thus bit-equal saved lambda^level values), so lane 0
     // speaks for the block; fresh blocks start at lambda^0.
     double lambda_pow =
-        from_level == 0 ? 1.0 : states.slots_[lane_slots[0]].snap.lambda_pow;
+        from_level == 0 ? 1.0 : states.slots_[lane_slots[0]].snap->lambda_pow;
 
     for (int step = from_level; step < to_level; ++step) {
       Step(st, width);
@@ -675,21 +686,23 @@ class BackwardWalkerBatchT {
       }
     }
 
-    // Write back per-lane states under the byte budget. The old
-    // snapshot is only released once the new one is known to fit: under
-    // budget pressure a lane keeps its previous (lower-level) state, so
-    // the next advance resumes from there instead of degrading to a
-    // full restart (the level grouping handles mixed saved levels). A
-    // final advance skips the snapshots entirely (kNone) or keeps only
-    // their rows (kRowOnly).
+    // Write back per-lane states under the byte budget, each as a NEW
+    // snapshot: the one the lane resumed from may be shared with the
+    // cache and other queries, so it is released, never written. It is
+    // only released once the new one is known to fit: under budget
+    // pressure a lane keeps its previous (lower-level) state, so the
+    // next advance resumes from there instead of degrading to a full
+    // restart (the level grouping handles mixed saved levels). A final
+    // advance skips the snapshots entirely (kNone) or keeps only their
+    // rows (kRowOnly).
     for (int b = 0; save_states != SaveStates::kNone && b < width; ++b) {
-      BackwardBatchSnapshot snap;
-      snap.level = to_level;
-      snap.lambda_pow = lambda_pow;
+      auto snap = std::make_shared<BackwardBatchSnapshot>();
+      snap->level = to_level;
+      snap->lambda_pow = lambda_pow;
       if (save_states == SaveStates::kResumable) {
-        snap.mass = batch_core::CollectLaneMass(st, b);
+        snap->mass = batch_core::CollectLaneMass(st, b);
       }
-      snap.row.assign(rows[b], rows[b] + num_sources);
+      snap->row.assign(rows[b], rows[b] + num_sources);
       states.TryCommit(states.slots_[lane_slots[static_cast<std::size_t>(b)]],
                        BackwardBatchStates::Slot(std::move(snap)));
     }

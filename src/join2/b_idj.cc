@@ -12,6 +12,20 @@
 
 namespace dhtjoin {
 
+namespace {
+
+/// A stored delta row as scores. Stored rows are beta-exclusive deltas
+/// (BackwardBatchSnapshot semantics); the floor goes back on exactly as
+/// the engine adds it at output, so a stored row is bit-identical to a
+/// walked one.
+void StoredScores(const DhtParams& params, std::span<const double> delta,
+                  std::vector<double>& out) {
+  out.assign(delta.begin(), delta.end());
+  for (double& cell : out) cell += params.beta;
+}
+
+}  // namespace
+
 template <int W>
 bool ScoreTargets(const DhtParams& params, int l, const NodeSet& P,
                   const NodeSet& Q, std::span<const std::size_t> live,
@@ -30,12 +44,7 @@ bool ScoreTargets(const DhtParams& params, int l, const NodeSet& P,
       walk_slots.push_back(live[i]);
       continue;
     }
-    // Stored rows are beta-exclusive deltas (BackwardBatchSnapshot
-    // semantics); add the floor back exactly as the engine does at
-    // output, so a stored row is bit-identical to a walked one.
-    std::span<const double> delta = states->Row(live[i]);
-    stored.assign(delta.begin(), delta.end());
-    for (double& cell : stored) cell += params.beta;
+    StoredScores(params, states->Row(live[i]), stored);
     score_row(i, stored.data(), level);
   }
   auto consume = [&](std::size_t j, const double* row) {
@@ -100,12 +109,42 @@ Result<std::vector<ScoredPair>> RunBIdjSchedule(const DhtParams& params,
   for (std::size_t qi = 0; qi < Q.size(); ++qi) live[qi] = qi;
   stats->live_per_iteration.push_back(static_cast<int64_t>(live.size()));
 
-  // One round's stored-row-or-walk step over `live`, and its barriers.
+  // Upper bound max_p h + U of each target, by index within Q.
+  std::vector<double> q_upper(Q.size());
+  // Targets whose state already sits at d hold their final h_d
+  // (Lemma 1): their rows are offered once, to `finals`, which seeds
+  // every round's B and the final pass, and their upper bounds are
+  // computed once. The rounds score only the other live targets. Seeding
+  // B with a target an earlier round pruned changes no retained set
+  // (DESIGN.md §6), so thresholds, pruning and answers are unchanged.
+  PairTopK finals(k);
+  std::vector<bool> at_d(Q.size(), false);
+  if (states != nullptr) {
+    std::vector<double> row;
+    for (std::size_t qi = 0; qi < Q.size(); ++qi) {
+      if (states->level(qi) != d) continue;
+      at_d[qi] = true;
+      StoredScores(params, states->Row(qi), row);
+      q_upper[qi] = offer_row(finals, Q[qi], row.data()) + remainder(d, qi);
+    }
+  }
+
+  // One round's stored-row-or-walk step over the live targets below d,
+  // and its barriers: score_target(qi, row, level) gets Q[qi]'s row.
+  std::vector<std::size_t> open;
   int64_t batch_barriers_seen = 0;
-  auto walk_live = [&](int l, SaveStates save, const ScoreRowFn& score_row) {
-    const bool completed =
-        ScoreTargets(params, l, P, Q, live, batch, states, save, exec,
-                     &stats->walks_started, score_row);
+  auto walk_live = [&](int l, SaveStates save,
+                       const ScoreRowFn& score_target) {
+    open.clear();
+    for (std::size_t qi : live) {
+      if (!at_d[qi]) open.push_back(qi);
+    }
+    const bool completed = ScoreTargets(
+        params, l, P, Q, open, batch, states, save, exec,
+        &stats->walks_started,
+        [&](std::size_t i, const double* row, int level) {
+          score_target(open[i], row, level);
+        });
     stats->barriers_per_iteration.push_back(batch.scheduler_barriers() -
                                             batch_barriers_seen);
     batch_barriers_seen = batch.scheduler_barriers();
@@ -164,13 +203,13 @@ Result<std::vector<ScoredPair>> RunBIdjSchedule(const DhtParams& params,
     obs::ScopedSpan round_span(trace, "round");
     round_span.SetAttr("level", int64_t{l});
     round_span.SetAttr("frontier", static_cast<int64_t>(live.size()));
-    PairTopK bounds(k);  // B is reset every iteration (Alg. 2 Step 3)
-    std::vector<double> q_upper(live.size());
+    // B is reset every iteration (Alg. 2 Step 3), to the final rows.
+    PairTopK bounds = finals;
     bool completed =
         walk_live(l, SaveStates::kResumable,
-                  [&](std::size_t i, const double* row, int row_level) {
-                    q_upper[i] = offer_row(bounds, Q[live[i]], row) +
-                                 remainder(row_level, live[i]);
+                  [&](std::size_t qi, const double* row, int row_level) {
+                    q_upper[qi] = offer_row(bounds, Q[qi], row) +
+                                  remainder(row_level, qi);
                   });
     if (!completed) return degrade(exec->stop_code());
     // Round l completed: refresh the anytime snapshot before pruning.
@@ -185,12 +224,12 @@ Result<std::vector<ScoredPair>> RunBIdjSchedule(const DhtParams& params,
     double tk = bounds.Threshold();
     std::vector<std::size_t> survivors;
     survivors.reserve(live.size());
-    for (std::size_t i = 0; i < live.size(); ++i) {
-      if (q_upper[i] >= tk) {
-        survivors.push_back(live[i]);
+    for (std::size_t qi : live) {
+      if (q_upper[qi] >= tk) {
+        survivors.push_back(qi);
       } else if (states != nullptr && !parts.keep_states) {
         // A pruned target never walks again; free its state now.
-        states->Drop(live[i]);
+        states->Drop(qi);
       }
     }
     stats->pruned_fraction_per_iteration.push_back(
@@ -209,7 +248,7 @@ Result<std::vector<ScoredPair>> RunBIdjSchedule(const DhtParams& params,
   // Final pass (Alg. 2 Steps 16-17): exact d-step walks for survivors.
   // h_d is final (Lemma 1), so a kept state saves its row, not its walk.
   if (auto stop = check(); stop != StatusCode::kOk) return degrade(stop);
-  PairTopK best(k);
+  PairTopK best = finals;
   if (!live.empty()) {
     obs::ScopedSpan final_span(trace, "final");
     final_span.SetAttr("level", int64_t{d});
@@ -217,8 +256,8 @@ Result<std::vector<ScoredPair>> RunBIdjSchedule(const DhtParams& params,
     bool completed =
         walk_live(d,
                   parts.keep_states ? SaveStates::kRowOnly : SaveStates::kNone,
-                  [&](std::size_t i, const double* row, int /*level*/) {
-                    offer_row(best, Q[live[i]], row);
+                  [&](std::size_t qi, const double* row, int /*level*/) {
+                    offer_row(best, Q[qi], row);
                   });
     if (!completed) return degrade(exec->stop_code());
   }

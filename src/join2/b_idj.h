@@ -76,8 +76,9 @@ struct BIdjScheduleParts {
   /// Per-target resumable states, slot i for Q[i]; null runs the
   /// restart schedule. A slot already at or past a round's level is
   /// scored from its stored row at its own level, which is valid and
-  /// tighter (DESIGN.md §6). A caller that seeds no states never hits
-  /// that case.
+  /// tighter (DESIGN.md §6); a slot at d is scored once, before the
+  /// first round, since its row is final. A caller that seeds no states
+  /// never hits either case.
   BackwardBatchStates* states = nullptr;
   /// Retune `states` between rounds; only for an autotuned budget.
   bool retune_states = false;

@@ -102,16 +102,16 @@ ScoreCache::ScoreCache(Options options) : options_(options) {
   shard_budget_ = options_.max_bytes / static_cast<std::size_t>(shards);
 }
 
-ScoreCache::Shard& ScoreCache::ShardFor(const CacheKey& key) {
+ScoreCache::Shard& ScoreCache::ShardFor(uint64_t hash) {
   // Shard on the high hash bits; the map uses the full hash below them.
-  const uint64_t h = key.Hash();
-  return *shards_[(h >> 48) % shards_.size()];
+  return *shards_[(hash >> 48) % shards_.size()];
 }
 
 std::shared_ptr<const CacheEntry> ScoreCache::Get(const CacheKey& key) {
-  Shard& shard = ShardFor(key);
+  const IndexKey probe{&key, key.Hash()};
+  Shard& shard = ShardFor(probe.hash);
   std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.index.find(key);
+  auto it = shard.index.find(probe);
   if (it == shard.index.end()) {
     misses_.fetch_add(1, std::memory_order_relaxed);
     return nullptr;
@@ -140,34 +140,38 @@ void ScoreCache::PutIf(
     evictions_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  Shard& shard = ShardFor(key);
+  const IndexKey probe{&key, key.Hash()};
+  Shard& shard = ShardFor(probe.hash);
   std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.index.find(key);
+  auto it = shard.index.find(probe);
   // First-touch bypass for small payloads (Options::
   // admission_bypass_bytes): a tiny payload is only admitted once its
   // key was offered before. Resident keys update as usual — rejecting
   // those would stale the entry, not save memory.
   if (bytes < options_.admission_bypass_bytes && it == shard.index.end()) {
     if (shard.seen.size() >= kMaxSeenPerShard) shard.seen.clear();
-    if (shard.seen.insert(key.Hash()).second) {
+    if (shard.seen.insert(probe.hash).second) {
       admission_rejects_.fetch_add(1, std::memory_order_relaxed);
       return;
     }
   }
   if (it != shard.index.end()) {
     if (keep_existing(*it->second->entry)) return;
-    shard.bytes -= it->second->bytes;
-    shard.lru.erase(it->second);
+    // Unindex before the node goes: the index key points into it.
+    const auto node = it->second;
+    shard.bytes -= node->bytes;
     shard.index.erase(it);
+    shard.lru.erase(node);
   }
-  shard.lru.push_front(Node{key, std::move(entry), bytes});
-  shard.index[key] = shard.lru.begin();
+  shard.lru.push_front(Node{key, probe.hash, std::move(entry), bytes});
+  shard.index.emplace(IndexKey{&shard.lru.front().key, probe.hash},
+                      shard.lru.begin());
   shard.bytes += bytes;
   insertions_.fetch_add(1, std::memory_order_relaxed);
   while (shard.bytes > shard_budget_ && !shard.lru.empty()) {
     Node& victim = shard.lru.back();
     shard.bytes -= victim.bytes;
-    shard.index.erase(victim.key);
+    shard.index.erase(IndexKey{&victim.key, victim.hash});
     shard.lru.pop_back();
     evictions_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -183,13 +187,15 @@ void ScoreCache::PutDeepest(const CacheKey& key,
 }
 
 void ScoreCache::Erase(const CacheKey& key) {
-  Shard& shard = ShardFor(key);
+  const IndexKey probe{&key, key.Hash()};
+  Shard& shard = ShardFor(probe.hash);
   std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.index.find(key);
+  auto it = shard.index.find(probe);
   if (it == shard.index.end()) return;
-  shard.bytes -= it->second->bytes;
-  shard.lru.erase(it->second);
+  const auto node = it->second;
+  shard.bytes -= node->bytes;
   shard.index.erase(it);
+  shard.lru.erase(node);
 }
 
 void ScoreCache::Clear() {

@@ -106,16 +106,20 @@ class CacheEntry {
 
 /// Batched backward walk state of one (target, pinned source set) pair:
 /// the unit of warmth of the two-way executor and of PJ-i's query edges.
-/// Bills the entry header, 12 bytes per mass entry and 8 per row cell
-/// (BackwardBatchSnapshot::ApproxBytes over exact-sized arrays).
+/// The snapshot is shared, never copied: a query imports the pointer
+/// (BackwardBatchStates::Import), and writes back the new snapshot its
+/// advance committed. Bills the entry header and what the snapshot
+/// bills (BackwardBatchSnapshot::ApproxBytes: its own 88 bytes, 12 per
+/// mass entry and 8 per row cell over exact-sized arrays), whoever
+/// else holds it.
 struct CachedBatchState final : CacheEntry {
-  explicit CachedBatchState(BackwardBatchSnapshot s) : snap(std::move(s)) {}
-  BackwardBatchSnapshot snap;
+  explicit CachedBatchState(std::shared_ptr<const BackwardBatchSnapshot> s)
+      : snap(std::move(s)) {}
+  std::shared_ptr<const BackwardBatchSnapshot> snap;
   std::size_t ApproxBytes() const override {
-    // snap.ApproxBytes() counts sizeof(snap) once already.
-    return sizeof(*this) - sizeof(snap) + snap.ApproxBytes();
+    return sizeof(CacheEntry) + snap->ApproxBytes();
   }
-  int WalkLevel() const override { return snap.level; }
+  int WalkLevel() const override { return snap->level; }
 };
 
 /// NL's per-edge forward score table (|L| x |R| row-major h_d).
@@ -135,15 +139,12 @@ struct CachedYBound final : CacheEntry {
   explicit CachedYBound(YBoundTable t) : table(std::move(t)) {}
   YBoundTable table;
   std::size_t ApproxBytes() const override {
-    // d+1 doubles per target plus vector headers.
+    // One row of d+1 doubles per target, plus its vector header.
+    const std::size_t rows = table.suffix_rows().size();
     return sizeof(*this) +
-           static_cast<std::size_t>(table.d() + 1) * sizeof(double) *
-               num_targets_hint +
-           num_targets_hint * sizeof(std::vector<double>);
+           static_cast<std::size_t>(table.d() + 1) * sizeof(double) * rows +
+           rows * sizeof(std::vector<double>);
   }
-  /// |Q| of the construction, recorded because YBoundTable does not
-  /// expose it; set by the inserter.
-  std::size_t num_targets_hint = 0;
 };
 
 /// Aggregate counters; readable while the cache is in use.
@@ -240,22 +241,30 @@ class ScoreCache {
   void PutIf(const CacheKey& key, std::shared_ptr<const CacheEntry> entry,
              const std::function<bool(const CacheEntry&)>& keep_existing);
 
-  struct KeyHash {
-    std::size_t operator()(const CacheKey& k) const {
-      return static_cast<std::size_t>(k.Hash());
-    }
-  };
-
   struct Node {
     CacheKey key;
+    uint64_t hash = 0;  ///< key.Hash()
     std::shared_ptr<const CacheEntry> entry;
     std::size_t bytes = 0;
+  };
+
+  /// An index key: a key (a probe's, or a resident node's own, which
+  /// the list keeps in place) with its hash, computed once per call.
+  struct IndexKey {
+    const CacheKey* key;
+    uint64_t hash;
+    bool operator==(const IndexKey& other) const { return *key == *other.key; }
+  };
+  struct IndexHash {
+    std::size_t operator()(const IndexKey& k) const {
+      return static_cast<std::size_t>(k.hash);
+    }
   };
 
   struct Shard {
     std::mutex mu;
     std::list<Node> lru;  // front = most recent
-    std::unordered_map<CacheKey, std::list<Node>::iterator, KeyHash> index;
+    std::unordered_map<IndexKey, std::list<Node>::iterator, IndexHash> index;
     std::size_t bytes = 0;
     /// Admission doorkeeper: key hashes offered at least once. Hash
     /// collisions only ever admit EARLY (harmless — admission is a
@@ -270,7 +279,8 @@ class ScoreCache {
   /// deliberately outside the payload byte budget.
   static constexpr std::size_t kMaxSeenPerShard = std::size_t{1} << 14;
 
-  Shard& ShardFor(const CacheKey& key);
+  /// The shard of a key whose Hash() is `hash`.
+  Shard& ShardFor(uint64_t hash);
 
   Options options_;
   std::size_t shard_budget_;

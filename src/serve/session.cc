@@ -146,10 +146,10 @@ std::vector<int> DhtJoinService::ImportStates(const NodeSet& P,
   for (std::size_t qi = 0; qi < Q.size(); ++qi) {
     key.seed = Q[qi];
     auto entry = cache_.GetAs<CachedBatchState>(key);
-    if (entry != nullptr && entry->snap.level <= d_ &&
-        entry->snap.row.size() == P.size() &&
+    if (entry != nullptr && entry->snap->level <= d_ &&
+        entry->snap->row.size() == P.size() &&
         states.Import(qi, entry->snap)) {
-      imported_level[qi] = entry->snap.level;
+      imported_level[qi] = entry->snap->level;
     }
   }
   return imported_level;
@@ -162,8 +162,8 @@ int64_t DhtJoinService::WriteBackStates(const NodeSet& P, const NodeSet& Q,
   int64_t written = 0;
   for (std::size_t qi = 0; qi < Q.size(); ++qi) {
     if (states.level(qi) <= imported_level[qi]) continue;
-    BackwardBatchSnapshot snap;
-    if (!states.Take(qi, &snap)) continue;
+    std::shared_ptr<const BackwardBatchSnapshot> snap = states.Take(qi);
+    if (snap == nullptr) continue;
     key.seed = Q[qi];
     cache_.PutDeepest(key,
                       std::make_shared<CachedBatchState>(std::move(snap)));
@@ -181,7 +181,6 @@ std::shared_ptr<const CachedYBound> DhtJoinService::YBoundFor(
   if (hit != nullptr) return hit;
   auto fresh = std::make_shared<CachedYBound>(
       YBoundTable(g_, params_, d_, P, Q, exec));
-  fresh->num_targets_hint = Q.size();
   // A construction abandoned by a cooperative stop is NEVER cached: the
   // table would be invalid for every later query.
   if (fresh->table.complete()) cache_.Put(key, fresh);

@@ -269,11 +269,12 @@ class DhtJoinService {
   /// Seeds slot i of `states` with the cached batch state of (Q[i], P)
   /// when its level is at most d_, its row covers P and it fits the
   /// states' budget; returns each slot's imported level (0 = cold). The
-  /// one import step of the two-way executor and of PJ-i's query edges.
+  /// slot shares the cached snapshot; nothing is copied. The one import
+  /// step of the two-way executor and of PJ-i's query edges.
   std::vector<int> ImportStates(const NodeSet& P, const NodeSet& Q,
                                 BackwardBatchStates& states);
 
-  /// Moves every slot of `states` deeper than `imported_level` into the
+  /// Hands every slot of `states` deeper than `imported_level` to the
   /// cache, deepest-wins (ScoreCache::PutDeepest): a state below d with
   /// its mass, one at d row-only. Every such state is a completed level,
   /// so this is safe after a degraded or cancelled run too. Returns the

@@ -149,10 +149,11 @@ std::vector<uint8_t> EncodeCacheRecord(const CacheKey& key,
     case CachePayload::kBatchState: {
       const auto* batch = dynamic_cast<const CachedBatchState*>(&entry);
       if (batch == nullptr) return {};
-      w.I64(batch->snap.level);
-      w.F64Bits(batch->snap.lambda_pow);
-      WriteMass(w, batch->snap.mass);
-      WriteDoubles(w, batch->snap.row);
+      const BackwardBatchSnapshot& snap = *batch->snap;
+      w.I64(snap.level);
+      w.F64Bits(snap.lambda_pow);
+      WriteMass(w, snap.mass);
+      WriteDoubles(w, snap.row);
       break;
     }
     case CachePayload::kEdgeTable: {
@@ -164,10 +165,12 @@ std::vector<uint8_t> EncodeCacheRecord(const CacheKey& key,
     case CachePayload::kYBound: {
       const auto* bound = dynamic_cast<const CachedYBound*>(&entry);
       if (bound == nullptr || !bound->table.complete()) return {};
+      const auto& rows = bound->table.suffix_rows();
       w.I64(bound->table.d());
       w.I64(bound->table.edges_relaxed());
-      w.U64(bound->num_targets_hint);
-      const auto& rows = bound->table.suffix_rows();
+      // The slot of the retired target-count hint: the row count, which
+      // the decoder requires it to equal.
+      w.U64(rows.size());
       w.U64(rows.size());
       for (const auto& row : rows) {
         for (double v : row) w.F64Bits(v);
@@ -197,13 +200,13 @@ Result<DecodedCacheRecord> DecodeCacheRecord(uint32_t section_kind,
   switch (section_kind) {
     case kSectionBatchState: {
       record.key.kind = CachePayload::kBatchState;
-      BackwardBatchSnapshot snap;
+      auto snap = std::make_shared<BackwardBatchSnapshot>();
       const int64_t level = r.I64();
       DHTJOIN_RETURN_NOT_OK(CheckWalkLevel(level, d));
-      snap.level = static_cast<int>(level);
-      snap.lambda_pow = r.F64Bits();
-      DHTJOIN_RETURN_NOT_OK(ReadMass(r, num_nodes, &snap.mass));
-      DHTJOIN_RETURN_NOT_OK(ReadDoubles(r, &snap.row));
+      snap->level = static_cast<int>(level);
+      snap->lambda_pow = r.F64Bits();
+      DHTJOIN_RETURN_NOT_OK(ReadMass(r, num_nodes, &snap->mass));
+      DHTJOIN_RETURN_NOT_OK(ReadDoubles(r, &snap->row));
       record.entry = std::make_shared<CachedBatchState>(std::move(snap));
       break;
     }
@@ -224,6 +227,13 @@ Result<DecodedCacheRecord> DecodeCacheRecord(uint32_t section_kind,
           !PlausibleCount(r, num_rows, sizeof(double))) {
         return Status::InvalidArgument("warm record corrupt: ybound shape");
       }
+      // The retired target-count hint: records hold the row count there.
+      if (hint != num_rows) {
+        return Status::InvalidArgument(
+            "warm record corrupt: ybound target count " +
+            std::to_string(hint) + " differs from its " +
+            std::to_string(num_rows) + " rows");
+      }
       const std::size_t row_len = static_cast<std::size_t>(table_d) + 1;
       if (num_rows > r.remaining() / sizeof(double) / row_len + 1) {
         return Status::InvalidArgument("warm record corrupt: ybound rows");
@@ -242,11 +252,9 @@ Result<DecodedCacheRecord> DecodeCacheRecord(uint32_t section_kind,
         for (std::size_t l = 0; l < row_len; ++l) row.push_back(r.F64Bits());
       }
       DHTJOIN_RETURN_NOT_OK(r.status());
-      auto bound = std::make_shared<CachedYBound>(
+      record.entry = std::make_shared<CachedYBound>(
           YBoundTable::FromSuffixRows(table_d, edges_relaxed,
                                       std::move(rows)));
-      bound->num_targets_hint = static_cast<std::size_t>(hint);
-      record.entry = std::move(bound);
       break;
     }
     default:

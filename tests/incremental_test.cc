@@ -249,12 +249,11 @@ class MapProvider final : public BatchStateProvider {
                  BackwardBatchStates& states,
                  std::span<const int> imported_level) override {
     for (std::size_t qi = 0; qi < Q.size(); ++qi) {
-      BackwardBatchSnapshot snap;
-      if (states.level(qi) <= imported_level[qi] || !states.Take(qi, &snap)) {
-        continue;
-      }
-      BackwardBatchSnapshot& slot = states_[Key(P, Q[qi])];
-      if (slot.level < snap.level) slot = std::move(snap);
+      if (states.level(qi) <= imported_level[qi]) continue;
+      std::shared_ptr<const BackwardBatchSnapshot> snap = states.Take(qi);
+      std::shared_ptr<const BackwardBatchSnapshot>& slot =
+          states_[Key(P, Q[qi])];
+      if (slot == nullptr || slot->level < snap->level) slot = std::move(snap);
     }
   }
 
@@ -266,7 +265,8 @@ class MapProvider final : public BatchStateProvider {
     return key;
   }
 
-  std::map<std::vector<NodeId>, BackwardBatchSnapshot> states_;
+  std::map<std::vector<NodeId>, std::shared_ptr<const BackwardBatchSnapshot>>
+      states_;
 };
 
 struct TieGraph {

@@ -261,7 +261,7 @@ TEST_F(WarmStateTest, TwoWayWriteBackSavesDepthDStatesRowOnly) {
   for (const serve::DecodedCacheRecord& record : SavedRecords(service, path)) {
     if (record.key.kind != serve::CachePayload::kBatchState) continue;
     const BackwardBatchSnapshot& snap =
-        static_cast<const serve::CachedBatchState&>(*record.entry).snap;
+        *static_cast<const serve::CachedBatchState&>(*record.entry).snap;
     const std::string label = "target " +
                               std::to_string(record.key.seed.value()) +
                               " level " + std::to_string(snap.level);
@@ -310,7 +310,7 @@ TEST_F(WarmStateTest, RestoredServiceAnswersPjiByteIdenticallyAndWarm) {
   for (const serve::DecodedCacheRecord& record : SavedRecords(cold, path)) {
     if (record.key.kind != serve::CachePayload::kBatchState) continue;
     const BackwardBatchSnapshot& snap =
-        static_cast<const serve::CachedBatchState&>(*record.entry).snap;
+        *static_cast<const serve::CachedBatchState&>(*record.entry).snap;
     if (snap.level != kD) continue;
     ++walks_at_d;
     EXPECT_TRUE(snap.mass.empty()) << "target " << record.key.seed.value();
@@ -444,8 +444,9 @@ TEST(WarmRecordTest, BatchStateRecordBytesArePinned) {
   snap.lambda_pow = 0.04;
   snap.mass = {{9, 1, 4}, {0.5, 0.25, -0.125}};
   snap.row = {0.0625, -0.75};
-  const std::vector<uint8_t> bytes =
-      serve::EncodeCacheRecord(key, serve::CachedBatchState(snap));
+  const std::vector<uint8_t> bytes = serve::EncodeCacheRecord(
+      key, serve::CachedBatchState(
+               std::make_shared<const BackwardBatchSnapshot>(snap)));
   std::string hex;
   for (uint8_t b : bytes) {
     char digits[3];
@@ -466,7 +467,7 @@ TEST(WarmRecordTest, BatchStateRecordBytesArePinned) {
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_TRUE(decoded->key == key);
   const BackwardBatchSnapshot& got =
-      static_cast<const serve::CachedBatchState&>(*decoded->entry).snap;
+      *static_cast<const serve::CachedBatchState&>(*decoded->entry).snap;
   EXPECT_EQ(got.level, snap.level);
   EXPECT_EQ(got.lambda_pow, snap.lambda_pow);
   EXPECT_EQ(got.mass.nodes, snap.mass.nodes);
@@ -476,8 +477,9 @@ TEST(WarmRecordTest, BatchStateRecordBytesArePinned) {
 
 /// Records with valid section checksums, encoded exactly as
 /// SaveWarmState encodes them and keyed as the service keys them, whose
-/// contents the engine would index out of bounds or walk from a level
-/// it cannot have — and a record of the retired scalar-walk kind.
+/// contents the engine would index out of bounds, walk from a level it
+/// cannot have, or bill wrongly — and a record of the retired
+/// scalar-walk kind.
 enum class BadRecord {
   kRetiredScalarWalk,
   kBatchMassIdN,
@@ -485,6 +487,7 @@ enum class BadRecord {
   kYBoundShallowerThanKey,
   kBatchLevelNegative,
   kBatchLevelPastD,
+  kYBoundHintNotRowCount,
 };
 
 std::string BadRecordName(const ::testing::TestParamInfo<BadRecord>& info) {
@@ -495,6 +498,7 @@ std::string BadRecordName(const ::testing::TestParamInfo<BadRecord>& info) {
     case BadRecord::kYBoundShallowerThanKey: return "YBoundShallowerThanKey";
     case BadRecord::kBatchLevelNegative: return "BatchLevelNegative";
     case BadRecord::kBatchLevelPastD: return "BatchLevelPastD";
+    case BadRecord::kYBoundHintNotRowCount: return "YBoundHintNotRowCount";
   }
   return "Unknown";
 }
@@ -534,6 +538,32 @@ class BadWarmRecordTest : public WarmStateTest,
       file.sections.push_back(SnapshotSection{1, w.Take()});
       return file;
     }
+    if (GetParam() == BadRecord::kYBoundHintNotRowCount) {
+      // The true Y-bound table of (P, Q) at d, laid out as the encoder
+      // lays it out, but with a target count of 2^60 where the encoder
+      // writes the row count. A table bills d + 1 doubles and a vector
+      // header per counted target, 80 bytes at d = 6: times 2^60 that
+      // wraps to 0, so the table would bill its header alone.
+      const YBoundTable table(g_, params_, kD, P_, Q_);
+      ByteWriter w;
+      w.I64(kD);
+      w.I64(kInvalidExtNode.value());
+      for (const NodeSet* set : {&P_, &Q_}) {
+        w.U8(1);
+        w.U64(set->size());
+        for (ExtNodeId u : *set) w.I64(u.value());
+      }
+      w.I64(kD);
+      w.I64(table.edges_relaxed());
+      w.U64(uint64_t{1} << 60);
+      w.U64(table.suffix_rows().size());
+      for (const std::vector<double>& row : table.suffix_rows()) {
+        for (double v : row) w.F64Bits(v);
+      }
+      file.sections.push_back(SnapshotSection{
+          serve::SectionKindFor(serve::CachePayload::kYBound), w.Take()});
+      return file;
+    }
     serve::CacheKey key;
     key.params = params_;
     std::shared_ptr<const serve::CacheEntry> entry;
@@ -546,7 +576,8 @@ class BadWarmRecordTest : public WarmStateTest,
       snap.lambda_pow = lambda_pow;
       snap.mass = std::move(mass);
       snap.row.assign(P_.size(), 0.0);
-      entry = std::make_shared<serve::CachedBatchState>(std::move(snap));
+      entry = std::make_shared<serve::CachedBatchState>(
+          std::make_shared<const BackwardBatchSnapshot>(std::move(snap)));
     };
     auto ybound = [&](int d, std::size_t rows) {
       key.kind = serve::CachePayload::kYBound;
@@ -560,6 +591,7 @@ class BadWarmRecordTest : public WarmStateTest,
     };
     switch (GetParam()) {
       case BadRecord::kRetiredScalarWalk:
+      case BadRecord::kYBoundHintNotRowCount:
         break;
       case BadRecord::kBatchMassIdN:
         batch({{1, n}, {0.5, 0.5}});
@@ -613,7 +645,8 @@ INSTANTIATE_TEST_SUITE_P(
                       BadRecord::kYBoundOneRowShort,
                       BadRecord::kYBoundShallowerThanKey,
                       BadRecord::kBatchLevelNegative,
-                      BadRecord::kBatchLevelPastD),
+                      BadRecord::kBatchLevelPastD,
+                      BadRecord::kYBoundHintNotRowCount),
     BadRecordName);
 
 TEST_F(WarmStateTest, PersistMetricsTickOnSaveAndRestore) {

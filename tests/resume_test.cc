@@ -372,6 +372,94 @@ TEST(ResumeTest, BackwardBatchDropFreesAndRestarts) {
   }
 }
 
+// ------------------------------------ shared snapshots stay immutable
+
+TEST(ResumeTest, ImportSharesTheSnapshotAndTakeHandsItBack) {
+  Graph g = TwoCommunityGraph();
+  DhtParams p = DhtParams::Lambda(0.4);
+  std::vector<ExtNodeId> targets = {ExtNodeId(7)};
+  std::vector<std::size_t> slots = {0};
+  std::vector<ExtNodeId> sources = {ExtNodeId(0), ExtNodeId(1), ExtNodeId(3)};
+  BackwardWalkerBatch batch(g);
+  BackwardBatchStates saved(1);
+  batch.AdvanceChunked(p, 2, targets, slots, sources, saved,
+                       [](std::size_t, const double*) {});
+  std::shared_ptr<const BackwardBatchSnapshot> snap = saved.Take(0);
+  ASSERT_NE(snap, nullptr);
+  EXPECT_EQ(saved.Take(0), nullptr);
+
+  BackwardBatchStates states(1);
+  ASSERT_TRUE(states.Import(0, snap));
+  EXPECT_EQ(states.level(0), 2);
+  // Shared, yet billed as if the slot owned it.
+  EXPECT_EQ(states.bytes(), snap->ApproxBytes());
+  // Row() reads the shared snapshot's own row, not a copy of it.
+  std::span<const double> row = states.Row(0);
+  EXPECT_EQ(row.data(), snap->row.data());
+  EXPECT_EQ(row.size(), sources.size());
+  // Without an advance, Take hands back the very snapshot imported.
+  EXPECT_EQ(states.Take(0), snap);
+  EXPECT_EQ(states.level(0), 0);
+  EXPECT_EQ(states.bytes(), 0u);
+}
+
+TEST(ResumeTest, AdvancingASharedSnapshotCommitsANewOne) {
+  // The cache and any number of queries may hold one snapshot. An
+  // advance resumes from it and commits a new snapshot to the slot; the
+  // shared one stays bit-equal. Four workers advance three lane blocks
+  // at once, so the TSan job sees concurrent commits.
+  Graph g = RandomGraph(60, 220, 44);
+  DhtParams p = DhtParams::Lambda(0.2);
+  std::vector<ExtNodeId> targets;
+  std::vector<std::size_t> slots;
+  for (NodeId q = 0; q < 20; ++q) {
+    targets.push_back(ExtNodeId(q));
+    slots.push_back(static_cast<std::size_t>(q));
+  }
+  std::vector<ExtNodeId> sources = {ExtNodeId(30), ExtNodeId(40),
+                                    ExtNodeId(50), ExtNodeId(55)};
+  BackwardWalkerBatch batch(g, {.num_threads = 4});
+  const std::vector<double> scratch = batch.Run(p, 4, targets, sources);
+  auto sink = [](std::size_t, const double*) {};
+  for (SaveStates save : {SaveStates::kResumable, SaveStates::kRowOnly}) {
+    const std::string label =
+        save == SaveStates::kResumable ? "resumable" : "row-only";
+    BackwardBatchStates saved(targets.size());
+    batch.AdvanceChunked(p, 2, targets, slots, sources, saved, sink);
+    std::vector<std::shared_ptr<const BackwardBatchSnapshot>> shared;
+    std::vector<BackwardBatchSnapshot> before;
+    BackwardBatchStates states(targets.size());
+    for (std::size_t i = 0; i < targets.size(); ++i) {
+      shared.push_back(saved.Take(i));
+      ASSERT_NE(shared.back(), nullptr) << label;
+      before.push_back(*shared.back());
+      ASSERT_TRUE(states.Import(i, shared.back())) << label;
+    }
+    std::vector<double> rows(scratch.size());
+    batch.AdvanceChunked(
+        p, 4, targets, slots, sources, states,
+        [&](std::size_t i, const double* row) {
+          std::copy(row, row + sources.size(),
+                    rows.data() + i * sources.size());
+        },
+        save);
+    for (std::size_t i = 0; i < scratch.size(); ++i) {
+      EXPECT_EQ(rows[i], scratch[i]) << label << " cell " << i;
+    }
+    for (std::size_t i = 0; i < targets.size(); ++i) {
+      const std::string target = label + " target " + std::to_string(i);
+      testing::ExpectSameSnapshot(*shared[i], before[i], target);
+      std::shared_ptr<const BackwardBatchSnapshot> now = states.Take(i);
+      ASSERT_NE(now, nullptr) << target;
+      EXPECT_NE(now, shared[i]) << target;
+      EXPECT_EQ(now->level, 4) << target;
+      if (save == SaveStates::kRowOnly) {
+        EXPECT_TRUE(now->mass.empty()) << target;
+      }
+    }
+  }
+}
+
 // -------------------------------------------------- batched forward
 
 TEST(ResumeTest, ForwardBatchMatchesScalarWalker) {
@@ -825,8 +913,9 @@ void ExpectBackwardStatesBillExactSizes(const Graph& g,
   std::size_t exact = 0;
   std::size_t entries = 0;
   for (std::size_t i = 0; i < targets.size(); ++i) {
-    BackwardBatchSnapshot snap;
-    ASSERT_TRUE(states.Take(i, &snap)) << label << " target " << i;
+    std::shared_ptr<const BackwardBatchSnapshot> taken = states.Take(i);
+    ASSERT_NE(taken, nullptr) << label << " target " << i;
+    const BackwardBatchSnapshot& snap = *taken;
     EXPECT_EQ(snap.mass.nodes.size(), snap.mass.values.size()) << label;
     EXPECT_EQ(snap.mass.nodes.capacity(), snap.mass.size()) << label;
     EXPECT_EQ(snap.mass.values.capacity(), snap.mass.size()) << label;

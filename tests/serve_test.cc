@@ -332,6 +332,22 @@ struct OracleFixture {
     return testing::RefTwoWayJoin(g, p, d, P, Q,
                                   std::numeric_limits<std::size_t>::max());
   }
+
+  /// The level of the (q, P) walk state `service` holds for each q in
+  /// Q; 0 where it holds none.
+  std::vector<int> CachedLevels(DhtJoinService& service) const {
+    std::vector<int> levels(Q.size(), 0);
+    for (const ScoreCache::ExportedEntry& e : service.cache().Export()) {
+      if (e.key.kind != CachePayload::kBatchState ||
+          *e.key.set_a != P.nodes()) {
+        continue;
+      }
+      for (std::size_t qi = 0; qi < Q.size(); ++qi) {
+        if (Q[qi] == e.key.seed) levels[qi] = e.entry->WalkLevel();
+      }
+    }
+    return levels;
+  }
 };
 
 std::string BoundName(UpperBoundKind bound) {
@@ -341,6 +357,7 @@ std::string BoundName(UpperBoundKind bound) {
 TEST(DhtJoinServiceTest, ColdWarmAndEvictedMatchBruteForceOracle) {
   OracleFixture f;
   int compared = 0;
+  int pruning_checked = 0;
   for (std::size_t gi = 0; gi < f.graphs.size(); ++gi) {
     const Graph& g = f.graphs[gi];
     const std::vector<ScoredPair> all = f.AllPairs(g);
@@ -381,25 +398,66 @@ TEST(DhtJoinServiceTest, ColdWarmAndEvictedMatchBruteForceOracle) {
         // One service serves k = 1, 15 and 400 in turn. Each later query
         // walks on from the states an earlier one pruned below d, and
         // scores that query's survivors from the rows they were written
-        // back with at d.
-        DhtJoinService service(g, f.p, f.d, options);
-        for (std::size_t k : {1u, 15u, 400u}) {
-          const std::string label =
-              config + " k " + std::to_string(k) + " served in turn";
-          serve::QueryStats qs;
-          auto got = service.TwoWay(f.P, f.Q, k, &qs);
-          ASSERT_TRUE(got.ok()) << got.status().ToString();
-          ExpectSamePairs(*got, top(k), label);
-          if (k > 1 && budget == DhtJoinService::kAutotuneBudget) {
-            EXPECT_EQ(qs.cold_targets, 0) << label;  // all imported...
-            EXPECT_GT(qs.join.walk_steps, 0) << label;  // ...some walk on
+        // back with at d. Another serves them in reverse, so a query
+        // with a smaller k prunes targets whose rows sit at d, offered
+        // once before its first round. Both prune exactly as a
+        // plain-loop Algorithm 2 started from the levels the cache held.
+        const YBoundTable ytable(g, f.p, f.d, f.P, f.Q);
+        for (const bool ascending : {true, false}) {
+          DhtJoinService service(g, f.p, f.d, options);
+          const std::vector<std::size_t> ks =
+              ascending ? std::vector<std::size_t>{1, 15, 400}
+                        : std::vector<std::size_t>{400, 15, 1};
+          for (std::size_t turn = 0; turn < ks.size(); ++turn) {
+            const std::size_t k = ks[turn];
+            const std::string label = config + " k " + std::to_string(k) +
+                                      (ascending ? " served in turn"
+                                                 : " served in reverse");
+            const std::vector<int> imported = f.CachedLevels(service);
+            const auto at_d =
+                std::count(imported.begin(), imported.end(), f.d);
+            serve::QueryStats qs;
+            auto got = service.TwoWay(f.P, f.Q, k, &qs);
+            ASSERT_TRUE(got.ok()) << got.status().ToString();
+            ExpectSamePairs(*got, top(k), label);
+            // The query imports what the export lists unless inserting
+            // the Y-bound table it swept evicted some of it first (the
+            // 4 KiB cache); it then imports fewer targets warm.
+            const bool imported_all =
+                qs.warm_targets ==
+                std::count_if(imported.begin(), imported.end(),
+                              [](int l) { return l > 0; });
+            if (imported_all) {
+              EXPECT_EQ(qs.join.live_per_iteration,
+                        testing::RefBIdjLive(
+                            g, f.p, f.d, f.P, f.Q, k, imported,
+                            bound == UpperBoundKind::kY ? &ytable : nullptr))
+                  << label;
+              ++pruning_checked;
+            }
+            if (turn > 0 && budget == DhtJoinService::kAutotuneBudget) {
+              EXPECT_EQ(qs.cold_targets, 0) << label;  // all imported...
+              if (ascending) {
+                EXPECT_GT(qs.join.walk_steps, 0) << label;  // ...some walk on
+                // ...from a mix of final rows and masses below d.
+                EXPECT_GT(at_d, 0) << label;
+                EXPECT_LT(at_d, static_cast<std::ptrdiff_t>(f.Q.size()))
+                    << label;
+              } else {
+                // ...and some of those at d are pruned.
+                EXPECT_LT(qs.join.live_per_iteration.back(), at_d) << label;
+              }
+            }
+            ++compared;
           }
-          ++compared;
         }
       }
     }
   }
-  EXPECT_EQ(compared, 2 * 2 * 3 * (3 * 3 + 3));
+  EXPECT_EQ(compared, 2 * 2 * 3 * (3 * 3 + 2 * 3));
+  // Per graph: every X-bound query, every Y-bound one on the autotuned
+  // and the 0-byte cache, and the two cold first turns on the 4 KiB one.
+  EXPECT_EQ(pruning_checked, 2 * (3 * 6 + 2 * 6 + 2));
 }
 
 TEST(DhtJoinServiceTest, SoftStoppedWarmAnswersBracketBruteForceOracle) {
@@ -625,9 +683,9 @@ TEST(DhtJoinServiceTest, CacheBillsBatchStatesExactly) {
       continue;
     }
     const BackwardBatchSnapshot& snap =
-        static_cast<const serve::CachedBatchState&>(*e.entry).snap;
-    want += sizeof(serve::CachedBatchState) + 12 * snap.mass.size() +
-            8 * snap.row.size();
+        *static_cast<const serve::CachedBatchState&>(*e.entry).snap;
+    want += sizeof(serve::CacheEntry) + sizeof(BackwardBatchSnapshot) +
+            12 * snap.mass.size() + 8 * snap.row.size();
     mass_entries += static_cast<int64_t>(snap.mass.size());
     ++states;
   }
@@ -635,6 +693,52 @@ TEST(DhtJoinServiceTest, CacheBillsBatchStatesExactly) {
   EXPECT_GT(mass_entries, 0);
   EXPECT_EQ(service.cache_stats().evictions, 0);
   EXPECT_EQ(service.cache_stats().resident_bytes, want);
+}
+
+TEST(DhtJoinServiceTest, DeepeningImportedStatesLeavesCachedSnapshotsIntact) {
+  // A query at a larger k walks on from the states a k = 1 query pruned
+  // below d. It imports the cache's own snapshots, shared, not copied:
+  // every advance must commit a new snapshot and leave the cached one,
+  // which other queries may be reading, bit-equal.
+  TwoWayFixture f;
+  DhtJoinService service(f.g, f.p, f.d, {.num_threads = 1});
+  ASSERT_TRUE(service.TwoWay(f.P, f.Q, 1).ok());
+  std::map<NodeId, std::shared_ptr<const BackwardBatchSnapshot>> held;
+  std::map<NodeId, BackwardBatchSnapshot> before;
+  for (const ScoreCache::ExportedEntry& e : service.cache().Export()) {
+    if (e.key.kind != CachePayload::kBatchState) continue;
+    const auto& snap =
+        static_cast<const serve::CachedBatchState&>(*e.entry).snap;
+    held[e.key.seed.value()] = snap;
+    before[e.key.seed.value()] = *snap;
+  }
+  ASSERT_EQ(held.size(), f.Q.size());
+
+  serve::QueryStats qs;
+  auto got = service.TwoWay(f.P, f.Q, 400, &qs);
+  ASSERT_TRUE(got.ok());
+  BIdjJoin join;
+  auto want = join.Run(f.g, f.p, f.d, f.P, f.Q, 400);
+  ASSERT_TRUE(want.ok());
+  ExpectSamePairs(*got, *want, "k 400 after k 1");
+  EXPECT_GT(qs.join.state_hits, 0);  // imported states walked on
+
+  int replaced = 0;
+  for (const ScoreCache::ExportedEntry& e : service.cache().Export()) {
+    if (e.key.kind != CachePayload::kBatchState) continue;
+    const NodeId q = e.key.seed.value();
+    const auto& now =
+        static_cast<const serve::CachedBatchState&>(*e.entry).snap;
+    if (now != held[q]) {
+      ++replaced;
+      EXPECT_GT(now->level, held[q]->level) << "target " << q;
+    }
+  }
+  EXPECT_GT(replaced, 0);
+  for (const auto& [q, snap] : held) {
+    testing::ExpectSameSnapshot(*snap, before[q],
+                                "target " + std::to_string(q));
+  }
 }
 
 /// Exact equality of two n-way answers (nodes, edge scores, aggregate);
@@ -760,31 +864,39 @@ TEST(DhtJoinServiceTest, ConcurrentSessionsAreDeterministic) {
       {Range("P2", 0, 20), Range("Q2", 40, 70)},
       {Range("P3", 10, 30), Range("Q3", 30, 60)},
   };
-  const std::size_t k = 12;
+  // Each template is served at three k at once. A larger k deepens
+  // states a smaller one pruned, so write-backs of new snapshots race
+  // imports of the shared ones they replace.
+  const std::vector<std::size_t> ks = {1, 12, 40};
 
-  std::vector<std::vector<ScoredPair>> expected;
+  std::vector<std::vector<std::vector<ScoredPair>>> expected;
   for (const Template& t : templates) {
-    BIdjJoin join;
-    auto r = join.Run(g, p, d, t.P, t.Q, k);
-    ASSERT_TRUE(r.ok());
-    expected.push_back(*r);
+    expected.emplace_back();
+    for (std::size_t k : ks) {
+      BIdjJoin join;
+      auto r = join.Run(g, p, d, t.P, t.Q, k);
+      ASSERT_TRUE(r.ok());
+      expected.back().push_back(*r);
+    }
   }
 
   DhtJoinService service(g, p, d, {.num_threads = 4});
   for (int round = 0; round < 3; ++round) {
     std::vector<std::future<Result<std::vector<ScoredPair>>>> futures;
-    std::vector<std::size_t> which;
-    for (int rep = 0; rep < 3; ++rep) {
+    std::vector<std::pair<std::size_t, std::size_t>> which;
+    for (std::size_t rep = 0; rep < ks.size(); ++rep) {
       for (std::size_t t = 0; t < templates.size(); ++t) {
         futures.push_back(
-            service.SubmitTwoWay(templates[t].P, templates[t].Q, k));
-        which.push_back(t);
+            service.SubmitTwoWay(templates[t].P, templates[t].Q, ks[rep]));
+        which.emplace_back(t, rep);
       }
     }
     for (std::size_t i = 0; i < futures.size(); ++i) {
       auto result = futures[i].get();
       ASSERT_TRUE(result.ok());
-      ExpectSamePairs(*result, expected[which[i]], "concurrent session");
+      const auto [t, rep] = which[i];
+      ExpectSamePairs(*result, expected[t][rep],
+                      "concurrent session k " + std::to_string(ks[rep]));
     }
   }
   EXPECT_GT(service.cache_stats().hits, 0);

@@ -8,8 +8,9 @@
 /// bound's S_i(P, q) sweep and RefBackwardSweep the backward first-hit
 /// walk, both as plain loops over the out-edge lists. RefTwoWayJoin and
 /// RefNwayJoin are brute-force joins on RefBackwardSweep, so they share
-/// no code with the engines they judge. ExpectSamePairs and
-/// ExpectSameTuples compare answers byte for byte.
+/// no code with the engines they judge, and RefBIdjLive replays
+/// Algorithm 2's pruning on it. ExpectSamePairs and ExpectSameTuples
+/// compare answers byte for byte, ExpectSameSnapshot saved walk states.
 
 #ifndef DHTJOIN_TESTS_TESTING_REFERENCE_H_
 #define DHTJOIN_TESTS_TESTING_REFERENCE_H_
@@ -25,6 +26,8 @@
 #include <utility>
 #include <vector>
 
+#include "dht/backward_batch.h"
+#include "dht/bounds.h"
 #include "dht/params.h"
 #include "graph/graph.h"
 #include "graph/graph_builder.h"
@@ -167,6 +170,56 @@ inline std::vector<ScoredPair> RefTwoWayJoin(const Graph& g,
   return out;
 }
 
+/// Algorithm 2's pruning as plain loops, for a run whose targets start
+/// from saved states at `imported_level` (0 = cold): the live target
+/// count entering the run and after each round l = 1, 2, 4, ... < d, as
+/// TwoWayJoinStats::live_per_iteration reports them. Round l scores
+/// each live target at max(l, its imported level) with
+/// RefBackwardSweep and offers only live targets' cells (p != q, above
+/// beta). T_k is the k-th of them under (score desc, p, q asc), -inf
+/// when there are fewer than k; a target whose max_p h + U falls below
+/// T_k is pruned. U is `ybound`'s Y^+ at the scored level, or X^+ when
+/// `ybound` is null.
+inline std::vector<int64_t> RefBIdjLive(const Graph& g,
+                                        const DhtParams& params, int d,
+                                        const NodeSet& P, const NodeSet& Q,
+                                        std::size_t k,
+                                        const std::vector<int>& imported_level,
+                                        const YBoundTable* ybound) {
+  std::vector<std::size_t> live(Q.size());
+  for (std::size_t qi = 0; qi < Q.size(); ++qi) live[qi] = qi;
+  std::vector<int64_t> out = {static_cast<int64_t>(live.size())};
+  for (int l = 1; l < d; l *= 2) {
+    std::vector<ScoredPair> cells;
+    std::vector<double> upper;
+    for (std::size_t qi : live) {
+      const ExtNodeId q = Q[qi];
+      const int level = std::max(l, imported_level[qi]);
+      const std::vector<double> h = RefBackwardSweep(g, params, level, q);
+      double pmax = params.beta;
+      for (ExtNodeId p : P) {
+        const double s = h[static_cast<std::size_t>(p.value())];
+        if (p == q || s <= params.beta) continue;
+        cells.push_back(ScoredPair{p.value(), q.value(), s});
+        pmax = std::max(pmax, s);
+      }
+      upper.push_back(pmax + (ybound != nullptr ? ybound->Bound(level, qi)
+                                                : params.XBound(level)));
+    }
+    std::sort(cells.begin(), cells.end(), ScoredPairGreater);
+    const double tk = cells.size() >= k
+                          ? cells[k - 1].score
+                          : -std::numeric_limits<double>::infinity();
+    std::vector<std::size_t> survivors;
+    for (std::size_t i = 0; i < live.size(); ++i) {
+      if (upper[i] >= tk) survivors.push_back(live[i]);
+    }
+    live.swap(survivors);
+    out.push_back(static_cast<int64_t>(live.size()));
+  }
+  return out;
+}
+
 /// Brute-force n-way join: all pair scores via RefTwoWayJoin, full
 /// tuple enumeration, validity filtering, top-k by f. Independent of the
 /// walk engines and of the PBRJ machinery.
@@ -254,6 +307,30 @@ inline void ExpectSameTuples(const std::vector<TupleAnswer>& got,
     EXPECT_EQ(std::bit_cast<uint64_t>(got[i].f),
               std::bit_cast<uint64_t>(want[i].f))
         << label << " rank " << i;
+  }
+}
+
+/// Expects two saved walk states to be equal bit for bit: level,
+/// discount, mass entries in saved order, and score row.
+inline void ExpectSameSnapshot(const BackwardBatchSnapshot& got,
+                               const BackwardBatchSnapshot& want,
+                               const std::string& label) {
+  EXPECT_EQ(got.level, want.level) << label;
+  EXPECT_EQ(std::bit_cast<uint64_t>(got.lambda_pow),
+            std::bit_cast<uint64_t>(want.lambda_pow))
+      << label;
+  EXPECT_EQ(got.mass.nodes, want.mass.nodes) << label;
+  ASSERT_EQ(got.mass.values.size(), want.mass.values.size()) << label;
+  for (std::size_t i = 0; i < want.mass.values.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(got.mass.values[i]),
+              std::bit_cast<uint64_t>(want.mass.values[i]))
+        << label << " mass " << i;
+  }
+  ASSERT_EQ(got.row.size(), want.row.size()) << label;
+  for (std::size_t i = 0; i < want.row.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(got.row[i]),
+              std::bit_cast<uint64_t>(want.row[i]))
+        << label << " row " << i;
   }
 }
 
