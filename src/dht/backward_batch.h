@@ -103,6 +103,15 @@ namespace dhtjoin {
 /// slots and cache entries may hold the same snapshot at once.
 struct BackwardBatchSnapshot {
   int level = 0;
+  /// Index into `row` of its largest cell whose source is not the
+  /// target itself (the first such on ties), -1 when every source is
+  /// the target (BestOtherCell). The joins read one pair per source
+  /// other than the target, so a row whose best such cell cannot enter
+  /// a top-k needs no other cell read. Set wherever a snapshot is
+  /// built: the engine's save and the warm-state decoder. It sits in
+  /// the padding after `level`, so the snapshot's size and bill are
+  /// those of a snapshot without it.
+  int32_t best_cell = -1;
   double lambda_pow = 1.0;
   /// Nonzero masses as two exact-sized parallel arrays (node ids and
   /// masses, batch_core::SparseMass), in the saved block's support
@@ -126,6 +135,23 @@ struct BackwardBatchSnapshot {
            row.capacity() * sizeof(double);
   }
 };
+
+/// Index of the largest cell of `row` whose source `sources[i]` is not
+/// `self`, the first on ties; -1 when every source is `self`. The
+/// BackwardBatchSnapshot::best_cell of target `self`'s row over
+/// `sources`, in either id space.
+template <typename Id>
+int32_t BestOtherCell(std::span<const double> row, std::span<const Id> sources,
+                      Id self) {
+  int32_t best = -1;
+  for (std::size_t i = 0; i < row.size(); ++i) {
+    if (sources[i] == self) continue;
+    if (best < 0 || row[i] > row[static_cast<std::size_t>(best)]) {
+      best = static_cast<int32_t>(i);
+    }
+  }
+  return best;
+}
 
 /// Per-target resumable walk states for the backward batch engines,
 /// indexed by a caller-stable slot id (B-IDJ uses the target's index
@@ -157,15 +183,12 @@ class BackwardBatchStates : public batch_core::BatchStateBudget {
     s = Slot{};
   }
 
-  /// Score DELTA row of `slot` over the pinned source set, at depth
-  /// level(slot): h_level - beta per source (BackwardBatchSnapshot::row
-  /// semantics — add beta to read scores). Empty when the slot holds no
-  /// state. It is the saved snapshot's own row, valid while the slot or
-  /// anyone else holds that snapshot.
-  std::span<const double> Row(std::size_t slot) const {
-    const Slot& s = slots_[slot];
-    if (s.snap == nullptr) return {};
-    return s.snap->row;
+  /// The snapshot saved in `slot`, null when the slot holds no state:
+  /// its row holds the score DELTAS over the pinned source set at depth
+  /// level(slot) (BackwardBatchSnapshot::row semantics — add beta to
+  /// read scores). Valid while the slot or anyone else holds it.
+  const BackwardBatchSnapshot* Saved(std::size_t slot) const {
+    return slots_[slot].snap.get();
   }
 
   /// Hands the snapshot of `slot` back, clearing the slot; null when
@@ -703,6 +726,9 @@ class BackwardWalkerBatchT {
         snap->mass = batch_core::CollectLaneMass(st, b);
       }
       snap->row.assign(rows[b], rows[b] + num_sources);
+      snap->best_cell =
+          BestOtherCell(std::span<const double>(snap->row), sources,
+                        lane_target[b]);
       states.TryCommit(states.slots_[lane_slots[static_cast<std::size_t>(b)]],
                        BackwardBatchStates::Slot(std::move(snap)));
     }

@@ -12,20 +12,6 @@
 
 namespace dhtjoin {
 
-namespace {
-
-/// A stored delta row as scores. Stored rows are beta-exclusive deltas
-/// (BackwardBatchSnapshot semantics); the floor goes back on exactly as
-/// the engine adds it at output, so a stored row is bit-identical to a
-/// walked one.
-void StoredScores(const DhtParams& params, std::span<const double> delta,
-                  std::vector<double>& out) {
-  out.assign(delta.begin(), delta.end());
-  for (double& cell : out) cell += params.beta;
-}
-
-}  // namespace
-
 template <int W>
 bool ScoreTargets(const DhtParams& params, int l, const NodeSet& P,
                   const NodeSet& Q, std::span<const std::size_t> live,
@@ -35,20 +21,19 @@ bool ScoreTargets(const DhtParams& params, int l, const NodeSet& P,
   std::vector<std::size_t> walk_pos;  // positions in `live` that walk
   std::vector<ExtNodeId> walk_nodes;
   std::vector<std::size_t> walk_slots;
-  std::vector<double> stored;
   for (std::size_t i = 0; i < live.size(); ++i) {
-    const int level = states != nullptr ? states->level(live[i]) : 0;
-    if (level < l) {
+    const BackwardBatchSnapshot* saved =
+        states != nullptr ? states->Saved(live[i]) : nullptr;
+    if (saved == nullptr || saved->level < l) {
       walk_pos.push_back(i);
       walk_nodes.push_back(Q[live[i]]);
       walk_slots.push_back(live[i]);
       continue;
     }
-    StoredScores(params, states->Row(live[i]), stored);
-    score_row(i, stored.data(), level);
+    score_row(i, ScoreRow::Stored(*saved));
   }
   auto consume = [&](std::size_t j, const double* row) {
-    score_row(walk_pos[j], row, l);
+    score_row(walk_pos[j], ScoreRow{.cells = row, .level = l});
   };
   bool interrupted = false;
   if (states != nullptr) {
@@ -90,15 +75,30 @@ Result<std::vector<ScoredPair>> RunBIdjSchedule(const DhtParams& params,
   };
 
   // Offers every pair (p, q) of q's score row that beats the floor to
-  // `top`; returns the row's largest score (beta when none does).
-  auto offer_row = [&](PairTopK& top, ExtNodeId q, const double* row) {
-    double pmax = params.beta;
+  // `top`; returns the row's largest score (beta when none does). Only
+  // a cell at or above the threshold can enter, and the threshold only
+  // rises, so the loop keeps a copy of it, refreshed after each retained
+  // offer, and offers nothing below it. A stored row knows its best
+  // cell: when even that lies below the threshold, no cell can enter and
+  // the row is scored from that one cell (DESIGN.md §6).
+  auto offer_row = [&](PairTopK& top, ExtNodeId q, const ScoreRow& row) {
+    const double beta = params.beta;
+    double t = top.Threshold();
+    if (row.delta) {
+      if (row.best_cell < 0) return beta;
+      const double best =
+          row.Score(static_cast<std::size_t>(row.best_cell), beta);
+      if (best < t) return std::max(beta, best);
+    }
+    double pmax = beta;
     for (std::size_t pi = 0; pi < P.size(); ++pi) {
       ExtNodeId p = P[pi];
       if (p == q) continue;
-      double s = row[pi];
-      if (s > params.beta) {
-        top.Offer(s, ScoredPair{p.value(), q.value(), s});
+      const double s = row.Score(pi, beta);
+      if (s > beta) {
+        if (s >= t && top.Offer(s, ScoredPair{p.value(), q.value(), s})) {
+          t = top.Threshold();
+        }
         if (s > pmax) pmax = s;
       }
     }
@@ -120,17 +120,17 @@ Result<std::vector<ScoredPair>> RunBIdjSchedule(const DhtParams& params,
   PairTopK finals(k);
   std::vector<bool> at_d(Q.size(), false);
   if (states != nullptr) {
-    std::vector<double> row;
     for (std::size_t qi = 0; qi < Q.size(); ++qi) {
-      if (states->level(qi) != d) continue;
+      const BackwardBatchSnapshot* saved = states->Saved(qi);
+      if (saved == nullptr || saved->level != d) continue;
       at_d[qi] = true;
-      StoredScores(params, states->Row(qi), row);
-      q_upper[qi] = offer_row(finals, Q[qi], row.data()) + remainder(d, qi);
+      q_upper[qi] =
+          offer_row(finals, Q[qi], ScoreRow::Stored(*saved)) + remainder(d, qi);
     }
   }
 
   // One round's stored-row-or-walk step over the live targets below d,
-  // and its barriers: score_target(qi, row, level) gets Q[qi]'s row.
+  // and its barriers: score_target(qi, row) gets Q[qi]'s row.
   std::vector<std::size_t> open;
   int64_t batch_barriers_seen = 0;
   auto walk_live = [&](int l, SaveStates save,
@@ -141,9 +141,8 @@ Result<std::vector<ScoredPair>> RunBIdjSchedule(const DhtParams& params,
     }
     const bool completed = ScoreTargets(
         params, l, P, Q, open, batch, states, save, exec,
-        &stats->walks_started,
-        [&](std::size_t i, const double* row, int level) {
-          score_target(open[i], row, level);
+        &stats->walks_started, [&](std::size_t i, const ScoreRow& row) {
+          score_target(open[i], row);
         });
     stats->barriers_per_iteration.push_back(batch.scheduler_barriers() -
                                             batch_barriers_seen);
@@ -207,9 +206,9 @@ Result<std::vector<ScoredPair>> RunBIdjSchedule(const DhtParams& params,
     PairTopK bounds = finals;
     bool completed =
         walk_live(l, SaveStates::kResumable,
-                  [&](std::size_t qi, const double* row, int row_level) {
+                  [&](std::size_t qi, const ScoreRow& row) {
                     q_upper[qi] = offer_row(bounds, Q[qi], row) +
-                                  remainder(row_level, qi);
+                                  remainder(row.level, qi);
                   });
     if (!completed) return degrade(exec->stop_code());
     // Round l completed: refresh the anytime snapshot before pruning.
@@ -256,7 +255,7 @@ Result<std::vector<ScoredPair>> RunBIdjSchedule(const DhtParams& params,
     bool completed =
         walk_live(d,
                   parts.keep_states ? SaveStates::kRowOnly : SaveStates::kNone,
-                  [&](std::size_t qi, const double* row, int /*level*/) {
+                  [&](std::size_t qi, const ScoreRow& row) {
                     offer_row(best, Q[qi], row);
                   });
     if (!completed) return degrade(exec->stop_code());

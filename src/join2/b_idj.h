@@ -39,17 +39,47 @@ namespace dhtjoin {
 
 class YBoundTable;
 
-/// Receives ScoreTargets' rows: score_row(i, row, level) gets the
-/// |P|-wide score row of the i-th listed target at depth `level`.
-using ScoreRowFn = std::function<void(std::size_t, const double*, int)>;
+/// One target's |P|-wide row as ScoreTargets hands it out, in P order.
+struct ScoreRow {
+  /// Scores h_level(p, q) of a walked row; for a stored row, the saved
+  /// snapshot's own DELTAS h_level(p, q) - beta, not a copy. A reader
+  /// adds beta to each delta cell it reads: the double addition the
+  /// engine makes at output, so both give bit-identical scores.
+  const double* cells = nullptr;
+  int level = 0;
+  /// True for a stored row: `cells` are deltas.
+  bool delta = false;
+  /// For a stored row, the index of its largest cell whose source is
+  /// not the target (BackwardBatchSnapshot::best_cell), -1 when every
+  /// source is the target. Unset (-1) for a walked row.
+  int32_t best_cell = -1;
+
+  /// A stored snapshot's row, read in place.
+  static ScoreRow Stored(const BackwardBatchSnapshot& snap) {
+    return ScoreRow{.cells = snap.row.data(),
+                    .level = snap.level,
+                    .delta = true,
+                    .best_cell = snap.best_cell};
+  }
+
+  /// The score of cell `pi`.
+  double Score(std::size_t pi, double beta) const {
+    return delta ? cells[pi] + beta : cells[pi];
+  }
+};
+
+/// Receives ScoreTargets' rows: score_row(i, row) gets the row of the
+/// i-th listed target.
+using ScoreRowFn = std::function<void(std::size_t, const ScoreRow&)>;
 
 /// The stored-row-or-walk step of a deepening round: scores every
 /// target Q[live[i]] at level `l` or deeper. A target whose state
 /// already sits at or past l is scored from its stored row at its own
-/// level, which is valid and tighter (DESIGN.md §6). The others walk to
-/// l in one batch on `batch`: with `states`, each continues from its
-/// saved state and keeps what `save` says; without, each restarts from
-/// scratch — same rows either way (sorted-support determinism),
+/// level, which is valid and tighter (DESIGN.md §6), and read in place
+/// as deltas (ScoreRow::delta). The others walk to l in one batch on
+/// `batch`: with `states`, each continues from its saved state and
+/// keeps what `save` says; without, each restarts from scratch — same
+/// rows either way (sorted-support determinism),
 /// different step counts. Adds the walks started from scratch to
 /// `*walks_started`. Returns false when a cooperative stop under `exec`
 /// interrupted the walk (resume schedule only); the caller must then

@@ -43,6 +43,16 @@ IncrementalTwoWayJoin::IncrementalTwoWayJoin(const Graph& g,
                             : AutotuneStateBudgetBytes(g.num_nodes())),
       autotune_budget_(options.state_budget_bytes == 0),
       single_(g, {.num_threads = 1, .soa_gather = true}) {
+  // Import before the Y-bound table: a table the provider sweeps and
+  // caches could evict the very states this edge is about to import.
+  if (options_.snapshots != nullptr) {
+    options_.snapshots->Import(P_, Q_, d_, states_);
+    imported_level_.resize(Q_.size());
+    for (std::size_t qi = 0; qi < Q_.size(); ++qi) {
+      imported_level_[qi] = states_.level(qi);
+      if (imported_level_[qi] > 0) ++warm_targets_;
+    }
+  }
   if (options_.bound == UpperBoundKind::kY) {
     if (options_.snapshots != nullptr) {
       ybound_ = options_.snapshots->SharedYBound(P, Q, d, &ybound_cached_);
@@ -55,14 +65,6 @@ IncrementalTwoWayJoin::IncrementalTwoWayJoin(const Graph& g,
     // shared adaptive engine now, so a flat d * |E| would overcount) —
     // and nothing when the table was served from the cache.
     if (!ybound_cached_) stats_.walk_steps += ybound_->edges_relaxed();
-  }
-  if (options_.snapshots != nullptr) {
-    options_.snapshots->Import(P_, Q_, d_, states_);
-    imported_level_.resize(Q_.size());
-    for (std::size_t qi = 0; qi < Q_.size(); ++qi) {
-      imported_level_[qi] = states_.level(qi);
-      if (imported_level_[qi] > 0) ++warm_targets_;
-    }
   }
   cold_targets_ = static_cast<int64_t>(Q_.size()) - warm_targets_;
   q_level_.assign(Q_.size(), 0);
@@ -135,8 +137,8 @@ int64_t IncrementalTwoWayJoin::Deepen(std::span<const std::size_t> targets,
   const int64_t barriers_before = engine.scheduler_barriers();
   ScoreTargets(params_, level, P_, Q_, targets, engine, &states_, save,
                /*exec=*/nullptr, &stats_.walks_started,
-               [&](std::size_t i, const double* row, int row_level) {
-                 ApplyRow(targets[i], row_level, row);
+               [&](std::size_t i, const ScoreRow& row) {
+                 ApplyRow(targets[i], row);
                });
   if (save == SaveStates::kNone) {
     for (std::size_t qi : targets) states_.Drop(qi);
@@ -156,8 +158,8 @@ void IncrementalTwoWayJoin::WriteBackStates() {
   options_.snapshots->WriteBack(P_, Q_, d_, states_, imported_level_);
 }
 
-void IncrementalTwoWayJoin::ApplyRow(std::size_t qi, int new_level,
-                                     const double* row) {
+void IncrementalTwoWayJoin::ApplyRow(std::size_t qi, const ScoreRow& row) {
+  const int new_level = row.level;
   DHTJOIN_CHECK_GT(new_level, q_level_[qi]);
   DHTJOIN_CHECK_LE(new_level, d_);
   ExtNodeId q = Q_[qi];
@@ -174,7 +176,7 @@ void IncrementalTwoWayJoin::ApplyRow(std::size_t qi, int new_level,
   for (std::size_t pi = 0; pi < P_.size(); ++pi) {
     ExtNodeId p = P_[pi];
     if (p == q) continue;
-    double s = row[pi];
+    const double s = row.Score(pi, params_.beta);
     if (s <= params_.beta) continue;
     pmax = std::max(pmax, s);
     double upper = s + remainder;

@@ -62,6 +62,8 @@
 
 namespace dhtjoin {
 
+struct ScoreRow;  // join2/b_idj.h
+
 /// Cross-query store of per-target batch walk states and Y-bound
 /// tables, implemented by the serving cache (serve/session.h). A state
 /// is keyed by its target AND the source set P its score row covers —
@@ -203,10 +205,11 @@ class IncrementalTwoWayJoin {
                  BackwardWalkerBatchT<W>& engine);
 
   /// The F-maintenance half of a deepening: folds target qi's score row
-  /// over P (h_{new_level}(P[pi], Q[qi]) at row[pi]) into the candidate
-  /// heap — merging it with the target's handle list — and residual
-  /// bound, and records the new level and the row's best score.
-  void ApplyRow(std::size_t qi, int new_level, const double* row);
+  /// over P (h_{row.level}(P[pi], Q[qi]) at cell pi, read in place from
+  /// a stored row's deltas) into the candidate heap — merging it with
+  /// the target's handle list — and residual bound, and records the new
+  /// level and the row's best score.
+  void ApplyRow(std::size_t qi, const ScoreRow& row);
 
   /// Resolves every pair whose bound still reaches `s` (the exact top
   /// pair's score, which its blocker ties) less a rounding margin, then

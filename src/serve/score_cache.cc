@@ -1,7 +1,9 @@
 #include "serve/score_cache.h"
 
+#include <algorithm>
 #include <bit>
 
+#include "util/check.h"
 #include "util/rng.h"
 
 namespace dhtjoin::serve {
@@ -27,8 +29,9 @@ class HashStream {
   uint64_t hash_ = 0xcbf29ce484222325ULL;
 };
 
-bool SameNodes(const std::shared_ptr<const std::vector<ExtNodeId>>& a,
-               const std::shared_ptr<const std::vector<ExtNodeId>>& b) {
+bool SameNodes(const NodeList& a, const NodeList& b) {
+  // Interned keys share one vector per set: the pointer decides on the
+  // hot path, the contents otherwise.
   if (a == b) return true;  // same vector (or both null)
   if (a == nullptr || b == nullptr) return false;
   return *a == *b;
@@ -102,23 +105,94 @@ ScoreCache::ScoreCache(Options options) : options_(options) {
   shard_budget_ = options_.max_bytes / static_cast<std::size_t>(shards);
 }
 
-ScoreCache::Shard& ScoreCache::ShardFor(uint64_t hash) {
+std::size_t ScoreCache::ShardIndex(uint64_t hash) const {
   // Shard on the high hash bits; the map uses the full hash below them.
-  return *shards_[(hash >> 48) % shards_.size()];
+  return (hash >> 48) % shards_.size();
+}
+
+NodeList ScoreCache::Intern(std::span<const ExtNodeId> nodes,
+                            uint64_t digest) {
+  InternTable& table = *interned_;
+  std::lock_guard<std::mutex> lock(table.mu);
+  auto [lo, hi] = table.sets.equal_range(digest);
+  for (auto it = lo; it != hi; ++it) {
+    // A listed vector is still allocated, expired or not (InternTable).
+    const std::vector<ExtNodeId>& held = *it->second.ptr;
+    const bool same =
+        (held.data() == nodes.data() && held.size() == nodes.size()) ||
+        std::ranges::equal(held, nodes);
+    if (!same) continue;
+    if (NodeList live = it->second.weak.lock()) return live;
+  }
+  auto* fresh = new std::vector<ExtNodeId>(nodes.begin(), nodes.end());
+  NodeList out(fresh, [owner = interned_,
+                       digest](const std::vector<ExtNodeId>* v) {
+    {
+      std::lock_guard<std::mutex> guard(owner->mu);
+      auto [first, last] = owner->sets.equal_range(digest);
+      for (auto entry = first; entry != last; ++entry) {
+        if (entry->second.ptr == v) {
+          owner->sets.erase(entry);
+          break;
+        }
+      }
+    }
+    delete v;
+  });
+  table.sets.emplace(digest, InternTable::Interned{fresh, out});
+  return out;
+}
+
+std::size_t ScoreCache::interned_sets() const {
+  std::lock_guard<std::mutex> lock(interned_->mu);
+  return interned_->sets.size();
+}
+
+void ScoreCache::GetMany(std::span<const CacheKey> keys,
+                         std::span<std::shared_ptr<const CacheEntry>> out) {
+  DHTJOIN_CHECK_EQ(keys.size(), out.size());
+  // Group the keys by shard, stably (a counting sort): `order` lists
+  // shard 0's keys in their given order, then shard 1's, and so on.
+  std::vector<uint64_t> hashes(keys.size());
+  std::vector<std::size_t> start(shards_.size() + 1, 0);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    hashes[i] = keys[i].Hash();
+    ++start[ShardIndex(hashes[i]) + 1];
+  }
+  for (std::size_t s = 0; s < shards_.size(); ++s) start[s + 1] += start[s];
+  std::vector<std::size_t> order(keys.size());
+  {
+    std::vector<std::size_t> next(start.begin(), start.end() - 1);
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      order[next[ShardIndex(hashes[i])]++] = i;
+    }
+  }
+  int64_t hits = 0;
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    if (start[s] == start[s + 1]) continue;
+    Shard& shard = *shards_[s];
+    std::lock_guard<std::mutex> lock(shard.mu);
+    for (std::size_t j = start[s]; j < start[s + 1]; ++j) {
+      const std::size_t i = order[j];
+      auto it = shard.index.find(IndexKey{&keys[i], hashes[i]});
+      if (it == shard.index.end()) {
+        out[i] = nullptr;
+        continue;
+      }
+      ++hits;
+      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+      out[i] = it->second->entry;
+    }
+  }
+  hits_.fetch_add(hits, std::memory_order_relaxed);
+  misses_.fetch_add(static_cast<int64_t>(keys.size()) - hits,
+                    std::memory_order_relaxed);
 }
 
 std::shared_ptr<const CacheEntry> ScoreCache::Get(const CacheKey& key) {
-  const IndexKey probe{&key, key.Hash()};
-  Shard& shard = ShardFor(probe.hash);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.index.find(probe);
-  if (it == shard.index.end()) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    return nullptr;
-  }
-  hits_.fetch_add(1, std::memory_order_relaxed);
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  return it->second->entry;
+  std::shared_ptr<const CacheEntry> entry;
+  GetMany({&key, 1}, {&entry, 1});
+  return entry;
 }
 
 void ScoreCache::Put(const CacheKey& key,
@@ -140,8 +214,13 @@ void ScoreCache::PutIf(
     evictions_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
+  // The stored key holds the interned sets; intern before the shard
+  // lock, since a set's last release takes the intern lock under it.
+  CacheKey stored = key;
+  if (key.set_a != nullptr) stored.set_a = Intern(*key.set_a, key.digest_a);
+  if (key.set_b != nullptr) stored.set_b = Intern(*key.set_b, key.digest_b);
   const IndexKey probe{&key, key.Hash()};
-  Shard& shard = ShardFor(probe.hash);
+  Shard& shard = *shards_[ShardIndex(probe.hash)];
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.index.find(probe);
   // First-touch bypass for small payloads (Options::
@@ -163,7 +242,8 @@ void ScoreCache::PutIf(
     shard.index.erase(it);
     shard.lru.erase(node);
   }
-  shard.lru.push_front(Node{key, probe.hash, std::move(entry), bytes});
+  shard.lru.push_front(
+      Node{std::move(stored), probe.hash, std::move(entry), bytes});
   shard.index.emplace(IndexKey{&shard.lru.front().key, probe.hash},
                       shard.lru.begin());
   shard.bytes += bytes;
@@ -188,7 +268,7 @@ void ScoreCache::PutDeepest(const CacheKey& key,
 
 void ScoreCache::Erase(const CacheKey& key) {
   const IndexKey probe{&key, key.Hash()};
-  Shard& shard = ShardFor(probe.hash);
+  Shard& shard = *shards_[ShardIndex(probe.hash)];
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.index.find(probe);
   if (it == shard.index.end()) return;

@@ -15,7 +15,10 @@
 /// Keying is EXACT, not probabilistic: besides the 64-bit content
 /// digests used for hashing, a key carries shared_ptr copies of its
 /// seed-set contents and equality compares them element-wise, so a
-/// digest collision can never alias two different queries. Combined
+/// digest collision can never alias two different queries. The cache
+/// interns seed sets (Intern): it keeps one shared vector per distinct
+/// list, so keys over one set hold one vector, and comparing them meets
+/// pointer equality before it would compare contents. Combined
 /// with the engines' sorted-support determinism (DESIGN.md §3 and §6),
 /// this is what makes a warm hit BYTE-safe: a resumed or reused payload
 /// is bit-identical to what a cold query would recompute.
@@ -69,14 +72,18 @@ enum class CachePayload : uint8_t {
   kYBound = 3,      ///< YBoundTable of (P, Q) at depth d
 };
 
+/// A seed set as keys hold it: shared, and, in a stored key, interned.
+using NodeList = std::shared_ptr<const std::vector<ExtNodeId>>;
+
 /// Exact cache key. `d` is set only for payloads whose key must name
 /// the truncation depth (kEdgeTable, kYBound); walk states (kBatchState)
 /// carry their depth as their level and leave it 0. They need no d in
 /// the key because a cache belongs to one service, which runs one d,
 /// and checkpoints fingerprint d: a walk state at the service's d is
 /// final and holds only its score row (DESIGN.md §6). Seed sets are carried
-/// by shared_ptr and compared by CONTENT — the pointers just keep one
-/// copy alive per key instead of one per comparison.
+/// by shared_ptr and compared by CONTENT, after pointer equality: the
+/// cache interns every stored key's sets (ScoreCache::Intern), and
+/// probes built from the interned vectors compare one pointer per set.
 struct CacheKey {
   uint64_t graph_fp = 0;
   CachePayload kind = CachePayload::kBatchState;
@@ -85,8 +92,8 @@ struct CacheKey {
   /// Seed/target node (EXTERNAL id), when the payload has one. Keys
   /// are layout-independent; graph_fp pins the layout separately.
   ExtNodeId seed = kInvalidExtNode;
-  std::shared_ptr<const std::vector<ExtNodeId>> set_a;  ///< e.g. P / L
-  std::shared_ptr<const std::vector<ExtNodeId>> set_b;  ///< e.g. Q / R
+  NodeList set_a;  ///< e.g. P / L
+  NodeList set_b;  ///< e.g. Q / R
   uint64_t digest_a = 0;  ///< DigestNodes(*set_a); 0 when unset
   uint64_t digest_b = 0;
 
@@ -95,9 +102,12 @@ struct CacheKey {
 };
 
 /// Base of every cached payload; ApproxBytes feeds the byte budget.
+/// Each payload type names its kind as `kKind`, and an entry reports
+/// it, so PayloadAs casts by kind instead of by RTTI.
 class CacheEntry {
  public:
   virtual ~CacheEntry() = default;
+  virtual CachePayload kind() const = 0;
   virtual std::size_t ApproxBytes() const = 0;
   /// Depth of the walk the payload holds; 0 for a payload that holds
   /// no walk (a whole table). ScoreCache::PutDeepest arbitrates by it.
@@ -113,9 +123,11 @@ class CacheEntry {
 /// mass entry and 8 per row cell over exact-sized arrays), whoever
 /// else holds it.
 struct CachedBatchState final : CacheEntry {
+  static constexpr CachePayload kKind = CachePayload::kBatchState;
   explicit CachedBatchState(std::shared_ptr<const BackwardBatchSnapshot> s)
       : snap(std::move(s)) {}
   std::shared_ptr<const BackwardBatchSnapshot> snap;
+  CachePayload kind() const override { return kKind; }
   std::size_t ApproxBytes() const override {
     return sizeof(CacheEntry) + snap->ApproxBytes();
   }
@@ -124,9 +136,11 @@ struct CachedBatchState final : CacheEntry {
 
 /// NL's per-edge forward score table (|L| x |R| row-major h_d).
 struct CachedTable final : CacheEntry {
+  static constexpr CachePayload kKind = CachePayload::kEdgeTable;
   explicit CachedTable(std::shared_ptr<const std::vector<double>> t)
       : table(std::move(t)) {}
   std::shared_ptr<const std::vector<double>> table;
+  CachePayload kind() const override { return kKind; }
   std::size_t ApproxBytes() const override {
     return sizeof(*this) + (table == nullptr
                                 ? 0
@@ -136,8 +150,10 @@ struct CachedTable final : CacheEntry {
 
 /// Y_l^+(P, q) table of one (P, Q, d) triple (B-IDJ-Y's up-front sweep).
 struct CachedYBound final : CacheEntry {
+  static constexpr CachePayload kKind = CachePayload::kYBound;
   explicit CachedYBound(YBoundTable t) : table(std::move(t)) {}
   YBoundTable table;
+  CachePayload kind() const override { return kKind; }
   std::size_t ApproxBytes() const override {
     // One row of d+1 doubles per target, plus its vector header.
     const std::size_t rows = table.suffix_rows().size();
@@ -146,6 +162,13 @@ struct CachedYBound final : CacheEntry {
            rows * sizeof(std::vector<double>);
   }
 };
+
+/// `entry` as a T when it holds T's payload kind (T::kKind), else null.
+template <typename T>
+std::shared_ptr<const T> PayloadAs(std::shared_ptr<const CacheEntry> entry) {
+  if (entry == nullptr || entry->kind() != T::kKind) return nullptr;
+  return std::static_pointer_cast<const T>(std::move(entry));
+}
 
 /// Aggregate counters; readable while the cache is in use.
 struct CacheStats {
@@ -187,17 +210,33 @@ class ScoreCache {
 
   explicit ScoreCache(Options options);
 
-  /// Returns the entry under `key` (bumping it in its shard's LRU) or
-  /// nullptr. The returned pointer keeps the payload alive regardless
-  /// of later eviction.
+  /// The one shared vector holding `nodes`, whose DigestNodes is
+  /// `digest`: the interned vector with this digest and these contents
+  /// while one is alive, else a new one, interned. The cache holds each
+  /// vector weakly, finds it by digest and confirms it by content, so
+  /// lists that share a digest but differ get a vector each. A vector
+  /// leaves the table when its last holder releases it.
+  NodeList Intern(std::span<const ExtNodeId> nodes, uint64_t digest);
+
+  /// Number of vectors the intern table holds.
+  std::size_t interned_sets() const;
+
+  /// Looks every key up: out[i] is the entry under keys[i] or nullptr.
+  /// Keys are grouped by shard, in their given order within a shard,
+  /// one shard lock at a time; each hit is bumped in its shard's LRU.
+  /// Recency, counters and eviction therefore come out as they would
+  /// for a Get of each key in turn. The returned pointers keep their
+  /// payloads alive regardless of later eviction.
+  void GetMany(std::span<const CacheKey> keys,
+               std::span<std::shared_ptr<const CacheEntry>> out);
+
+  /// GetMany of one key.
   std::shared_ptr<const CacheEntry> Get(const CacheKey& key);
 
-  /// Typed Get; returns nullptr on miss. The key's `kind` field keeps
-  /// payload types disjoint, so the cast cannot mismatch for callers
-  /// that pair kinds and types consistently (all of serve/ does).
+  /// Typed Get; returns nullptr on a miss or an entry of another kind.
   template <typename T>
   std::shared_ptr<const T> GetAs(const CacheKey& key) {
-    return std::dynamic_pointer_cast<const T>(Get(key));
+    return PayloadAs<T>(Get(key));
   }
 
   /// Inserts (or replaces) `entry` under `key`, then evicts the shard's
@@ -237,9 +276,24 @@ class ScoreCache {
 
  private:
   /// Put, unless `keep_existing(current)` returns true for an entry
-  /// already under `key`. The predicate runs under the shard lock.
+  /// already under `key`. The predicate runs under the shard lock. The
+  /// stored key holds the interned sets.
   void PutIf(const CacheKey& key, std::shared_ptr<const CacheEntry> entry,
              const std::function<bool(const CacheEntry&)>& keep_existing);
+
+  /// Weak table of interned sets, by digest. Each vector's deleter
+  /// erases its own entry, under the table's lock, before it frees the
+  /// vector: a vector listed here is therefore still allocated, even
+  /// once expired, and the table never lists a freed vector. The
+  /// deleters share the table, so it outlives the cache if keys do.
+  struct InternTable {
+    struct Interned {
+      const std::vector<ExtNodeId>* ptr;
+      std::weak_ptr<const std::vector<ExtNodeId>> weak;
+    };
+    mutable std::mutex mu;
+    std::unordered_multimap<uint64_t, Interned> sets;
+  };
 
   struct Node {
     CacheKey key;
@@ -279,10 +333,11 @@ class ScoreCache {
   /// deliberately outside the payload byte budget.
   static constexpr std::size_t kMaxSeenPerShard = std::size_t{1} << 14;
 
-  /// The shard of a key whose Hash() is `hash`.
-  Shard& ShardFor(uint64_t hash);
+  /// The shard index of a key whose Hash() is `hash`.
+  std::size_t ShardIndex(uint64_t hash) const;
 
   Options options_;
+  std::shared_ptr<InternTable> interned_ = std::make_shared<InternTable>();
   std::size_t shard_budget_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<int64_t> hits_{0};

@@ -121,31 +121,33 @@ CacheKey DhtJoinService::BaseKey(CachePayload kind) const {
 }
 
 CacheKey DhtJoinService::SetsKey(CachePayload kind, const NodeSet& A,
-                                 const NodeSet& B) const {
+                                 const NodeSet& B) {
   CacheKey key = BaseKey(kind);
   key.d = d_;
-  key.set_a = std::make_shared<const std::vector<ExtNodeId>>(A.nodes());
-  key.set_b = std::make_shared<const std::vector<ExtNodeId>>(B.nodes());
-  key.digest_a = DigestNodes(*key.set_a);
-  key.digest_b = DigestNodes(*key.set_b);
+  key.digest_a = DigestNodes(A.nodes());
+  key.digest_b = DigestNodes(B.nodes());
+  key.set_a = cache_.Intern(A.nodes(), key.digest_a);
+  key.set_b = cache_.Intern(B.nodes(), key.digest_b);
   return key;
 }
 
-CacheKey DhtJoinService::StatesKey(const NodeSet& P) const {
+CacheKey DhtJoinService::StatesKey(const NodeSet& P) {
   CacheKey key = BaseKey(CachePayload::kBatchState);
-  key.set_a = std::make_shared<const std::vector<ExtNodeId>>(P.nodes());
-  key.digest_a = DigestNodes(*key.set_a);
+  key.digest_a = DigestNodes(P.nodes());
+  key.set_a = cache_.Intern(P.nodes(), key.digest_a);
   return key;
 }
 
 std::vector<int> DhtJoinService::ImportStates(const NodeSet& P,
                                               const NodeSet& Q,
                                               BackwardBatchStates& states) {
+  std::vector<CacheKey> keys(Q.size(), StatesKey(P));
+  for (std::size_t qi = 0; qi < Q.size(); ++qi) keys[qi].seed = Q[qi];
+  std::vector<std::shared_ptr<const CacheEntry>> entries(Q.size());
+  cache_.GetMany(keys, entries);
   std::vector<int> imported_level(Q.size(), 0);
-  CacheKey key = StatesKey(P);
   for (std::size_t qi = 0; qi < Q.size(); ++qi) {
-    key.seed = Q[qi];
-    auto entry = cache_.GetAs<CachedBatchState>(key);
+    auto entry = PayloadAs<CachedBatchState>(std::move(entries[qi]));
     if (entry != nullptr && entry->snap->level <= d_ &&
         entry->snap->row.size() == P.size() &&
         states.Import(qi, entry->snap)) {
@@ -409,19 +411,9 @@ Result<std::vector<ScoredPair>> DhtJoinService::RunTwoWay(
   obs::Trace* const trace = obs::TraceOf(exec);
   QueryStats qs;
 
-  // Y-bound table: cached whole per (P, Q, d), shared with PJ-i. An
-  // abandoned construction is returned uncached; the run then degrades
-  // at level 0.
-  std::shared_ptr<const CachedYBound> ybound;
-  if (options_.bound == UpperBoundKind::kY) {
-    obs::ScopedSpan ybound_span(trace, "ybound");
-    ybound = YBoundFor(P, Q, exec, &qs.ybound_cached);
-    if (!qs.ybound_cached) qs.join.walk_steps += ybound->table.edges_relaxed();
-    ybound_span.SetAttr("cached", int64_t{qs.ybound_cached ? 1 : 0});
-  }
-
   // Import each target's cached walk state (level <= d, row pinned to
-  // exactly this P — the key guarantees both).
+  // exactly this P — the key guarantees both), before anything this
+  // query inserts can evict one of them.
   BackwardWalkerBatch batch(g_, {.num_threads = 1});
   BackwardBatchStates states(Q.size(),
                              AutotuneStateBudgetBytes(g_.num_nodes()));
@@ -436,6 +428,17 @@ Result<std::vector<ScoredPair>> DhtJoinService::RunTwoWay(
     qs.cold_targets = static_cast<int64_t>(Q.size()) - qs.warm_targets;
     import_span.SetAttr("warm", qs.warm_targets);
     import_span.SetAttr("cold", qs.cold_targets);
+  }
+
+  // Y-bound table: cached whole per (P, Q, d), shared with PJ-i. An
+  // abandoned construction is returned uncached; the run then degrades
+  // at level 0.
+  std::shared_ptr<const CachedYBound> ybound;
+  if (options_.bound == UpperBoundKind::kY) {
+    obs::ScopedSpan ybound_span(trace, "ybound");
+    ybound = YBoundFor(P, Q, exec, &qs.ybound_cached);
+    if (!qs.ybound_cached) qs.join.walk_steps += ybound->table.edges_relaxed();
+    ybound_span.SetAttr("cached", int64_t{qs.ybound_cached ? 1 : 0});
   }
 
   Result<std::vector<ScoredPair>> result = RunBIdjSchedule(

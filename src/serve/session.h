@@ -263,14 +263,18 @@ class DhtJoinService {
 
   CacheKey BaseKey(CachePayload kind) const;
 
-  /// Key of the batch states whose rows cover P; set `seed` to a target.
-  CacheKey StatesKey(const NodeSet& P) const;
+  /// Key of the batch states whose rows cover P, over the cache's
+  /// interned copy of P; set `seed` to a target.
+  CacheKey StatesKey(const NodeSet& P);
 
   /// Seeds slot i of `states` with the cached batch state of (Q[i], P)
   /// when its level is at most d_, its row covers P and it fits the
   /// states' budget; returns each slot's imported level (0 = cold). The
-  /// slot shares the cached snapshot; nothing is copied. The one import
-  /// step of the two-way executor and of PJ-i's query edges.
+  /// slot shares the cached snapshot; nothing is copied. One batched
+  /// lookup (ScoreCache::GetMany) covers every target. The one import
+  /// step of the two-way executor and of PJ-i's query edges, which both
+  /// run it before they take or sweep their Y-bound table: inserting a
+  /// swept table could evict the states first.
   std::vector<int> ImportStates(const NodeSet& P, const NodeSet& Q,
                                 BackwardBatchStates& states);
 
@@ -284,9 +288,8 @@ class DhtJoinService {
                           std::span<const int> imported_level);
 
   /// Key of a depth-d_ payload over two node sets (NL edge tables,
-  /// Y-bound tables): both sets compared by content.
-  CacheKey SetsKey(CachePayload kind, const NodeSet& A,
-                   const NodeSet& B) const;
+  /// Y-bound tables), over the cache's interned copies of both.
+  CacheKey SetsKey(CachePayload kind, const NodeSet& A, const NodeSet& B);
 
   /// The Y-bound table of (P, Q) at depth d_, shared by two-way and
   /// PJ-i queries through the cache's kYBound entry: a hit, or a fresh

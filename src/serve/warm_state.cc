@@ -143,13 +143,13 @@ uint32_t SectionKindFor(CachePayload kind) {
 
 std::vector<uint8_t> EncodeCacheRecord(const CacheKey& key,
                                        const CacheEntry& entry) {
+  if (entry.kind() != key.kind) return {};
   ByteWriter w;
   WriteKeyCommon(w, key);
   switch (key.kind) {
     case CachePayload::kBatchState: {
-      const auto* batch = dynamic_cast<const CachedBatchState*>(&entry);
-      if (batch == nullptr) return {};
-      const BackwardBatchSnapshot& snap = *batch->snap;
+      const BackwardBatchSnapshot& snap =
+          *static_cast<const CachedBatchState&>(entry).snap;
       w.I64(snap.level);
       w.F64Bits(snap.lambda_pow);
       WriteMass(w, snap.mass);
@@ -157,17 +157,17 @@ std::vector<uint8_t> EncodeCacheRecord(const CacheKey& key,
       break;
     }
     case CachePayload::kEdgeTable: {
-      const auto* table = dynamic_cast<const CachedTable*>(&entry);
-      if (table == nullptr || table->table == nullptr) return {};
-      WriteDoubles(w, *table->table);
+      const auto& table = static_cast<const CachedTable&>(entry);
+      if (table.table == nullptr) return {};
+      WriteDoubles(w, *table.table);
       break;
     }
     case CachePayload::kYBound: {
-      const auto* bound = dynamic_cast<const CachedYBound*>(&entry);
-      if (bound == nullptr || !bound->table.complete()) return {};
-      const auto& rows = bound->table.suffix_rows();
-      w.I64(bound->table.d());
-      w.I64(bound->table.edges_relaxed());
+      const auto& bound = static_cast<const CachedYBound&>(entry);
+      if (!bound.table.complete()) return {};
+      const auto& rows = bound.table.suffix_rows();
+      w.I64(bound.table.d());
+      w.I64(bound.table.edges_relaxed());
       // The slot of the retired target-count hint: the row count, which
       // the decoder requires it to equal.
       w.U64(rows.size());
@@ -207,6 +207,17 @@ Result<DecodedCacheRecord> DecodeCacheRecord(uint32_t section_kind,
       snap->lambda_pow = r.F64Bits();
       DHTJOIN_RETURN_NOT_OK(ReadMass(r, num_nodes, &snap->mass));
       DHTJOIN_RETURN_NOT_OK(ReadDoubles(r, &snap->row));
+      // The row covers the key's P, cell for cell; the joins read it
+      // through its best cell other than the target (the key's seed).
+      const NodeList& P = record.key.set_a;
+      if (P == nullptr || snap->row.size() != P->size()) {
+        return Status::InvalidArgument(
+            "warm record corrupt: batch state row differs from its key's "
+            "source set");
+      }
+      snap->best_cell =
+          BestOtherCell(std::span<const double>(snap->row),
+                        std::span<const ExtNodeId>(*P), record.key.seed);
       record.entry = std::make_shared<CachedBatchState>(std::move(snap));
       break;
     }

@@ -17,9 +17,9 @@
 ///
 /// Decoding is fail-closed: any underflow, trailing bytes, unknown or
 /// retired section kind, or structurally impossible field — a node id
-/// outside the graph, a walk level outside [1, d], a Y-bound table not
-/// shaped like its key — yields kInvalidArgument, never a
-/// partially-filled record.
+/// outside the graph, a walk level outside [1, d], a walk row or a
+/// Y-bound table not shaped like its key — yields kInvalidArgument,
+/// never a partially-filled record.
 
 #ifndef DHTJOIN_SERVE_WARM_STATE_H_
 #define DHTJOIN_SERVE_WARM_STATE_H_
@@ -53,9 +53,10 @@ struct DecodedCacheRecord {
 /// caller validated the snapshot header's fingerprints against them);
 /// the record carries everything else. Beyond structure, the decoder
 /// checks what the engine will index or walk: every node id of a mass
-/// list lies in [0, num_nodes), a walk state's level lies in [1, d],
-/// and a Y-bound table has one row per member of its key's Q and the
-/// key's d.
+/// list lies in [0, num_nodes), a walk state's level lies in [1, d]
+/// and its row has one cell per member of its key's P, and a Y-bound
+/// table has one row per member of its key's Q and the key's d. A
+/// decoded walk state's best_cell is computed from its row, P and seed.
 /// An empty mass is legal at any level: below d it is a walk whose
 /// mass died, at d a state saved row-only.
 Result<DecodedCacheRecord> DecodeCacheRecord(uint32_t section_kind,

@@ -488,6 +488,7 @@ enum class BadRecord {
   kBatchLevelNegative,
   kBatchLevelPastD,
   kYBoundHintNotRowCount,
+  kBatchRowShort,
 };
 
 std::string BadRecordName(const ::testing::TestParamInfo<BadRecord>& info) {
@@ -499,6 +500,7 @@ std::string BadRecordName(const ::testing::TestParamInfo<BadRecord>& info) {
     case BadRecord::kBatchLevelNegative: return "BatchLevelNegative";
     case BadRecord::kBatchLevelPastD: return "BatchLevelPastD";
     case BadRecord::kYBoundHintNotRowCount: return "YBoundHintNotRowCount";
+    case BadRecord::kBatchRowShort: return "BatchRowShort";
   }
   return "Unknown";
 }
@@ -567,7 +569,8 @@ class BadWarmRecordTest : public WarmStateTest,
     serve::CacheKey key;
     key.params = params_;
     std::shared_ptr<const serve::CacheEntry> entry;
-    auto batch = [&](batch_core::SparseMass mass, int level = 2) {
+    auto batch = [&](batch_core::SparseMass mass, int level = 2,
+                     std::size_t cells_short = 0) {
       key.kind = serve::CachePayload::kBatchState;
       key.seed = Q_[0];
       key.set_a = std::make_shared<const std::vector<ExtNodeId>>(P_.nodes());
@@ -575,7 +578,7 @@ class BadWarmRecordTest : public WarmStateTest,
       snap.level = level;
       snap.lambda_pow = lambda_pow;
       snap.mass = std::move(mass);
-      snap.row.assign(P_.size(), 0.0);
+      snap.row.assign(P_.size() - cells_short, 0.0);
       entry = std::make_shared<serve::CachedBatchState>(
           std::make_shared<const BackwardBatchSnapshot>(std::move(snap)));
     };
@@ -609,6 +612,11 @@ class BadWarmRecordTest : public WarmStateTest,
         break;
       case BadRecord::kBatchLevelPastD:
         batch({{1}, {0.5}}, kD + 1);
+        break;
+      // A stored row is read cell for cell against its key's P, and its
+      // best cell is found from P and the key's target.
+      case BadRecord::kBatchRowShort:
+        batch({{1}, {0.5}}, 2, 1);
         break;
     }
     file.sections.push_back(
@@ -646,7 +654,8 @@ INSTANTIATE_TEST_SUITE_P(
                       BadRecord::kYBoundShallowerThanKey,
                       BadRecord::kBatchLevelNegative,
                       BadRecord::kBatchLevelPastD,
-                      BadRecord::kYBoundHintNotRowCount),
+                      BadRecord::kYBoundHintNotRowCount,
+                      BadRecord::kBatchRowShort),
     BadRecordName);
 
 TEST_F(WarmStateTest, PersistMetricsTickOnSaveAndRestore) {

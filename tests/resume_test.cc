@@ -393,10 +393,9 @@ TEST(ResumeTest, ImportSharesTheSnapshotAndTakeHandsItBack) {
   EXPECT_EQ(states.level(0), 2);
   // Shared, yet billed as if the slot owned it.
   EXPECT_EQ(states.bytes(), snap->ApproxBytes());
-  // Row() reads the shared snapshot's own row, not a copy of it.
-  std::span<const double> row = states.Row(0);
-  EXPECT_EQ(row.data(), snap->row.data());
-  EXPECT_EQ(row.size(), sources.size());
+  // Saved() is the shared snapshot itself, not a copy of it.
+  EXPECT_EQ(states.Saved(0), snap.get());
+  EXPECT_EQ(states.Saved(0)->row.size(), sources.size());
   // Without an advance, Take hands back the very snapshot imported.
   EXPECT_EQ(states.Take(0), snap);
   EXPECT_EQ(states.level(0), 0);

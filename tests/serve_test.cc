@@ -28,6 +28,7 @@
 #include "rankjoin/aggregate.h"
 #include "serve/score_cache.h"
 #include "serve/session.h"
+#include "serve/warm_state.h"
 #include "serve/workload.h"
 #include "testing/reference.h"
 
@@ -41,6 +42,7 @@ using serve::CachedTable;
 using serve::DhtJoinService;
 using serve::DigestNodes;
 using serve::GraphFingerprint;
+using serve::NodeList;
 using serve::ScoreCache;
 using testing::ExpectSamePairs;
 using testing::RandomGraph;
@@ -201,6 +203,130 @@ TEST(ScoreCacheTest, OversizedPutKeepsShardResident) {
   ASSERT_NE(kept, nullptr);
   EXPECT_EQ(kept->table->size(), 64u);
   EXPECT_EQ(cache.stats().entries, 3u);
+}
+
+/// A table entry that bills `doubles` cells while touching none of
+/// them: reserved capacity only, so large budgets cost no memory.
+std::shared_ptr<CachedTable> ReservedTable(std::size_t doubles) {
+  auto cells = std::make_shared<std::vector<double>>();
+  cells->reserve(doubles);
+  return std::make_shared<CachedTable>(std::move(cells));
+}
+
+TEST(ScoreCacheTest, GetManyIsGetBatched) {
+  for (const std::size_t budget :
+       {std::size_t{4096}, AutotuneStateBudgetBytes(1000)}) {
+    SCOPED_TRACE("budget " + std::to_string(budget));
+    const ScoreCache::Options options{.max_bytes = budget, .num_shards = 4};
+    ScoreCache batched(options);
+    ScoreCache sequential(options);
+    // About five entries per shard's slice: the 30 inserts evict some.
+    const std::size_t doubles = budget / 4 / 5 / sizeof(double);
+    auto put = [&](NodeId i) {
+      const CacheKey key = TableKey(1, {i}, {i + 100});
+      const auto entry = ReservedTable(doubles);
+      batched.Put(key, entry);
+      sequential.Put(key, entry);
+    };
+    for (NodeId i = 0; i < 30; ++i) put(i);
+    ASSERT_GT(batched.stats().evictions, 0);
+
+    // Hits and misses, a repeat, across every shard.
+    std::vector<CacheKey> keys;
+    for (NodeId i : {29, 3, 40, 17, 3, 0, 28, 55, 12, 26, 21, 9, 1, 27}) {
+      keys.push_back(TableKey(1, {i}, {i + 100}));
+    }
+    std::vector<std::shared_ptr<const serve::CacheEntry>> got(keys.size());
+    batched.GetMany(keys, got);
+    int hits = 0;
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      const std::shared_ptr<const serve::CacheEntry> want =
+          sequential.Get(keys[i]);
+      EXPECT_EQ(got[i], want) << "key " << i;
+      hits += want != nullptr ? 1 : 0;
+    }
+    EXPECT_GT(hits, 0);
+    EXPECT_LT(hits, static_cast<int>(keys.size()));
+
+    auto expect_same_caches = [&](const std::string& when) {
+      const CacheStats a = batched.stats();
+      const CacheStats b = sequential.stats();
+      EXPECT_EQ(a.hits, b.hits) << when;
+      EXPECT_EQ(a.misses, b.misses) << when;
+      EXPECT_EQ(a.insertions, b.insertions) << when;
+      EXPECT_EQ(a.evictions, b.evictions) << when;
+      EXPECT_EQ(a.resident_bytes, b.resident_bytes) << when;
+      EXPECT_EQ(a.entries, b.entries) << when;
+      const auto x = batched.Export();
+      const auto y = sequential.Export();
+      ASSERT_EQ(x.size(), y.size()) << when;
+      for (std::size_t i = 0; i < x.size(); ++i) {
+        EXPECT_TRUE(x[i].key == y[i].key) << when << " entry " << i;
+        EXPECT_EQ(x[i].entry, y[i].entry) << when << " entry " << i;
+      }
+    };
+    expect_same_caches("after the lookups");
+    // Over-budget puts evict each shard's least recent entries, so the
+    // recency the lookups left decides which go.
+    const int64_t evictions = batched.stats().evictions;
+    for (NodeId i = 60; i < 68; ++i) put(i);
+    EXPECT_GT(batched.stats().evictions, evictions);
+    expect_same_caches("after the puts");
+  }
+}
+
+TEST(ScoreCacheTest, InternSharesOneVectorPerDistinctSet) {
+  ScoreCache cache({.max_bytes = 1 << 20, .num_shards = 4});
+  const NodeSet a = Range("A", 0, 5);
+  const NodeSet also_a = Range("also A", 0, 5);
+  const NodeSet b = Range("B", 1, 6);
+  const uint64_t digest_a = DigestNodes(a.nodes());
+
+  // Equal contents from different NodeSets: one vector.
+  NodeList x = cache.Intern(a.nodes(), digest_a);
+  NodeList y = cache.Intern(also_a.nodes(), DigestNodes(also_a.nodes()));
+  EXPECT_EQ(x, y);
+  EXPECT_EQ(*x, a.nodes());
+  EXPECT_EQ(cache.interned_sets(), 1u);
+
+  // Different contents under one digest (a forced collision): a vector
+  // each, each found again by its own contents.
+  NodeList z = cache.Intern(b.nodes(), digest_a);
+  EXPECT_NE(z, x);
+  EXPECT_EQ(*z, b.nodes());
+  EXPECT_EQ(cache.Intern(b.nodes(), digest_a), z);
+  EXPECT_EQ(cache.Intern(a.nodes(), digest_a), x);
+  EXPECT_EQ(cache.interned_sets(), 2u);
+
+  // Keys over the colliding sets stay apart in the cache.
+  CacheKey key_a = TableKey(5, {0, 1, 2, 3, 4}, {9});
+  CacheKey key_b = TableKey(5, {1, 2, 3, 4, 5}, {9});
+  key_a.digest_a = digest_a;
+  key_b.digest_a = digest_a;
+  cache.Put(key_a, MakeTable(2));
+  cache.Put(key_b, MakeTable(3));
+  ASSERT_NE(cache.GetAs<CachedTable>(key_a), nullptr);
+  ASSERT_NE(cache.GetAs<CachedTable>(key_b), nullptr);
+  EXPECT_EQ(cache.GetAs<CachedTable>(key_a)->table->size(), 2u);
+  EXPECT_EQ(cache.GetAs<CachedTable>(key_b)->table->size(), 3u);
+
+  // A stored key holds the interned vector, not the one it came with.
+  for (const ScoreCache::ExportedEntry& e : cache.Export()) {
+    EXPECT_EQ(e.key.set_a, *e.key.set_a == a.nodes() ? x : z);
+    EXPECT_NE(e.key.set_a, key_a.set_a);
+    EXPECT_NE(e.key.set_a, key_b.set_a);
+  }
+
+  // An expired set leaves the table: once the cache and every holder
+  // let go of A, only B and the right-hand set {9} remain.
+  EXPECT_EQ(cache.interned_sets(), 3u);
+  cache.Erase(key_a);
+  x.reset();
+  y.reset();
+  EXPECT_EQ(cache.interned_sets(), 2u);
+  cache.Clear();
+  z.reset();
+  EXPECT_EQ(cache.interned_sets(), 0u);
 }
 
 // ------------------------------------------- warm/cold equivalence
@@ -420,21 +546,18 @@ TEST(DhtJoinServiceTest, ColdWarmAndEvictedMatchBruteForceOracle) {
             auto got = service.TwoWay(f.P, f.Q, k, &qs);
             ASSERT_TRUE(got.ok()) << got.status().ToString();
             ExpectSamePairs(*got, top(k), label);
-            // The query imports what the export lists unless inserting
-            // the Y-bound table it swept evicted some of it first (the
-            // 4 KiB cache); it then imports fewer targets warm.
-            const bool imported_all =
-                qs.warm_targets ==
-                std::count_if(imported.begin(), imported.end(),
-                              [](int l) { return l > 0; });
-            if (imported_all) {
-              EXPECT_EQ(qs.join.live_per_iteration,
-                        testing::RefBIdjLive(
-                            g, f.p, f.d, f.P, f.Q, k, imported,
-                            bound == UpperBoundKind::kY ? &ytable : nullptr))
-                  << label;
-              ++pruning_checked;
-            }
+            // The query imports everything the export lists, the 4 KiB
+            // cache included: it imports before it inserts anything.
+            EXPECT_EQ(qs.warm_targets,
+                      std::count_if(imported.begin(), imported.end(),
+                                    [](int l) { return l > 0; }))
+                << label;
+            EXPECT_EQ(qs.join.live_per_iteration,
+                      testing::RefBIdjLive(
+                          g, f.p, f.d, f.P, f.Q, k, imported,
+                          bound == UpperBoundKind::kY ? &ytable : nullptr))
+                << label;
+            ++pruning_checked;
             if (turn > 0 && budget == DhtJoinService::kAutotuneBudget) {
               EXPECT_EQ(qs.cold_targets, 0) << label;  // all imported...
               if (ascending) {
@@ -455,9 +578,7 @@ TEST(DhtJoinServiceTest, ColdWarmAndEvictedMatchBruteForceOracle) {
     }
   }
   EXPECT_EQ(compared, 2 * 2 * 3 * (3 * 3 + 2 * 3));
-  // Per graph: every X-bound query, every Y-bound one on the autotuned
-  // and the 0-byte cache, and the two cold first turns on the 4 KiB one.
-  EXPECT_EQ(pruning_checked, 2 * (3 * 6 + 2 * 6 + 2));
+  EXPECT_EQ(pruning_checked, 2 * 2 * 3 * 2 * 3);
 }
 
 TEST(DhtJoinServiceTest, SoftStoppedWarmAnswersBracketBruteForceOracle) {
@@ -506,6 +627,127 @@ TEST(DhtJoinServiceTest, SoftStoppedWarmAnswersBracketBruteForceOracle) {
     }
   }
   EXPECT_GT(bracketed, 0);
+}
+
+/// The index of the first cell of `row` that holds the largest value
+/// among the cells whose source is not `q`; -1 when every source is q.
+int32_t PlainBestCell(const std::vector<double>& row,
+                      const std::vector<ExtNodeId>& P, ExtNodeId q) {
+  double top = -std::numeric_limits<double>::infinity();
+  bool any = false;
+  for (std::size_t i = 0; i < row.size(); ++i) {
+    if (P[i] != q) {
+      top = any ? std::max(top, row[i]) : row[i];
+      any = true;
+    }
+  }
+  for (std::size_t i = 0; any && i < row.size(); ++i) {
+    if (P[i] != q && row[i] == top) return static_cast<int32_t>(i);
+  }
+  return -1;
+}
+
+TEST(DhtJoinServiceTest, SnapshotBestCellIsPlainLoopArgmax) {
+  // best_cell lives in the padding after `level`: the snapshot's size,
+  // and so every bill, is that of a snapshot without it.
+  EXPECT_EQ(sizeof(BackwardBatchSnapshot), 88u);
+  OracleFixture f;
+  // Decodes `snap` as the warm-state loader would, from a record keyed
+  // by its target q and source set P.
+  auto decoded = [&f](const Graph& g, const NodeSet& P, ExtNodeId q,
+                      std::shared_ptr<const BackwardBatchSnapshot> snap) {
+    CacheKey key;
+    key.kind = CachePayload::kBatchState;
+    key.seed = q;
+    key.set_a = std::make_shared<const std::vector<ExtNodeId>>(P.nodes());
+    key.digest_a = DigestNodes(*key.set_a);
+    const std::vector<uint8_t> bytes = serve::EncodeCacheRecord(
+        key, serve::CachedBatchState(std::move(snap)));
+    auto record = serve::DecodeCacheRecord(
+        serve::SectionKindFor(CachePayload::kBatchState), bytes,
+        GraphFingerprint(g), f.p, g.num_nodes(), f.d);
+    EXPECT_TRUE(record.ok()) << record.status().ToString();
+    return serve::PayloadAs<serve::CachedBatchState>(record->entry)->snap;
+  };
+  int checked = 0;
+  int all_zero = 0;
+  int self_only = 0;
+  // Saves every target of Q over P at `level` on a W-lane engine, then
+  // checks each saved and each decoded snapshot against the plain loop.
+  auto check = [&](const Graph& g, const NodeSet& P, const NodeSet& Q,
+                   auto& engine, int level, SaveStates save,
+                   const std::string& label) {
+    BackwardBatchStates states(Q.size());
+    std::vector<std::size_t> slots(Q.size());
+    for (std::size_t qi = 0; qi < Q.size(); ++qi) slots[qi] = qi;
+    engine.AdvanceChunked(f.p, level, Q.nodes(), slots, P.nodes(), states,
+                          [](std::size_t, const double*) {}, save);
+    for (std::size_t qi = 0; qi < Q.size(); ++qi) {
+      std::shared_ptr<const BackwardBatchSnapshot> snap = states.Take(qi);
+      ASSERT_NE(snap, nullptr) << label;
+      const int32_t want = PlainBestCell(snap->row, P.nodes(), Q[qi]);
+      EXPECT_EQ(snap->best_cell, want) << label << " target " << Q[qi].value();
+      EXPECT_EQ(decoded(g, P, Q[qi], snap)->best_cell, want)
+          << label << " decoded, target " << Q[qi].value();
+      all_zero += want >= 0 && snap->row[static_cast<std::size_t>(want)] == 0.0;
+      self_only += want < 0;
+      ++checked;
+    }
+  };
+  for (const Graph& layout : testing::AllLayouts(f.graphs[0])) {
+    BackwardWalkerBatchT<8> wide(layout, {.num_threads = 1});
+    BackwardWalkerBatchT<1> narrow(layout, {.num_threads = 1});
+    // P and Q overlap in 20..29, so ten rows skip their own cell.
+    check(layout, f.P, f.Q, wide, 2, SaveStates::kResumable, "W = 8 at 2");
+    check(layout, f.P, f.Q, wide, f.d, SaveStates::kRowOnly, "W = 8 at d");
+    check(layout, f.P, f.Q, narrow, 2, SaveStates::kResumable, "W = 1 at 2");
+    check(layout, f.P, f.Q, narrow, f.d, SaveStates::kRowOnly, "W = 1 at d");
+    // P = {q}: no cell but the target's own.
+    check(layout, Range("q", 25, 26), Range("q", 25, 26), wide, f.d,
+          SaveStates::kRowOnly, "P = {q}");
+  }
+  // On a directed path no walk reaches node 0 from anywhere: its row
+  // over P is all zeros, and its best cell is the first one not its own.
+  const Graph path = testing::PathGraph(8);
+  BackwardWalkerBatchT<8> engine(path, {.num_threads = 1});
+  check(path, Range("P", 0, 4), Range("Q", 0, 2), engine, f.d,
+        SaveStates::kRowOnly, "all-zero row");
+  EXPECT_EQ(checked, 3 * (4 * 40 + 1) + 2);
+  EXPECT_EQ(self_only, 3);
+  EXPECT_GT(all_zero, 0);
+}
+
+TEST(DhtJoinServiceTest, RestoredKeysHoldInternedSets) {
+  OracleFixture f;
+  const Graph& g = f.graphs[0];
+  DhtJoinService source(g, f.p, f.d, {.num_threads = 1});
+  ASSERT_TRUE(source.TwoWay(f.P, f.Q, 15).ok());
+  const std::string path =
+      ::testing::TempDir() + "serve_test_restored_keys.snap";
+  ASSERT_TRUE(source.SaveWarmState(path).ok());
+
+  DhtJoinService restored(g, f.p, f.d, {.num_threads = 1});
+  Result<int64_t> loaded = restored.LoadWarmState(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_EQ(*loaded,
+            static_cast<int64_t>(source.cache().Export().size()));
+  // Every record decoded its own copy of P (and Q); the cache keeps one.
+  const NodeList P =
+      restored.cache().Intern(f.P.nodes(), DigestNodes(f.P.nodes()));
+  const NodeList Q =
+      restored.cache().Intern(f.Q.nodes(), DigestNodes(f.Q.nodes()));
+  int states = 0;
+  for (const ScoreCache::ExportedEntry& e : restored.cache().Export()) {
+    EXPECT_EQ(e.key.set_a, P);
+    if (e.key.kind == CachePayload::kBatchState) {
+      ++states;
+    } else {
+      EXPECT_EQ(e.key.set_b, Q);
+    }
+  }
+  EXPECT_EQ(states, *loaded - 1);  // and one Y-bound table
+  EXPECT_EQ(restored.cache().interned_sets(), 2u);
 }
 
 // ------------------------------------------------- n-way through cache

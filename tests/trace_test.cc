@@ -294,9 +294,11 @@ TEST(ServiceTracingTest, TwoWaySpanTreeIsPinned) {
       }
     }
     EXPECT_EQ(roots, 1);
-    // d = 8: deepening rounds at levels 1, 2 and 4, then the exact pass.
+    // The import runs first, so nothing the query inserts can evict
+    // what it imports. d = 8: deepening rounds at levels 1, 2 and 4,
+    // then the exact pass.
     EXPECT_EQ(phases,
-              (std::vector<std::string>{"ybound", "import", "round", "round",
+              (std::vector<std::string>{"import", "ybound", "round", "round",
                                         "round", "final", "write_back"}))
         << entries[round].trace_json;
     // A cold query walks every round; a warm one may walk nothing.
