@@ -1,8 +1,9 @@
 /// \file bench/bench_micro_walkers.cc
-/// \brief Micro timings of the DHT engine primitives, comparing the
-/// propagation engines the repo now ships:
-///   dense    — the seed's full O(n + m)-per-step sweep,
-///   adaptive — the frontier-adaptive sparse/dense engine,
+/// \brief Micro timings of the walk engine (dht/batch_core.h) in the
+/// configurations the repo runs:
+///   dense    — single-lane walks forced to the dense gather every step,
+///   adaptive — single-lane frontier-adaptive sparse/dense walks (the
+///              engine PJ-i deepens on),
 ///   batched  — BackwardWalkerBatch / ForwardWalkerBatch (kLaneWidth
 ///              walkers per edge pass, blocks fanned across the pool).
 /// The d-step backward evaluation on the DBLP-like dataset is the
@@ -10,22 +11,22 @@
 /// pair sweep is the slow side of Fig. 9(a) that the forward batch
 /// lifts. Results are printed and also written to BENCH_walkers.json
 /// for the perf trajectory (a committed dev-box baseline lives at
-/// bench/baselines/BENCH_walkers.json). Score agreement between engines
-/// is checked to 1e-12 as part of the run, and the resumable deepening
-/// paths of B-IDJ / F-IDJ are checked byte-identical to their restart
-/// schedules with strictly fewer walk_steps — a fast-but-wrong engine
-/// fails loudly here.
+/// bench/baselines/BENCH_walkers.json). Scores must agree BIT for bit
+/// across modes and lane widths, and the resumable deepening paths of
+/// B-IDJ / F-IDJ are checked byte-identical to their restart schedules
+/// with strictly fewer walk_steps — a fast-but-wrong engine fails
+/// loudly here.
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <vector>
 
 #include "bench_common.h"
-#include "dht/backward.h"
 #include "dht/backward_batch.h"
 #include "dht/bounds.h"
-#include "dht/forward.h"
 #include "dht/forward_batch.h"
 #include "graph/reorder.h"
 #include "join2/b_idj.h"
@@ -41,11 +42,19 @@ namespace {
 constexpr std::size_t kNumTargets = 64;
 constexpr std::size_t kNumSources = 200;
 
+/// True when both score vectors hold the same bits.
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::equal(a.begin(), a.end(), b.begin(), [](double x, double y) {
+           return std::bit_cast<uint64_t>(x) == std::bit_cast<uint64_t>(y);
+         });
+}
+
 struct BackwardResult {
   double dense_sec_per_target = 0.0;
   double adaptive_sec_per_target = 0.0;
   double batched_sec_per_target = 0.0;
-  double max_abs_diff = 0.0;  // adaptive & batched vs dense scores
+  bool identical = false;  // all three score matrices, bit for bit
 };
 
 BackwardResult RunBackwardComparison(const Graph& g, const DhtParams& p,
@@ -54,48 +63,33 @@ BackwardResult RunBackwardComparison(const Graph& g, const DhtParams& p,
                                      const std::vector<ExtNodeId>& sources,
                                      int repeats) {
   BackwardResult r;
-
-  // Dense reference: one sequential walker per target (the seed engine).
-  std::vector<double> dense_scores(targets.size() * sources.size());
+  // One single-lane walk per target on one thread, configured as PJ-i's
+  // deepening engine (SoA gather stream): the dense engine, then the
+  // frontier-adaptive one. The engines (and their thread pools) are
+  // fixtures, mirroring how joins reuse one evaluator across Run()
+  // calls — thread spawn must not be charged per repeat.
+  std::vector<double> dense_scores, adaptive_scores, batched_scores;
+  BackwardWalkerBatchT<1> dense(g, {.mode = PropagationMode::kDense,
+                                    .num_threads = 1,
+                                    .soa_gather = true});
   r.dense_sec_per_target = TimeIt(repeats, [&] {
-    BackwardWalker walker(g, PropagationMode::kDense);
-    for (std::size_t t = 0; t < targets.size(); ++t) {
-      walker.Reset(p, targets[t]);
-      walker.Advance(d);
-      for (std::size_t s = 0; s < sources.size(); ++s) {
-        dense_scores[t * sources.size() + s] = walker.Score(sources[s]);
-      }
-    }
+    dense_scores = dense.Run(p, d, targets, sources);
   }) / static_cast<double>(targets.size());
-
-  // Frontier-adaptive, still one walker per target.
-  std::vector<double> adaptive_scores(dense_scores.size());
+  BackwardWalkerBatchT<1> adaptive(g, {.mode = PropagationMode::kAdaptive,
+                                       .num_threads = 1,
+                                       .soa_gather = true});
   r.adaptive_sec_per_target = TimeIt(repeats, [&] {
-    BackwardWalker walker(g, PropagationMode::kAdaptive);
-    for (std::size_t t = 0; t < targets.size(); ++t) {
-      walker.Reset(p, targets[t]);
-      walker.Advance(d);
-      for (std::size_t s = 0; s < sources.size(); ++s) {
-        adaptive_scores[t * sources.size() + s] = walker.Score(sources[s]);
-      }
-    }
+    adaptive_scores = adaptive.Run(p, d, targets, sources);
   }) / static_cast<double>(targets.size());
 
-  // Sparse + batched: the B-BJ/B-IDJ configuration. The batch (and its
-  // thread pool) is a fixture, mirroring how joins reuse one evaluator
-  // across Run() calls — thread spawn must not be charged per repeat.
-  std::vector<double> batched_scores;
+  // Sparse + batched: the B-BJ/B-IDJ configuration.
   BackwardWalkerBatch batch(g);
   r.batched_sec_per_target = TimeIt(repeats, [&] {
     batched_scores = batch.Run(p, d, targets, sources);
   }) / static_cast<double>(targets.size());
 
-  for (std::size_t i = 0; i < dense_scores.size(); ++i) {
-    r.max_abs_diff = std::max(
-        r.max_abs_diff, std::abs(adaptive_scores[i] - dense_scores[i]));
-    r.max_abs_diff = std::max(
-        r.max_abs_diff, std::abs(batched_scores[i] - dense_scores[i]));
-  }
+  r.identical = SameBits(dense_scores, adaptive_scores) &&
+                SameBits(dense_scores, batched_scores);
   return r;
 }
 
@@ -136,10 +130,9 @@ int main(int argc, char** argv) {
 
   std::vector<JsonObject> rows;
   double headline_speedup = 0.0;
-  double headline_diff = 0.0;
   std::printf("\nbackward d-step evaluation, per target (DBLP-like):\n");
-  std::printf("%4s %14s %14s %14s %9s %9s %12s\n", "d", "dense(ms)",
-              "adaptive(ms)", "batched(ms)", "adp x", "batch x", "max|diff|");
+  std::printf("%4s %14s %14s %14s %9s %9s %10s\n", "d", "dense(ms)",
+              "adaptive(ms)", "batched(ms)", "adp x", "batch x", "identical");
   for (int d : {2, 8, 16}) {
     const int repeats = d <= 8 ? 3 : 2;
     BackwardResult r =
@@ -148,19 +141,19 @@ int main(int argc, char** argv) {
                               std::max(r.adaptive_sec_per_target, 1e-12);
     double batched_speedup = r.dense_sec_per_target /
                              std::max(r.batched_sec_per_target, 1e-12);
-    std::printf("%4d %14.3f %14.3f %14.3f %8.1fx %8.1fx %12.2e\n", d,
+    std::printf("%4d %14.3f %14.3f %14.3f %8.1fx %8.1fx %10s\n", d,
                 r.dense_sec_per_target * 1e3, r.adaptive_sec_per_target * 1e3,
                 r.batched_sec_per_target * 1e3, adaptive_speedup,
-                batched_speedup, r.max_abs_diff);
-    if (r.max_abs_diff > 1e-12) {
+                batched_speedup, r.identical ? "yes" : "NO");
+    if (!r.identical) {
       std::fprintf(stderr,
-                   "FAIL: engines disagree beyond 1e-12 at d=%d (%.3e)\n", d,
-                   r.max_abs_diff);
+                   "FAIL: backward modes/widths are not bit-identical at "
+                   "d=%d\n",
+                   d);
       return 1;
     }
     if (d == 8) {  // the paper's default depth is the headline number
       headline_speedup = batched_speedup;
-      headline_diff = r.max_abs_diff;
     }
     rows.push_back(JsonObject()
                        .Set("d", d)
@@ -170,8 +163,7 @@ int main(int argc, char** argv) {
                        .Set("batched_ms_per_target",
                             r.batched_sec_per_target * 1e3)
                        .Set("adaptive_speedup", adaptive_speedup)
-                       .Set("batched_speedup", batched_speedup)
-                       .Set("max_abs_score_diff", r.max_abs_diff));
+                       .Set("batched_speedup", batched_speedup));
   }
 
   // Forward single-pair micro numbers (the F-BJ inner loop).
@@ -180,20 +172,27 @@ int main(int argc, char** argv) {
   ExtNodeId v = ds.areas[1][0];
   double fwd_dense = 0.0, fwd_adaptive = 0.0;
   {
-    ForwardWalker dense(g, PropagationMode::kDense);
-    ForwardWalker adaptive(g, PropagationMode::kAdaptive);
-    fwd_dense = TimeIt(3, [&] { dense.Compute(p, 8, u, v); });
-    fwd_adaptive = TimeIt(3, [&] { adaptive.Compute(p, 8, u, v); });
-    if (std::abs(dense.Score() - adaptive.Score()) > 1e-12) {
-      std::fprintf(stderr, "FAIL: forward engines disagree\n");
+    ForwardWalkerBatchT<1> dense(
+        g, {.mode = PropagationMode::kDense, .num_threads = 1});
+    ForwardWalkerBatchT<1> adaptive(
+        g, {.mode = PropagationMode::kAdaptive, .num_threads = 1});
+    std::vector<double> dense_score, adaptive_score;
+    fwd_dense = TimeIt(3, [&] {
+      dense_score = dense.Run(p, 8, {&u, 1}, {&v, 1});
+    });
+    fwd_adaptive = TimeIt(3, [&] {
+      adaptive_score = adaptive.Run(p, 8, {&u, 1}, {&v, 1});
+    });
+    if (!SameBits(dense_score, adaptive_score)) {
+      std::fprintf(stderr, "FAIL: forward modes are not bit-identical\n");
       return 1;
     }
   }
   std::printf("  dense %.3f ms, adaptive %.3f ms (%.1fx)\n", fwd_dense * 1e3,
               fwd_adaptive * 1e3, fwd_dense / std::max(fwd_adaptive, 1e-12));
 
-  // Forward batch vs scalar pair loop (the F-BJ/F-IDJ inner sweep):
-  // same per-pair walks, one out-CSR pass per kLaneWidth lanes.
+  // Forward batch vs a single-lane pair loop (the F-BJ/F-IDJ inner
+  // sweep): the same per-pair walks, one edge pass per kLaneWidth lanes.
   constexpr std::size_t kFwdSources = 24;
   constexpr std::size_t kFwdTargets = 12;
   std::vector<ExtNodeId> fwd_sources, fwd_targets;
@@ -207,42 +206,26 @@ int main(int argc, char** argv) {
   }
   const double num_pairs =
       static_cast<double>(kFwdSources) * static_cast<double>(kFwdTargets);
-  std::vector<double> fwd_scalar_scores(fwd_sources.size() *
-                                        fwd_targets.size());
-  double fwd_scalar_sec = TimeIt(2, [&] {
-    ForwardWalker walker(g);
-    for (std::size_t s = 0; s < fwd_sources.size(); ++s) {
-      for (std::size_t t = 0; t < fwd_targets.size(); ++t) {
-        if (fwd_sources[s] == fwd_targets[t]) continue;
-        fwd_scalar_scores[s * fwd_targets.size() + t] =
-            walker.Compute(p, 8, fwd_sources[s], fwd_targets[t]);
-      }
-    }
+  std::vector<double> fwd_single_scores;
+  ForwardWalkerBatchT<1> fwd_single(g, {.num_threads = 1});
+  double fwd_single_sec = TimeIt(2, [&] {
+    fwd_single_scores = fwd_single.Run(p, 8, fwd_sources, fwd_targets);
   }) / num_pairs;
   std::vector<double> fwd_batch_scores;
   ForwardWalkerBatch fwd_batch(g);
   double fwd_batch_sec = TimeIt(2, [&] {
     fwd_batch_scores = fwd_batch.Run(p, 8, fwd_sources, fwd_targets);
   }) / num_pairs;
-  double fwd_batch_diff = 0.0;
-  for (std::size_t s = 0; s < fwd_sources.size(); ++s) {
-    for (std::size_t t = 0; t < fwd_targets.size(); ++t) {
-      if (fwd_sources[s] == fwd_targets[t]) continue;
-      fwd_batch_diff = std::max(
-          fwd_batch_diff,
-          std::abs(fwd_batch_scores[s * fwd_targets.size() + t] -
-                   fwd_scalar_scores[s * fwd_targets.size() + t]));
-    }
-  }
-  double fwd_batch_speedup = fwd_scalar_sec / std::max(fwd_batch_sec, 1e-12);
-  std::printf("\nforward batch, %zux%zu pairs (d=8): scalar %.3f ms/pair, "
-              "batched %.3f ms/pair (%.1fx), max|diff| %.2e\n",
-              kFwdSources, kFwdTargets, fwd_scalar_sec * 1e3,
-              fwd_batch_sec * 1e3, fwd_batch_speedup, fwd_batch_diff);
-  if (fwd_batch_diff > 1e-12) {
+  const bool fwd_identical = SameBits(fwd_single_scores, fwd_batch_scores);
+  double fwd_batch_speedup = fwd_single_sec / std::max(fwd_batch_sec, 1e-12);
+  std::printf("\nforward batch, %zux%zu pairs (d=8): single-lane %.3f "
+              "ms/pair, batched %.3f ms/pair (%.1fx), bit-identical=%s\n",
+              kFwdSources, kFwdTargets, fwd_single_sec * 1e3,
+              fwd_batch_sec * 1e3, fwd_batch_speedup,
+              fwd_identical ? "yes" : "NO");
+  if (!fwd_identical) {
     std::fprintf(stderr,
-                 "FAIL: forward batch/scalar disagree beyond 1e-12 (%.3e)\n",
-                 fwd_batch_diff);
+                 "FAIL: forward lane widths are not bit-identical\n");
     return 1;
   }
 
@@ -318,17 +301,16 @@ int main(int argc, char** argv) {
       .SetRaw("backward", JsonArray(rows))
       .Set("forward_pair_dense_ms", fwd_dense * 1e3)
       .Set("forward_pair_adaptive_ms", fwd_adaptive * 1e3)
-      .Set("forward_scalar_ms_per_pair", fwd_scalar_sec * 1e3)
+      .Set("forward_single_lane_ms_per_pair", fwd_single_sec * 1e3)
       .Set("forward_batched_ms_per_pair", fwd_batch_sec * 1e3)
       .Set("forward_batched_speedup", fwd_batch_speedup)
-      .Set("forward_batched_max_abs_diff", fwd_batch_diff)
       .Set("bidj_resume_walk_steps", bidj_resume_steps)
       .Set("bidj_restart_walk_steps", bidj_restart_steps)
       .Set("fidj_resume_walk_steps", fidj_resume_steps)
       .Set("fidj_restart_walk_steps", fidj_restart_steps)
       .Set("ybound_table_ms", ybound_sec * 1e3)
       .Set("headline_sparse_batched_speedup_d8", headline_speedup)
-      .Set("headline_max_abs_score_diff_d8", headline_diff);
+      .Set("bit_identical", 1);
   const std::string json_name =
       reorder == ReorderKind::kNone
           ? "BENCH_walkers.json"

@@ -22,20 +22,20 @@
 ///     gather streams a compact slab of rows and mass again.
 ///
 /// The DBLP-like d=8 backward eval on the dense path is gated too (in
-/// the full configuration): the SCALAR dense fallback — the engine the
-/// adaptive policy actually falls back to — must be >= 1.25x faster
-/// under the better of the degree/RCM layouts. Its 8-byte mass slots
-/// mean eight nodes share a cache line, so degree-packing the hub rows
-/// that heavy-tailed gather traffic hits (and RCM-packing
-/// neighbourhoods) converts scattered reads into near-cache hits. The
-/// 8-lane batch gather is reported but NOT speedup-gated: its mass
-/// rows are already exactly one cache line wide (kLaneWidth * 8 bytes
-/// — the lanes are the locality device) and the remaining traffic is
-/// the lean 16-byte arc stream this PR also introduced, so layout
-/// moves it far less by construction. (The generator emits authors
-/// hubs-first — an accidentally near-optimal order real inputs don't
-/// have — so the DBLP timings use the same arbitrary-relabelling
-/// baseline, with the generator-native order reported for context.)
+/// the full configuration): the single-lane dense gather — the engine
+/// PJ-i deepens on, and the adaptive policy's dense fallback at W = 1 —
+/// must be >= 1.25x faster under the better of the degree/RCM layouts.
+/// Its 8-byte mass slots mean eight nodes share a cache line, so
+/// degree-packing the hub rows that heavy-tailed gather traffic hits
+/// (and RCM-packing neighbourhoods) converts scattered reads into
+/// near-cache hits. The 8-lane batch gather is reported but NOT
+/// speedup-gated: its mass rows are already exactly one cache line wide
+/// (kLaneWidth * 8 bytes — the lanes are the locality device) and the
+/// remaining traffic is the lean 16-byte arc stream, so layout moves it
+/// far less by construction. (The generator emits authors hubs-first —
+/// an accidentally near-optimal order real inputs don't have — so the
+/// DBLP timings use the same arbitrary-relabelling baseline, with the
+/// generator-native order reported for context.)
 ///
 /// Usage: bench_reorder [authors] [--smoke]
 /// No arguments = the committed acceptance configuration (60k authors,
@@ -53,9 +53,7 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "dht/backward.h"
 #include "dht/backward_batch.h"
-#include "dht/propagate.h"
 #include "graph/graph_builder.h"
 #include "graph/reorder.h"
 #include "util/rng.h"
@@ -99,28 +97,22 @@ struct GatherTiming {
   std::vector<double> rows;
 };
 
-/// Times the adaptive engine's dense fallback — the scalar
-/// BackwardWalker forced to kDense — over a d-step backward eval of
-/// every target, reading the requested sources (the gated path).
-/// `soa` selects the gather's edge stream (split arrays vs AoS).
-GatherTiming TimeScalarDenseGather(const Graph& g, const DhtParams& p, int d,
-                                   const std::vector<ExtNodeId>& targets,
-                                   const std::vector<ExtNodeId>& sources,
-                                   int repeats, bool soa = true) {
+/// Times the single-lane dense gather over a d-step backward eval of
+/// every target, one walk at a time on one thread, reading the
+/// requested sources (the gated path). `soa` selects the gather's edge
+/// stream (split arrays vs AoS).
+GatherTiming TimeSingleLaneDenseGather(const Graph& g, const DhtParams& p,
+                                       int d,
+                                       const std::vector<ExtNodeId>& targets,
+                                       const std::vector<ExtNodeId>& sources,
+                                       int repeats, bool soa = true) {
   GatherTiming t;
-  BackwardWalker walker(g, PropagationMode::kDense, true, soa);
-  auto run = [&] {
-    for (std::size_t ti = 0; ti < targets.size(); ++ti) {
-      walker.Reset(p, targets[ti]);
-      walker.Advance(d);
-      for (std::size_t s = 0; s < sources.size(); ++s) {
-        t.rows[ti * sources.size() + s] = walker.Score(sources[s]);
-      }
-    }
-  };
-  t.rows.assign(targets.size() * sources.size(), 0.0);
-  run();  // warm-up + result capture
-  t.ms_per_run = TimeIt(repeats, run) * 1e3;
+  BackwardWalkerBatchT<1> walker(g, {.mode = PropagationMode::kDense,
+                                     .num_threads = 1,
+                                     .soa_gather = soa});
+  t.rows = walker.Run(p, d, targets, sources);  // warm-up + result capture
+  t.ms_per_run =
+      TimeIt(repeats, [&] { walker.Run(p, d, targets, sources); }) * 1e3;
   return t;
 }
 
@@ -200,9 +192,9 @@ int main(int argc, char** argv) {
               "rcm, generator-native\n",
               base.num_nodes(), static_cast<long long>(base.num_edges()));
 
-  std::vector<ExtNodeId> scalar_targets, batch_targets, sources;
+  std::vector<ExtNodeId> single_targets, batch_targets, sources;
   for (std::size_t i = 0; i < 4; ++i) {
-    scalar_targets.push_back(ExtNodeId(static_cast<NodeId>(
+    single_targets.push_back(ExtNodeId(static_cast<NodeId>(
         (i * 131 + 17) % static_cast<std::size_t>(base.num_nodes()))));
   }
   for (std::size_t i = 0; i < 8; ++i) {
@@ -216,15 +208,15 @@ int main(int argc, char** argv) {
 
   const int repeats = 5;
   GatherTiming unordered =
-      TimeScalarDenseGather(base, p, d, scalar_targets, sources, repeats);
+      TimeSingleLaneDenseGather(base, p, d, single_targets, sources, repeats);
   GatherTiming degree =
-      TimeScalarDenseGather(deg, p, d, scalar_targets, sources, repeats);
+      TimeSingleLaneDenseGather(deg, p, d, single_targets, sources, repeats);
   GatherTiming rcmt =
-      TimeScalarDenseGather(rcm, p, d, scalar_targets, sources, repeats);
+      TimeSingleLaneDenseGather(rcm, p, d, single_targets, sources, repeats);
   // Context row: the generator's own hubs-first order (different node
   // labels, so only timed, not compared).
   GatherTiming nativet =
-      TimeScalarDenseGather(native, p, d, scalar_targets, sources, repeats);
+      TimeSingleLaneDenseGather(native, p, d, single_targets, sources, repeats);
 
   const bool gather_identical = BitIdentical(unordered.rows, degree.rows) &&
                                 BitIdentical(unordered.rows, rcmt.rows);
@@ -234,12 +226,12 @@ int main(int argc, char** argv) {
       unordered.ms_per_run / std::max(rcmt.ms_per_run, 1e-9);
   const double best_speedup = std::max(degree_speedup, rcm_speedup);
   std::printf(
-      "\ndense d=%d backward gather, scalar fallback (%zu targets x %zu "
+      "\ndense d=%d backward gather, single lane (%zu targets x %zu "
       "sources):\n"
       "  input %8.2f ms   degree %8.2f ms (%.2fx)   rcm %8.2f ms "
       "(%.2fx)   byte-identical=%s\n"
       "  (generator-native hubs-first order, for context: %8.2f ms)\n",
-      d, scalar_targets.size(), sources.size(), unordered.ms_per_run,
+      d, single_targets.size(), sources.size(), unordered.ms_per_run,
       degree.ms_per_run, degree_speedup, rcmt.ms_per_run, rcm_speedup,
       gather_identical ? "yes" : "NO", nativet.ms_per_run);
 
@@ -269,13 +261,13 @@ int main(int argc, char** argv) {
 
   // SoA gather stream (graph.h OutTargets/OutProbs): the dense gather
   // reads only (to, prob), so the split arrays cut the hot stream from
-  // 16 padded bytes/edge to 12. The SCALAR gather (one madd/edge,
-  // stream-bound) is the gated beneficiary and defaults to SoA; the
-  // 8-lane batch (eight madds/edge amortize the stream) measurably
-  // prefers AoS, which is its default — both A/B'd here, byte-identity
-  // fatal, the committed scalar ratio CI-gated.
+  // 16 padded bytes/edge to 12. The single-lane gather (one madd/edge,
+  // stream-bound) is the gated beneficiary, and PJ-i's single-lane
+  // engine turns SoA on; the 8-lane batch (eight madds/edge amortize
+  // the stream) defaults to AoS — both A/B'd here, byte-identity fatal,
+  // the committed single-lane ratio CI-gated.
   GatherTiming saos =
-      TimeScalarDenseGather(base, p, d, scalar_targets, sources, repeats,
+      TimeSingleLaneDenseGather(base, p, d, single_targets, sources, repeats,
                             /*soa=*/false);
   const bool soa_identical = BitIdentical(saos.rows, unordered.rows);
   const double soa_speedup =
@@ -292,7 +284,7 @@ int main(int argc, char** argv) {
   std::printf(
       "dense d=%d backward gather, AoS vs SoA edge stream (input "
       "layout):\n"
-      "  scalar: aos %8.2f ms   soa %8.2f ms (%.2fx, gated)   "
+      "  W=1:    aos %8.2f ms   soa %8.2f ms (%.2fx, gated)   "
       "byte-identical=%s\n"
       "  batch:  aos %8.2f ms   soa %8.2f ms (%.2fx, reported)   "
       "byte-identical=%s\n",
@@ -318,34 +310,50 @@ int main(int argc, char** argv) {
   arch.Reachability();      // build the lazy indexes outside the
   arch_rcm.Reachability();  // timed region
 
-  const NodeId seed_node = 123;
+  // The sweep runs on the single-lane dense engine: its mass (saved
+  // with the walk's state) and score row must match across the full
+  // sweep, the restricted one and the RCM layout; the timed runs reuse
+  // each engine's pooled workspace, so they time the sweep alone.
+  const ExtNodeId seed_node(123);
   const int sweep_d = 16;
-  auto run_sweep = [&](const Graph& g, bool restrict_dense,
-                       std::vector<double>* mass_out) {
-    Propagator engine(g, Propagator::Direction::kBackward,
-                      PropagationMode::kDense, restrict_dense);
-    engine.Reset(g.ToInternal(ExtNodeId(seed_node)));
-    for (int i = 0; i < sweep_d; ++i) engine.Step();
-    if (mass_out != nullptr) {
-      mass_out->assign(static_cast<std::size_t>(g.num_nodes()), 0.0);
-      engine.ForEachMass([&](NodeId u, double m) {
-        (*mass_out)[static_cast<std::size_t>(
-            g.ToExternal(IntNodeId(u)).value())] = m;
-      });
+  auto sweep_mass = [&](const Graph& g, BackwardWalkerBatchT<1>& engine) {
+    BackwardBatchStates states(1);
+    const std::size_t slot = 0;
+    double score = 0.0;
+    engine.AdvanceChunked(p, sweep_d, {&seed_node, 1}, {&slot, 1},
+                          {&seed_node, 1}, states,
+                          [&](std::size_t, const double* row) {
+                            score = row[0];
+                          });
+    // Mass by external id, then the score row's one cell.
+    std::vector<double> out(static_cast<std::size_t>(g.num_nodes()), 0.0);
+    const batch_core::SparseMass& mass = states.Saved(slot)->mass;
+    for (std::size_t i = 0; i < mass.size(); ++i) {
+      out[static_cast<std::size_t>(
+          g.ToExternal(IntNodeId(mass.nodes[i])).value())] = mass.values[i];
     }
+    out.push_back(score);
+    return out;
   };
-  std::vector<double> mass_full, mass_restricted, mass_rcm;
-  run_sweep(arch, false, &mass_full);
-  run_sweep(arch, true, &mass_restricted);
-  run_sweep(arch_rcm, true, &mass_rcm);
-  const bool sweep_identical = BitIdentical(mass_full, mass_restricted) &&
-                               BitIdentical(mass_full, mass_rcm);
-  const double full_ms =
-      TimeIt(5, [&] { run_sweep(arch, false, nullptr); }) * 1e3;
-  const double restricted_ms =
-      TimeIt(5, [&] { run_sweep(arch, true, nullptr); }) * 1e3;
-  const double rcm_restricted_ms =
-      TimeIt(5, [&] { run_sweep(arch_rcm, true, nullptr); }) * 1e3;
+  BackwardWalkerBatchT<1>::Options sweep_options{
+      .mode = PropagationMode::kDense, .num_threads = 1, .soa_gather = true};
+  BackwardWalkerBatchT<1> restricted_engine(arch, sweep_options);
+  BackwardWalkerBatchT<1> rcm_engine(arch_rcm, sweep_options);
+  sweep_options.restrict_dense = false;
+  BackwardWalkerBatchT<1> full_engine(arch, sweep_options);
+  const std::vector<double> mass_full = sweep_mass(arch, full_engine);
+  const bool sweep_identical =
+      BitIdentical(mass_full, sweep_mass(arch, restricted_engine)) &&
+      BitIdentical(mass_full, sweep_mass(arch_rcm, rcm_engine));
+  auto time_sweep = [&](BackwardWalkerBatchT<1>& engine, int repeats) {
+    return TimeIt(repeats, [&] {
+             engine.Run(p, sweep_d, {&seed_node, 1}, {&seed_node, 1});
+           }) *
+           1e3;
+  };
+  const double full_ms = time_sweep(full_engine, 5);
+  const double restricted_ms = time_sweep(restricted_engine, 200);
+  const double rcm_restricted_ms = time_sweep(rcm_engine, 200);
   const double sweep_speedup = full_ms / std::max(restricted_ms, 1e-9);
   const double reorder_gather_speedup =
       restricted_ms / std::max(rcm_restricted_ms, 1e-9);
@@ -366,35 +374,35 @@ int main(int argc, char** argv) {
       .Set("num_nodes", static_cast<int64_t>(base.num_nodes()))
       .Set("num_edges", base.num_edges())
       .Set("d", d)
-      .Set("dblp_scalar_gather_input_ms", unordered.ms_per_run)
-      .Set("dblp_scalar_gather_degree_ms", degree.ms_per_run)
-      .Set("dblp_scalar_gather_rcm_ms", rcmt.ms_per_run)
-      .Set("dblp_scalar_gather_native_ms", nativet.ms_per_run)
-      .Set("dblp_scalar_gather_degree_speedup", degree_speedup)
-      .Set("dblp_scalar_gather_rcm_speedup", rcm_speedup)
-      .Set("dblp_scalar_gather_best_speedup", best_speedup)
-      .Set("dblp_scalar_gather_byte_identical", gather_identical ? 1 : 0)
+      .Set("dblp_w1_gather_input_ms", unordered.ms_per_run)
+      .Set("dblp_w1_gather_degree_ms", degree.ms_per_run)
+      .Set("dblp_w1_gather_rcm_ms", rcmt.ms_per_run)
+      .Set("dblp_w1_gather_native_ms", nativet.ms_per_run)
+      .Set("dblp_w1_gather_degree_speedup", degree_speedup)
+      .Set("dblp_w1_gather_rcm_speedup", rcm_speedup)
+      .Set("dblp_w1_gather_best_speedup", best_speedup)
+      .Set("dblp_w1_gather_byte_identical", gather_identical ? 1 : 0)
       .Set("dblp_batch_gather_input_ms", bunordered.ms_per_run)
       .Set("dblp_batch_gather_degree_ms", bdegree.ms_per_run)
       .Set("dblp_batch_gather_rcm_ms", brcm.ms_per_run)
       .Set("dblp_batch_gather_degree_speedup", batch_degree_speedup)
       .Set("dblp_batch_gather_rcm_speedup", batch_rcm_speedup)
       .Set("dblp_batch_gather_byte_identical", batch_identical ? 1 : 0)
-      .Set("dblp_scalar_gather_aos_ms", saos.ms_per_run)
-      .Set("soa_scalar_gather_speedup", soa_speedup)
-      .Set("soa_scalar_gather_byte_identical", soa_identical ? 1 : 0)
+      .Set("dblp_w1_gather_aos_ms", saos.ms_per_run)
+      .Set("soa_w1_gather_speedup", soa_speedup)
+      .Set("soa_w1_gather_byte_identical", soa_identical ? 1 : 0)
       .Set("dblp_batch_gather_aos_ms", baos.ms_per_run)
       .Set("dblp_batch_gather_soa_ms", bsoa.ms_per_run)
       .Set("soa_batch_gather_speedup", batch_soa_speedup)
       .Set("soa_batch_gather_byte_identical", batch_soa_identical ? 1 : 0)
-      .Set("gate_soa_scalar_gather", kSoaGatherGate)
+      .Set("gate_soa_w1_gather", kSoaGatherGate)
       .Set("archipelago_islands", kIslands)
-      .Set("restricted_sweep_full_ms", full_ms)
-      .Set("restricted_sweep_restricted_ms", restricted_ms)
-      .Set("restricted_sweep_rcm_ms", rcm_restricted_ms)
-      .Set("restricted_sweep_speedup", sweep_speedup)
-      .Set("dense_gather_reorder_speedup", reorder_gather_speedup)
-      .Set("restricted_sweep_byte_identical", sweep_identical ? 1 : 0)
+      .Set("w1_restricted_sweep_full_ms", full_ms)
+      .Set("w1_restricted_sweep_restricted_ms", restricted_ms)
+      .Set("w1_restricted_sweep_rcm_ms", rcm_restricted_ms)
+      .Set("w1_restricted_sweep_speedup", sweep_speedup)
+      .Set("w1_rcm_restricted_gather_speedup", reorder_gather_speedup)
+      .Set("w1_restricted_sweep_byte_identical", sweep_identical ? 1 : 0)
       .Set("gate_dense_gather_reorder", kDenseGatherGate)
       .Set("gate_restricted_sweep", kRestrictedSweepGate);
   WriteJsonFile("BENCH_reorder.json", doc.ToString());
@@ -411,7 +419,7 @@ int main(int argc, char** argv) {
   }
   if (soa_speedup < kSoaGatherGate) {
     std::fprintf(stderr,
-                 "%s: scalar SoA-gather speedup %.2fx below the %.2fx gate\n",
+                 "%s: W=1 SoA-gather speedup %.2fx below the %.2fx gate\n",
                  smoke ? "WARN (smoke)" : "FAIL", soa_speedup,
                  kSoaGatherGate);
     ok = ok && smoke;
@@ -419,7 +427,7 @@ int main(int argc, char** argv) {
   if (best_speedup < kDenseGatherGate) {
     std::fprintf(
         stderr,
-        "%s: DBLP scalar dense-gather reorder speedup %.2fx below the "
+        "%s: DBLP W=1 dense-gather reorder speedup %.2fx below the "
         "%.2fx gate\n",
         smoke ? "WARN (smoke)" : "FAIL", best_speedup, kDenseGatherGate);
     ok = ok && smoke;

@@ -35,7 +35,7 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "dht/backward.h"
+#include "dht/backward_batch.h"
 #include "join2/b_idj.h"
 #include "serve/session.h"
 #include "serve/workload.h"
@@ -112,13 +112,17 @@ struct EpsCheck {
 void VerifyEps(const Graph& g, const DhtParams& params, int d,
                std::map<NodeId, std::vector<EpsCheck>>& by_target,
                Tally& tally) {
-  BackwardWalker walker(g);
+  BackwardWalkerBatchT<1> walker(g);
   for (auto& [q, checks] : by_target) {
-    walker.Reset(params, ExtNodeId(q));
-    walker.Advance(d);
-    for (const EpsCheck& c : checks) {
+    const ExtNodeId target(q);
+    std::vector<ExtNodeId> sources;
+    for (const EpsCheck& c : checks) sources.push_back(ExtNodeId(c.p));
+    const std::vector<double> exact_row =
+        walker.Run(params, d, {&target, 1}, sources);
+    for (std::size_t i = 0; i < checks.size(); ++i) {
+      const EpsCheck& c = checks[i];
       ++tally.eps_pairs;
-      const double exact = walker.Score(ExtNodeId(c.p));
+      const double exact = exact_row[i];
       if (!(c.score <= exact + 1e-12 && exact <= c.score + c.eps + 1e-12)) {
         ++tally.eps_violations;
         std::fprintf(stderr,

@@ -33,9 +33,9 @@
 #include "core/nway_join.h"        // IWYU pragma: export
 #include "core/partial_join.h"     // IWYU pragma: export
 #include "core/query_graph.h"      // IWYU pragma: export
-#include "dht/backward.h"          // IWYU pragma: export
+#include "dht/backward_batch.h"    // IWYU pragma: export
 #include "dht/bounds.h"            // IWYU pragma: export
-#include "dht/forward.h"           // IWYU pragma: export
+#include "dht/forward_batch.h"     // IWYU pragma: export
 #include "dht/params.h"            // IWYU pragma: export
 #include "graph/graph.h"           // IWYU pragma: export
 #include "graph/graph_builder.h"   // IWYU pragma: export

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "dht/forward.h"
 #include "dht/forward_batch.h"
 #include "util/timer.h"
 
@@ -29,7 +28,7 @@ Result<std::vector<TupleAnswer>> NestedLoopJoin::Run(
   const auto& edges = query.edges();
 
   // Dense tables need sum_e |L| * |R| doubles; above the ceiling, fall
-  // back to the seed's O(1)-memory per-tuple walker instead of OOMing.
+  // back to scoring each tuple's pairs on demand instead of OOMing.
   std::size_t table_bytes = 0;
   for (const JoinEdge& edge : edges) {
     table_bytes += query.set(edge.left).size() *
@@ -38,7 +37,7 @@ Result<std::vector<TupleAnswer>> NestedLoopJoin::Run(
   const bool use_tables = table_bytes <= options_.max_table_bytes;
 
   // Score every query edge's pair table up front on the batched forward
-  // engine (kLaneWidth source lanes per out-CSR pass). The seed NL
+  // engine (kLaneWidth source lanes per edge pass). The seed NL
   // recomputed h_d per TUPLE, so a pair shared by many tuples was walked
   // many times; one batched pass per edge keeps NL the same brute-force
   // baseline (every pair walked, no pruning) minus the redundancy.
@@ -97,7 +96,6 @@ Result<std::vector<TupleAnswer>> NestedLoopJoin::Run(
     }
   }
 
-  ForwardWalker walker(g);  // the per-tuple fallback scorer
   TupleTopK best(k);
   std::vector<NodeId> tuple(static_cast<std::size_t>(n), kInvalidNode);
   std::vector<std::size_t> tuple_index(static_cast<std::size_t>(n), 0);
@@ -130,8 +128,10 @@ Result<std::vector<TupleAnswer>> NestedLoopJoin::Run(
         const std::size_t row = query.set(edges[e].right).size();
         score = (*tables[e])[tuple_index[l] * row + tuple_index[r]];
       } else {
-        score = walker.Compute(params, d, ExtNodeId(tuple[l]),
-                               ExtNodeId(tuple[r]));
+        // The per-tuple fallback: one lane of the same engine.
+        const ExtNodeId u(tuple[l]);
+        const ExtNodeId v(tuple[r]);
+        score = batch.Run(params, d, {&u, 1}, {&v, 1})[0];
         stats_.dht_computations++;
       }
       if (score <= params.beta) return false;  // unreachable within d steps

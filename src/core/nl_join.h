@@ -11,8 +11,9 @@
 /// the enumeration alone keeps NL infeasible for n >= 3 at paper scale;
 /// an optional wall-clock budget lets benchmarks report DNF instead of
 /// hanging. When the dense per-edge tables would exceed
-/// Options::max_table_bytes, NL falls back to the seed's O(1)-memory
-/// per-tuple walker instead of risking an OOM.
+/// Options::max_table_bytes, NL falls back to scoring each tuple's pairs
+/// on demand, one pair per ForwardWalkerBatch::Run, instead of risking
+/// an OOM.
 ///
 /// The enumeration does no per-tuple work it can share. Each query edge
 /// is scored at the loop of its later-bound endpoint, once per binding

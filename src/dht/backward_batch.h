@@ -23,12 +23,12 @@
 /// refinements, join2/incremental.h) without striding over seven dead
 /// lanes — bit-identical results.
 ///
-/// Steps are frontier-adaptive exactly like dht/propagate.h, and the
-/// union support of a block is put in canonical order before every
-/// push (the one step that consumes its order), so the per-lane
-/// summation order is identical to the dense gather's CSR order —
-/// scores are bit-identical across modes, lane groupings, lane WIDTHS,
-/// thread counts, and restarted vs resumed walks (DESIGN.md §3).
+/// Steps are frontier-adaptive (dht/batch_core.h), and the union
+/// support of a block is put in canonical order before every push (the
+/// one step that consumes its order), so the per-lane summation order
+/// is identical to the dense gather's CSR order — scores are
+/// bit-identical across modes, lane groupings, lane WIDTHS, thread
+/// counts, and restarted vs resumed walks (DESIGN.md §3).
 ///
 /// Scores are only materialized for a caller-provided source set P
 /// (joins never read anything else), which keeps the output |Q| x |P|
@@ -86,7 +86,6 @@
 
 #include "dht/batch_core.h"
 #include "dht/params.h"
-#include "dht/propagate.h"
 #include "graph/graph.h"
 #include "obs/trace.h"
 #include "util/deadline.h"
@@ -126,8 +125,9 @@ struct BackwardBatchSnapshot {
   /// Score DELTAS over the pinned sources: h_level(p, q) - beta per
   /// source p. Kept beta-exclusive so a resumed row continues the exact
   /// floating-point sum a from-scratch walk accumulates — the engine
-  /// adds beta only at output, so every lane width, the scalar reference
-  /// walker and a stored row give BIT-identical scores (DESIGN.md §3).
+  /// adds beta only at output, so every lane width, the plain-loop
+  /// reference sweep and a stored row give BIT-identical scores
+  /// (DESIGN.md §3).
   std::vector<double> row;
 
   std::size_t ApproxBytes() const {
@@ -288,8 +288,7 @@ class BackwardWalkerBatchT {
     /// per-edge work is eight madds, which amortizes the AoS stream,
     /// and the second address stream measurably costs more than the 4
     /// saved bytes/edge. At W = 1 (one madd/edge, truly stream-bound)
-    /// the cut wins, as for the scalar walker: PJ-i's single-target
-    /// engine turns it on.
+    /// the cut wins: PJ-i's single-target engine turns it on.
     bool soa_gather = false;
     /// Byte cap on idle block workspaces retained between runs; a
     /// workspace released over the cap is freed instead of pooled.
@@ -335,7 +334,7 @@ class BackwardWalkerBatchT {
 
     // Blocks accumulate beta-EXCLUSIVE score deltas, step by step;
     // beta joins once at the end, so every cell is bit-identical to a
-    // resumed walk's and to the scalar reference walker's (DESIGN.md §3).
+    // resumed walk's (DESIGN.md §3).
     std::vector<double> out(targets.size() * sources.size(), 0.0);
     const std::size_t num_blocks = (targets.size() + W - 1) / W;
     pool_.ParallelFor(static_cast<int64_t>(num_blocks), [&](int64_t block) {

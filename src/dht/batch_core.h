@@ -1,29 +1,50 @@
 /// \file dht/batch_core.h
-/// \brief Shared machinery of the batched walk engines, templated on
-/// direction policy and lane width.
+/// \brief The walk engine: the frontier-adaptive blocked transition
+/// step and the machinery around it, templated on direction policy
+/// and lane width.
 ///
-/// BackwardWalkerBatch and ForwardWalkerBatch used to carry near-
-/// verbatim copies of the same four pieces: the per-block lane
-/// workspace with its zero-invariant pooling, the frontier-adaptive
-/// blocked transition step, the by-(plan, level) block grouping that
-/// turns a mixed-progress target set into uniform-level lane blocks,
-/// and the write-back-under-budget slot commit. This header keeps ONE
-/// copy of each, parameterized by:
+/// Every DHT primitive in the repo bottoms out in one step of the
+/// random-walk transition,
+///   next = M^T cur   (forward: mass flows ALONG edges)
+///   next = M   cur   (backward: mass flows AGAINST edges)
+/// where M is the row-stochastic transition matrix with entries p_uv:
+/// the forward first-hit walk (Sec. V-B, ForwardWalkerBatch), the
+/// backward walk (Eq. 5, BackwardWalkerBatch) and the Y bound's
+/// visiting sweep (Theorem 1, YBoundTable). This header keeps ONE copy
+/// of that step (StepLanes) and of the pieces around it: the per-block
+/// lane workspace with its zero-invariant pooling, the by-(plan, level)
+/// block grouping that turns a mixed-progress target set into
+/// uniform-level lane blocks, and the write-back-under-budget slot
+/// commit. They are parameterized by:
 ///
 ///  * a DIRECTION POLICY (BackwardStepPolicy / ForwardStepPolicy) that
-///    supplies the frontier degree, the push rows, and — the one
-///    genuinely different piece — the dense kernel: the backward step
-///    falls back to a sequential gather over the sweep plan's out-rows
-///    (streaming the SoA (to[], prob[]) arrays, Graph::OutTargets),
-///    while the forward "dense" step is the same frontier push with
-///    dense billing, because a forward push already visits exactly the
-///    nonzero rows in canonical order (the scalar Propagator's forward
-///    dense step is a gather over in-rows instead);
+///    supplies the frontier degree, the push rows and the gather rows.
+///    A step is chosen per step, direction-optimizing style: a SPARSE
+///    step pushes only the support's mass (over transposed in-rows
+///    backward, out-rows forward), output-sensitive; a DENSE step is a
+///    sequential gather in both directions (backward: row u sums over
+///    its out-row; forward: row w sums over its in-row), restricted to
+///    the weak components of the walk's seeds (Graph::PlanDenseSweep):
+///    mass never leaves them, so skipping the other rows changes no
+///    bit, and a saturated-but-local walk pays O(|ball|), not O(n + m);
 ///  * a LANE WIDTH W — 8 by default (one cache line of doubles), with
 ///    W = 1 for walks that deepen one target at a time (PJ-i's
-///    refinements), where a wider block would stride over dead lanes;
-///    bit-identical results (lanes are independent columns; see the
-///    parity tests).
+///    refinements) and for the Y sweep, where a wider block would
+///    stride over dead lanes; bit-identical results (lanes are
+///    independent columns; see the parity tests).
+///
+/// Numerical contract (DESIGN.md §3, §7): the support list is brought
+/// into CANONICAL (external) node-id order before any step that
+/// consumes its order (a push), and CSR rows — out-rows and in-rows
+/// alike — are stored in canonical order of the other endpoint, so a
+/// push visits sources in exactly the order a gather's rows
+/// accumulate them, in EVERY physical layout. Each lane's summation
+/// order is therefore identical across modes, restricted and full
+/// sweeps, layouts, lane widths and lane groupings: all of them give
+/// bit-identical masses. That is what lets a resumed walk match a
+/// from-scratch one, lets state pools drop entries under memory
+/// pressure without changing any result, and makes a reordered graph a
+/// pure physical optimization.
 ///
 /// The fused multi-target scheduler built on top (AdvanceMany in each
 /// engine) collects every live (plan, lane-block, level-group) of a
@@ -55,10 +76,44 @@
 #include <utility>
 #include <vector>
 
-#include "dht/propagate.h"
 #include "graph/graph.h"
 
 namespace dhtjoin {
+
+/// How a walk engine executes each step.
+enum class PropagationMode {
+  kDense,     ///< always the full (restricted) gather sweep
+  kSparse,    ///< always frontier pushes (can regress on dense frontiers)
+  kAdaptive,  ///< per-step choice by frontier degree sum (the default)
+};
+
+/// Cost multiplier charged to a sparse step when the adaptive policy
+/// compares it against a dense sweep: sparse pushes write to random
+/// destinations while the dense gather streams sequentially, so a sparse
+/// step is only chosen when its edge count is below dense/kSparsePenalty.
+inline constexpr int64_t kSparsePenalty = 4;
+
+/// The adaptive policy of StepLanes. `dense_cost` is the walk's
+/// restricted dense-sweep cost (SweepPlan::cost — covered edges plus
+/// covered rows; n + m when the restriction is off or the graph is
+/// connected).
+///
+/// SupportSizeForcesDense is the cheap early-out: once the support alone
+/// crosses the threshold, the degree sum can only confirm it and the
+/// per-node degree scan would cost real time every step of a saturated
+/// walk. FrontierPrefersDense is the full comparison once the caller has
+/// summed its frontier degrees.
+inline bool SupportSizeForcesDense(std::size_t support_size,
+                                   int64_t dense_cost) {
+  return static_cast<int64_t>(support_size) * kSparsePenalty >= dense_cost;
+}
+inline bool FrontierPrefersDense(std::size_t support_size,
+                                 int64_t frontier_edges,
+                                 int64_t dense_cost) {
+  return (frontier_edges + static_cast<int64_t>(support_size)) *
+             kSparsePenalty >=
+         dense_cost;
+}
 
 /// Autotuned walk-state byte budget for a graph of `num_nodes` nodes.
 ///
@@ -109,9 +164,9 @@ struct SparseMass {
 };
 
 /// Workspace for one in-flight lane block. All arrays obey the
-/// propagate.h zero-invariant (exactly 0.0 / false outside the support
-/// lists), so a workspace popped from the free pool is clean without
-/// any O(n) reset.
+/// zero-invariant (exactly 0.0 / false outside the support lists), so
+/// a workspace popped from the free pool is clean without any O(n)
+/// reset.
 template <int W>
 struct BlockWorkspace {
   explicit BlockWorkspace(NodeId n)
@@ -330,10 +385,9 @@ class BatchStateBudget {
 // ------------------------------------------------- direction policies
 
 /// Backward direction: mass flows AGAINST edges. The sparse step pushes
-/// the union frontier over transposed in-rows; the dense step is a
-/// sequential gather over the sweep plan's out-rows.
+/// the union frontier over transposed in-rows; the dense step gathers
+/// each plan row over its out-row.
 struct BackwardStepPolicy {
-  static constexpr bool kDenseIsGather = true;
   static int64_t FrontierDegree(const Graph& g, NodeId v) {
     return g.InDegree(IntNodeId(v));
   }
@@ -341,14 +395,32 @@ struct BackwardStepPolicy {
     return g.InEdges(IntNodeId(v));
   }
   static NodeId EdgeDest(const InEdge& e) { return e.from; }
+
+  /// Row u: acc[b] += p_uv * mass[v][b] over u's out-row, in canonical
+  /// target order. `soa` streams the split (to[], prob[]) arrays instead
+  /// of the AoS OutEdge stream: the same order, the same bits.
+  template <int W>
+  static void GatherRow(const Graph& g, NodeId u, bool soa,
+                        const double* mass, double* acc) {
+    if (soa) {
+      std::span<const NodeId> to = g.OutTargets(IntNodeId(u));
+      std::span<const double> prob = g.OutProbs(IntNodeId(u));
+      for (std::size_t e = 0; e < to.size(); ++e) {
+        const double* src = mass + static_cast<std::size_t>(to[e]) * W;
+        for (int b = 0; b < W; ++b) acc[b] += prob[e] * src[b];
+      }
+      return;
+    }
+    for (const OutEdge& e : g.OutEdges(IntNodeId(u))) {
+      const double* src = mass + static_cast<std::size_t>(e.to) * W;
+      for (int b = 0; b < W; ++b) acc[b] += e.prob * src[b];
+    }
+  }
 };
 
-/// Forward direction: mass flows ALONG edges. Sparse and dense are the
-/// same push over out-rows; "dense" only changes the billing (the push
-/// already visits exactly the nonzero rows in canonical order — the
-/// dense sweep's order).
+/// Forward direction: mass flows ALONG edges. The sparse step pushes
+/// over out-rows; the dense step gathers each plan row over its in-row.
 struct ForwardStepPolicy {
-  static constexpr bool kDenseIsGather = false;
   static int64_t FrontierDegree(const Graph& g, NodeId v) {
     return g.OutDegree(IntNodeId(v));
   }
@@ -356,18 +428,29 @@ struct ForwardStepPolicy {
     return g.OutEdges(IntNodeId(v));
   }
   static NodeId EdgeDest(const OutEdge& e) { return e.to; }
+
+  /// Row w: acc[b] += p_uw * mass[u][b] over w's in-row, which is sorted
+  /// by canonical source, so each lane adds its terms in the order a
+  /// push from the canonical support would. In-rows have no SoA mirror;
+  /// `soa` does not apply.
+  template <int W>
+  static void GatherRow(const Graph& g, NodeId w, bool /*soa*/,
+                        const double* mass, double* acc) {
+    for (const InEdge& e : g.InEdges(IntNodeId(w))) {
+      const double* src = mass + static_cast<std::size_t>(e.from) * W;
+      for (int b = 0; b < W; ++b) acc[b] += e.prob * src[b];
+    }
+  }
 };
 
-/// One blocked transition step shared by every batched path: advances
-/// all lanes of `st` one level, choosing sparse push or dense kernel by
-/// the shared adaptive policy (against the block's restricted dense
-/// cost), and leaves the new support in st.support with st.mass holding
-/// the new masses. The sorted-support contract is deferred exactly as
-/// in the scalar engine: only a step that CONSUMES the support order (a
-/// push) sorts first; the backward dense gather never does.
-/// `soa_gather` streams the split (to[], prob[]) arrays in the gather
-/// instead of the AoS OutEdge stream — identical per-row summation
-/// order, bit-identical results (benchmark A/B switch).
+/// One blocked transition step shared by every walk: advances all lanes
+/// of `st` one level, choosing sparse push or dense gather by the
+/// adaptive policy (against the block's restricted dense cost), and
+/// leaves the new support in st.support with st.mass holding the new
+/// masses. The sorted-support contract is deferred: only a step that
+/// CONSUMES the support order (a push) sorts first; a gather never
+/// does. `soa_gather` selects the backward gather's edge stream
+/// (BackwardStepPolicy::GatherRow).
 template <class Policy, int W>
 void StepLanes(const Graph& g, PropagationMode mode, bool soa_gather,
                BlockWorkspace<W>& st, int width) {
@@ -389,8 +472,7 @@ void StepLanes(const Graph& g, PropagationMode mode, bool soa_gather,
     }
   }
 
-  const bool push = !Policy::kDenseIsGather || !dense;
-  if (push) {
+  if (!dense) {
     // Sparse: push the block's union frontier over the policy's rows.
     // The push CONSUMES the support order (destinations accumulate in
     // frontier order), so bring it into canonical order first — the
@@ -410,7 +492,7 @@ void StepLanes(const Graph& g, PropagationMode mode, bool soa_gather,
       for (int b = 0; b < W; ++b) live_lanes += row[b] != 0.0 ? 1 : 0;
       if (live_lanes == 0) continue;
       // Bill each lane only for its own frontier: lane b's sequential
-      // walker would relax deg(v) edges iff it has mass at v.
+      // walk would relax deg(v) edges iff it has mass at v.
       relaxed += Policy::FrontierDegree(g, v) * live_lanes;
       for (const auto& e : Policy::PushEdges(g, v)) {
         const NodeId u = Policy::EdgeDest(e);
@@ -424,28 +506,16 @@ void StepLanes(const Graph& g, PropagationMode mode, bool soa_gather,
       }
       std::fill(row, row + W, 0.0);
     }
-    st.edges_relaxed +=
-        (dense && !Policy::kDenseIsGather) ? st.plan.edges * width : relaxed;
+    st.edges_relaxed += relaxed;
   } else {
-    // Dense backward: sequential gather over the block plan's out-rows,
-    // streaming the SoA (to, prob) arrays. Rows outside the plan (other
-    // weak components) cannot see the support, so skipping them is
-    // exact — the restricted sweep (DESIGN.md §7).
+    // Dense: sequential gather over the block plan's rows. Rows outside
+    // the plan (other weak components) cannot see the support, so
+    // skipping them is exact — the restricted sweep (DESIGN.md §7).
+    // Each row sums in storage (canonical) order; rows are independent,
+    // so the row iteration order never affects values.
     st.plan.ForEachRow(g.num_nodes(), [&](NodeId u) {
       double acc[W] = {0.0};
-      if (soa_gather) {
-        std::span<const NodeId> to = g.OutTargets(IntNodeId(u));
-        std::span<const double> prob = g.OutProbs(IntNodeId(u));
-        for (std::size_t e = 0; e < to.size(); ++e) {
-          const double* src = &st.mass[static_cast<std::size_t>(to[e]) * W];
-          for (int b = 0; b < W; ++b) acc[b] += prob[e] * src[b];
-        }
-      } else {
-        for (const OutEdge& e : g.OutEdges(IntNodeId(u))) {
-          const double* src = &st.mass[static_cast<std::size_t>(e.to) * W];
-          for (int b = 0; b < W; ++b) acc[b] += e.prob * src[b];
-        }
-      }
+      Policy::template GatherRow<W>(g, u, soa_gather, st.mass.data(), acc);
       if (std::any_of(acc, acc + W, [](double x) { return x != 0.0; })) {
         double* dst = &st.next[static_cast<std::size_t>(u) * W];
         for (int b = 0; b < W; ++b) dst[b] = acc[b];
@@ -461,12 +531,11 @@ void StepLanes(const Graph& g, PropagationMode mode, bool soa_gather,
   for (NodeId u : st.next_support) {
     st.in_next[static_cast<std::size_t>(u)] = 0;
   }
-  // Sorted-support contract (propagate.h), deferred: a push leaves the
-  // new support in emission order; the backward dense gather emits rows
-  // ascending by internal id — already canonical exactly on an
-  // insertion-ordered layout with a gap-free plan.
-  st.support_canonical = Policy::kDenseIsGather && dense &&
-                         !g.is_reordered() && st.plan.full;
+  // Sorted-support contract, deferred: a push leaves the new support in
+  // emission order; a gather emits rows ascending by internal id —
+  // already canonical exactly on an insertion-ordered layout with a
+  // gap-free plan.
+  st.support_canonical = dense && !g.is_reordered() && st.plan.full;
   st.mass.swap(st.next);
   st.support.swap(st.next_support);
   st.next_support.clear();

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "dht/propagate.h"
+#include "dht/batch_core.h"
 
 namespace dhtjoin {
 
@@ -16,16 +16,24 @@ YBoundTable::YBoundTable(const Graph& g, const DhtParams& params, int d,
                          const ExecContext* exec)
     : d_(d) {
   DHTJOIN_CHECK_GE(d, 1);
-  // Non-absorbing sweep from all of P at once on the shared engine: the
-  // visiting probability S_i(P, q) is the step-i mass at q. Frontier-
-  // adaptive steps keep the cost output-sensitive, and edges_relaxed()
-  // reports what the sweep actually paid.
-  // The Propagator is layout-addressed: translate the external seed /
-  // probe ids once (identity on a never-reordered graph).
-  Propagator sweep(g, Propagator::Direction::kForward);
+  // Non-absorbing sweep from all of P at once, on one lane of the walk
+  // engine: the visiting probability S_i(P, q) is the step-i mass at q.
+  // Frontier-adaptive steps keep the cost output-sensitive, and
+  // edges_relaxed() reports what the sweep actually paid. Seeds and
+  // probes are translated to layout ids once (identity on a
+  // never-reordered graph); each seed carries mass 1.0 once.
+  for (ExtNodeId p : P) DHTJOIN_CHECK(g.ContainsNode(p));
+  batch_core::BlockWorkspace<1> sweep(g.num_nodes());
   std::vector<NodeId> seed_storage, probe_storage;
-  sweep.Reset(AsIntIds(g.MapToInternal(P.nodes(), seed_storage)));
+  std::span<const NodeId> seeds = g.MapToInternal(P.nodes(), seed_storage);
   std::span<const NodeId> probes = g.MapToInternal(Q.nodes(), probe_storage);
+  for (NodeId u : seeds) {
+    double& slot = sweep.mass[static_cast<std::size_t>(u)];
+    if (slot == 0.0) sweep.support.push_back(u);
+    slot = 1.0;
+  }
+  sweep.support_canonical = false;
+  sweep.plan = g.PlanDenseSweep(seeds);
 
   // s[qi][i-1] = S_i(P, q) for i = 1..d.
   std::vector<std::vector<double>> s(
@@ -36,13 +44,14 @@ YBoundTable::YBoundTable(const Graph& g, const DhtParams& params, int d,
       complete_ = false;
       break;
     }
-    sweep.Step();
+    batch_core::StepLanes<batch_core::ForwardStepPolicy, 1>(
+        g, PropagationMode::kAdaptive, /*soa_gather=*/false, sweep, 1);
     for (std::size_t qi = 0; qi < Q.size(); ++qi) {
       s[qi][static_cast<std::size_t>(i) - 1] =
-          sweep.Mass(IntNodeId(probes[qi]));
+          sweep.mass[static_cast<std::size_t>(probes[qi])];
     }
   }
-  edges_relaxed_ = sweep.edges_relaxed();
+  edges_relaxed_ = sweep.edges_relaxed;
   if (!complete_) {
     // Abandoned sweep: leave an all-zero (INVALID) table; callers must
     // consult complete() before Bound().

@@ -34,10 +34,11 @@ double XUpperBound(const DhtParams& params, int l);
 /// Precomputed Y_l^+(P, q) for all q in Q and all l in [0, d].
 class YBoundTable {
  public:
-  /// Runs the d-step non-absorbing sweep from all of P on the shared
-  /// frontier-adaptive engine (dht/propagate.h) — O(d * |E|) worst case,
-  /// output-sensitive when the sweep mass stays local — and builds
-  /// per-q suffix sums (O(d * |Q|) space).
+  /// Runs the d-step non-absorbing sweep from all of P on one lane of
+  /// the frontier-adaptive walk engine (dht/batch_core.h, forward
+  /// direction) — O(d * |E|) worst case, output-sensitive when the
+  /// sweep mass stays local — and builds per-q suffix sums
+  /// (O(d * |Q|) space).
   ///
   /// When `exec` is set, the sweep polls exec->Check() once per step
   /// (the construction's level boundary). A stop abandons the sweep:

@@ -2,10 +2,9 @@
 
 namespace dhtjoin {
 
-// The 8-lane default and the 4-lane narrow option are the only widths
-// the library instantiates; keeping the definitions here spares every
-// including TU the template instantiation cost.
+// The 8-lane default is the only width the library instantiates;
+// keeping its definitions here spares every including TU the template
+// instantiation cost.
 template class ForwardWalkerBatchT<8>;
-template class ForwardWalkerBatchT<4>;
 
 }  // namespace dhtjoin

@@ -7,7 +7,7 @@
 /// F-IDJ) is the slow side of the paper's Fig. 9(a). What CAN be shared
 /// is the edge stream: this evaluator fixes one absorption target q per
 /// block and advances kLaneWidth SOURCE walkers together, the mass state
-/// an n x W row-major matrix pushed over the out-CSR one pass per step.
+/// an n x W row-major matrix stepped over the CSR one pass per step.
 /// Per pair this divides edge traffic by W and turns the scattered
 /// per-walk pushes into cache-line-wide lane updates — the forward
 /// analogue of BackwardWalkerBatch, with the lane axis transposed
@@ -16,18 +16,15 @@
 ///
 /// The block machinery (lane workspace, pooling, the frontier-adaptive
 /// blocked step, level grouping, write-back-under-budget) is the shared
-/// core in dht/batch_core.h; this engine supplies the forward direction
-/// policy (push over out-rows; "dense" only changes billing, because a
-/// forward push already visits exactly the nonzero rows in canonical
-/// order) and is a template on the lane width W: ForwardWalkerBatch is
-/// the 8-lane default, ForwardWalkerBatchT<4> the narrow-lane option —
-/// bit-identical results at half the workspace bytes per block.
+/// walk engine in dht/batch_core.h; this engine supplies the forward
+/// direction policy (push over out-rows, dense gather over in-rows) and
+/// is a template on the lane width W: ForwardWalkerBatch is the 8-lane
+/// default; any narrower width gives bit-identical results.
 ///
 /// The union support is put in canonical order before every push, so
-/// per-lane summation order equals the dense sweep's CSR order: scores
-/// are bit-identical across modes, lane groupings, lane widths, thread
-/// counts, and restarted vs resumed walks (DESIGN.md §3), and match the
-/// scalar ForwardWalker exactly.
+/// per-lane summation order equals the dense gather's in-row order:
+/// scores are bit-identical across modes, lane groupings, lane widths,
+/// thread counts, and restarted vs resumed walks (DESIGN.md §3).
 ///
 /// Resumable deepening: F-IDJ revisits the same (p, q) pairs at levels
 /// 1, 2, 4, ..., d. ForwardBatchStates holds per-pair sparse snapshots
@@ -77,7 +74,6 @@
 
 #include "dht/batch_core.h"
 #include "dht/params.h"
-#include "dht/propagate.h"
 #include "graph/graph.h"
 #include "obs/trace.h"
 #include "util/deadline.h"
@@ -492,9 +488,9 @@ class ForwardWalkerBatchT {
   }
 
   /// Per-walker edges relaxed, summed over all lanes and runs,
-  /// comparable with the scalar ForwardWalker's edges_relaxed: a sparse
-  /// step bills each lane only for frontier nodes where that lane has
-  /// mass; a dense pass bills every lane its sweep plan's edges.
+  /// comparable with a sequential walk's count: a sparse step bills
+  /// each lane only for frontier nodes where that lane has mass; a
+  /// dense pass bills every lane its sweep plan's edges.
   int64_t edges_relaxed() const { return workspaces_.edges_relaxed(); }
 
   /// Fork/join barriers dispatched by this engine so far (one per Run
@@ -636,7 +632,6 @@ class ForwardWalkerBatchT {
 using ForwardWalkerBatch = ForwardWalkerBatchT<8>;
 
 extern template class ForwardWalkerBatchT<8>;
-extern template class ForwardWalkerBatchT<4>;
 
 }  // namespace dhtjoin
 

@@ -9,9 +9,9 @@
 /// transition probabilities) and a transposed in-adjacency (sources +
 /// the SAME transition probabilities, p_uv on the row of v) in
 /// compressed sparse row layout. The transposed rows let a backward
-/// propagation step push mass from a sparse frontier — next[u] +=
-/// p_uv * mass[v] over only the in-edges of frontier nodes v — instead
-/// of gathering over every node's out-row (see dht/propagate.h).
+/// step push mass from a sparse frontier — next[u] += p_uv * mass[v]
+/// over only the in-edges of frontier nodes v — and a forward dense
+/// step gather each row w over its in-row (see dht/batch_core.h).
 ///
 /// PHYSICAL LAYOUT vs EXTERNAL IDS (DESIGN.md §7). A Graph may carry a
 /// cache-conscious node permutation (graph/reorder.h): the CSR then

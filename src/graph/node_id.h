@@ -28,8 +28,8 @@
 /// `AsIntIds`) without copying — hot interiors keep raw `NodeId`
 /// arrays, the typed views exist at the API boundary only.
 ///
-/// Layering note: code BELOW the remap boundary (Propagator, the
-/// batch-core kernels, SweepPlan, ReachIndex) deliberately stays on
+/// Layering note: code BELOW the remap boundary (the batch-core walk
+/// kernels, SweepPlan, ReachIndex) deliberately stays on
 /// raw `NodeId` — everything there is internal-space by construction
 /// and indexes vectors on every line. The strong types guard the
 /// boundaries where the two spaces meet, not the single-space inner

@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "dht/backward.h"
 #include "dht/bounds.h"
 #include "testing/reference.h"
 
@@ -20,10 +19,14 @@ using testing::AllLayouts;
 using testing::ClusteredGraph;
 using testing::RandomGraph;
 using testing::Range;
+using testing::RefBackwardSweep;
 using testing::RefVisitSweep;
 using testing::TwoCommunityGraph;
 
 class BoundsSweep : public ::testing::TestWithParam<double> {};
+
+// h_l comes from the plain-loop reference sweep, so these checks of the
+// paper's bounds read no engine code but the table under test.
 
 TEST_P(BoundsSweep, XBoundBracketsRemainder) {
   // Lemma 2: h(p,q) <= h_l(p,q) + X_l; since h_d <= h, also h_d.
@@ -31,17 +34,15 @@ TEST_P(BoundsSweep, XBoundBracketsRemainder) {
   Graph g = RandomGraph(40, 120, 31);
   DhtParams p = DhtParams::Lambda(lambda);
   const int d = 10;
-  BackwardWalker partial(g), full(g);
   for (NodeId q : {0, 13, 29}) {
-    full.Reset(p, ExtNodeId(q));
-    full.Advance(d);
-    partial.Reset(p, ExtNodeId(q));
+    const std::vector<double> full = RefBackwardSweep(g, p, d, ExtNodeId(q));
     for (int l = 1; l <= d; l++) {
-      partial.Advance(1);
+      const std::vector<double> partial =
+          RefBackwardSweep(g, p, l, ExtNodeId(q));
       for (NodeId u = 0; u < g.num_nodes(); ++u) {
         if (u == q) continue;
-        EXPECT_LE(full.Score(ExtNodeId(u)),
-                  partial.Score(ExtNodeId(u)) + p.XBound(l) + 1e-12)
+        const auto ui = static_cast<std::size_t>(u);
+        EXPECT_LE(full[ui], partial[ui] + p.XBound(l) + 1e-12)
             << "q=" << q << " u=" << u << " l=" << l;
       }
     }
@@ -57,18 +58,15 @@ TEST_P(BoundsSweep, YBoundBracketsRemainder) {
   NodeSet P = Range("P", 0, 12);
   NodeSet Q = Range("Q", 20, 32);
   YBoundTable ytable(g, p, d, P, Q);
-  BackwardWalker partial(g), full(g);
   for (std::size_t qi = 0; qi < Q.size(); ++qi) {
     ExtNodeId q = Q[qi];
-    full.Reset(p, q);
-    full.Advance(d);
-    partial.Reset(p, q);
+    const std::vector<double> full = RefBackwardSweep(g, p, d, q);
     for (int l = 1; l <= d; ++l) {
-      partial.Advance(1);
+      const std::vector<double> partial = RefBackwardSweep(g, p, l, q);
       for (ExtNodeId u : P) {
         if (u == q) continue;
-        EXPECT_LE(full.Score(u),
-                  partial.Score(u) + ytable.Bound(l, qi) + 1e-12)
+        const auto ui = static_cast<std::size_t>(u.value());
+        EXPECT_LE(full[ui], partial[ui] + ytable.Bound(l, qi) + 1e-12)
             << "q=" << q.value() << " u=" << u.value() << " l=" << l;
       }
     }
@@ -205,7 +203,10 @@ TEST(BoundsTest, YBoundChargesRealSweepCost) {
   // The construction sweep runs on the shared adaptive engine; its
   // edges_relaxed is what walk_steps gets charged. On a walk whose mass
   // stays inside a small component the sweep must cost far less than
-  // the d dense passes the seed billed (d * |E|), and never more.
+  // the d dense passes the seed billed (d * |E|), and never more. The
+  // adaptive mode choice decides the bill, so it is pinned exactly: the
+  // values are the engine's bills from before the sweep moved onto the
+  // batch kernel, and they are the same in every layout.
   Graph big = testing::RandomGraph(200, 800, 77);
   DhtParams p = DhtParams::Lambda(0.2);
   const int d = 8;
@@ -215,6 +216,39 @@ TEST(BoundsTest, YBoundChargesRealSweepCost) {
     EXPECT_GT(ytable.edges_relaxed(), 0);
     EXPECT_LE(ytable.edges_relaxed(),
               static_cast<int64_t>(d) * big.num_edges());
+    EXPECT_EQ(ytable.edges_relaxed(), 11286);
+  }
+  // A clustered graph (P in two of four clusters, and a singleton P)
+  // and a connected one (|P| = 12 and a singleton), in every layout.
+  std::vector<NodeId> p_ids, q_ids;
+  for (NodeId u = 0; u < 6; ++u) {
+    p_ids.push_back(u);
+    p_ids.push_back(40 + u);
+  }
+  for (NodeId u = 3; u < 160; u += 7) q_ids.push_back(u);
+  const NodeSet cP("P", p_ids), cQ("Q", q_ids);
+  const NodeSet one("P", std::vector<NodeId>{7});
+  int layout = 0;
+  for (const Graph& g : AllLayouts(ClusteredGraph(4, 40, 120, 35))) {
+    EXPECT_EQ(YBoundTable(g, p, 10, cP, cQ).edges_relaxed(), 4078)
+        << "clustered layout " << layout;
+    EXPECT_EQ(YBoundTable(g, p, 4, cP, cQ).edges_relaxed(), 1402)
+        << "clustered layout " << layout;
+    EXPECT_EQ(YBoundTable(g, p, 10, one, cQ).edges_relaxed(), 1831)
+        << "clustered layout " << layout;
+    ++layout;
+  }
+  layout = 0;
+  const NodeSet rQ = Range("Q", 40, 100);
+  for (const Graph& g : AllLayouts(RandomGraph(120, 480, 34, true, true))) {
+    EXPECT_EQ(YBoundTable(g, p, 10, Range("P", 0, 12), rQ).edges_relaxed(),
+              8732)
+        << "connected layout " << layout;
+    EXPECT_EQ(YBoundTable(g, p, 10, NodeSet("P", std::vector<NodeId>{5}), rQ)
+                  .edges_relaxed(),
+              7744)
+        << "connected layout " << layout;
+    ++layout;
   }
   // Two isolated edges: the sweep from P = {0} touches almost nothing,
   // so a flat d * |E| would overcount wildly.
@@ -227,6 +261,7 @@ TEST(BoundsTest, YBoundChargesRealSweepCost) {
                      NodeSet("Q", std::vector<NodeId>{1}));
   EXPECT_LT(ytable.edges_relaxed(),
             static_cast<int64_t>(d) * tiny.num_edges());
+  EXPECT_EQ(ytable.edges_relaxed(), 2);
 }
 
 TEST(BoundsTest, YBoundCapsProbabilityAtOne) {

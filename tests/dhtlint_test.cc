@@ -170,7 +170,7 @@ TEST(DhtLintTest, ReportJsonCarriesCountsAndFindings) {
 }
 
 TEST(DhtLintTest, DefaultScanPathSelectsEngineAndToolSources) {
-  EXPECT_TRUE(DefaultScanPath("src/dht/propagate.cc"));
+  EXPECT_TRUE(DefaultScanPath("src/dht/bounds.cc"));
   EXPECT_TRUE(DefaultScanPath("src/graph/node_id.h"));
   EXPECT_TRUE(DefaultScanPath("tools/cli_parse.cc"));
   EXPECT_FALSE(DefaultScanPath("tests/lint_fixtures/raw_rng.cc"));

@@ -11,9 +11,8 @@
 #include <unordered_set>
 #include <vector>
 
-#include "dht/backward.h"
-#include "dht/forward.h"
-#include "dht/propagate.h"
+#include "dht/backward_batch.h"
+#include "dht/forward_batch.h"
 #include "graph/graph.h"
 #include "graph/node_id.h"
 #include "graph/node_set.h"
@@ -63,40 +62,24 @@ static_assert(!ToInternalTakes<NodeId>);
 static_assert(ToExternalTakes<IntNodeId>);
 static_assert(!ToExternalTakes<ExtNodeId>);
 
-// Walker boundaries are EXTERNAL-space.
+// Walk engine boundaries are EXTERNAL-space: Run takes external ids
+// (the kernels below it stay on raw internal ids by design; see the
+// layering note in node_id.h).
 template <class Id>
-concept BackwardResetTakes =
-    requires(BackwardWalker& w, const DhtParams& p, Id q) { w.Reset(p, q); };
-template <class Id>
-concept BackwardScoreTakes =
-    requires(const BackwardWalker& w, Id u) { w.Score(u); };
-static_assert(BackwardResetTakes<ExtNodeId>);
-static_assert(!BackwardResetTakes<IntNodeId>);
-static_assert(!BackwardResetTakes<NodeId>);
-static_assert(BackwardScoreTakes<ExtNodeId>);
-static_assert(!BackwardScoreTakes<IntNodeId>);
+concept BackwardRunTakes =
+    requires(BackwardWalkerBatch& b, const DhtParams& p,
+             const std::vector<Id>& ids) { b.Run(p, 4, ids, ids); };
+static_assert(BackwardRunTakes<ExtNodeId>);
+static_assert(!BackwardRunTakes<IntNodeId>);
+static_assert(!BackwardRunTakes<NodeId>);
 
 template <class Id>
-concept ForwardComputeTakes =
-    requires(ForwardWalker& w, const DhtParams& p, Id u, Id v) {
-      w.Compute(p, 4, u, v);
-    };
-static_assert(ForwardComputeTakes<ExtNodeId>);
-static_assert(!ForwardComputeTakes<IntNodeId>);
-static_assert(!ForwardComputeTakes<NodeId>);
-
-// The low-level engine is INTERNAL-space.
-template <class Id>
-concept PropagatorResetTakes =
-    requires(Propagator& e, Id seed) { e.Reset(seed); };
-template <class Id>
-concept PropagatorMassTakes =
-    requires(const Propagator& e, Id u) { e.Mass(u); };
-static_assert(PropagatorResetTakes<IntNodeId>);
-static_assert(!PropagatorResetTakes<ExtNodeId>);
-static_assert(PropagatorMassTakes<IntNodeId>);
-static_assert(!PropagatorMassTakes<ExtNodeId>);
-static_assert(!PropagatorMassTakes<NodeId>);
+concept ForwardRunTakes =
+    requires(ForwardWalkerBatch& f, const DhtParams& p,
+             const std::vector<Id>& ids) { f.Run(p, 4, ids, ids); };
+static_assert(ForwardRunTakes<ExtNodeId>);
+static_assert(!ForwardRunTakes<IntNodeId>);
+static_assert(!ForwardRunTakes<NodeId>);
 
 // NodeSet is EXTERNAL-space.
 template <class Id>

@@ -1,15 +1,15 @@
 /// \file tests/ppr_test.cc
 /// \brief The Personalized-PageRank extension (the paper's stated future
 /// work): visiting-probability semantics through the same general-form
-/// engine, walkers, bounds, and join algorithms.
+/// walk engine, bounds, and join algorithms.
 
 #include <gtest/gtest.h>
 
 #include <memory>
 
-#include "dht/backward.h"
+#include "dht/backward_batch.h"
 #include "dht/bounds.h"
-#include "dht/forward.h"
+#include "dht/forward_batch.h"
 #include "join2/b_bj.h"
 #include "join2/b_idj.h"
 #include "join2/f_bj.h"
@@ -25,7 +25,15 @@ namespace {
 using testing::CycleGraph;
 using testing::RandomGraph;
 using testing::Range;
+using testing::RefBackwardSweep;
 using testing::TwoCommunityGraph;
+
+/// h_d(u, v) of one pair on the forward engine.
+double ForwardScore(const Graph& g, const DhtParams& p, int d, ExtNodeId u,
+                    ExtNodeId v) {
+  ForwardWalkerBatch batch(g, {.num_threads = 1});
+  return batch.Run(p, d, {&u, 1}, {&v, 1})[0];
+}
 
 TEST(PprParamsTest, FactoryCoefficients) {
   DhtParams p = DhtParams::PersonalizedPageRank(0.85);
@@ -47,9 +55,8 @@ TEST(PprWalkerTest, TwoCycleClosedForm) {
   const double c = 0.6;
   DhtParams p = DhtParams::PersonalizedPageRank(c);
   int d = p.StepsForEpsilon(1e-10);
-  ForwardWalker w(g);
-  EXPECT_NEAR(w.Compute(p, d, ExtNodeId(0), ExtNodeId(1)), c / (1.0 + c),
-              1e-9);
+  EXPECT_NEAR(ForwardScore(g, p, d, ExtNodeId(0), ExtNodeId(1)),
+              c / (1.0 + c), 1e-9);
 }
 
 TEST(PprWalkerTest, VisitingNotFirstHit) {
@@ -62,9 +69,8 @@ TEST(PprWalkerTest, VisitingNotFirstHit) {
   DhtParams hit = visit;
   hit.first_hit = true;
   const int d = 20;
-  ForwardWalker w(g);
-  double s_visit = w.Compute(visit, d, ExtNodeId(0), ExtNodeId(3));
-  double s_hit = w.Compute(hit, d, ExtNodeId(0), ExtNodeId(3));
+  double s_visit = ForwardScore(g, visit, d, ExtNodeId(0), ExtNodeId(3));
+  double s_hit = ForwardScore(g, hit, d, ExtNodeId(0), ExtNodeId(3));
   EXPECT_GT(s_visit, s_hit + 1e-9);
 }
 
@@ -72,15 +78,18 @@ TEST(PprWalkerTest, ForwardEqualsBackward) {
   Graph g = RandomGraph(30, 90, 61, /*undirected=*/true, /*weighted=*/true);
   DhtParams p = DhtParams::PersonalizedPageRank(0.7);
   const int d = 12;
-  ForwardWalker fw(g);
-  BackwardWalker bw(g);
-  for (NodeId v : {2, 11, 23}) {
-    bw.Reset(p, ExtNodeId(v));
-    bw.Advance(d);
-    for (NodeId u : {0, 5, 17, 28}) {
-      if (u == v) continue;
-      EXPECT_NEAR(fw.Compute(p, d, ExtNodeId(u), ExtNodeId(v)),
-                  bw.Score(ExtNodeId(u)), 1e-10);
+  const std::vector<ExtNodeId> targets = {ExtNodeId(2), ExtNodeId(11),
+                                          ExtNodeId(23)};
+  const std::vector<ExtNodeId> sources = {ExtNodeId(0), ExtNodeId(5),
+                                          ExtNodeId(17), ExtNodeId(28)};
+  ForwardWalkerBatch fw(g);
+  BackwardWalkerBatch bw(g);
+  const std::vector<double> fwd = fw.Run(p, d, sources, targets);
+  const std::vector<double> bwd = bw.Run(p, d, targets, sources);
+  for (std::size_t t = 0; t < targets.size(); ++t) {
+    for (std::size_t s = 0; s < sources.size(); ++s) {
+      EXPECT_NEAR(fwd[s * targets.size() + t], bwd[t * sources.size() + s],
+                  1e-10);
     }
   }
 }
@@ -88,13 +97,26 @@ TEST(PprWalkerTest, ForwardEqualsBackward) {
 TEST(PprWalkerTest, VisitProbabilitiesCanSumPastOne) {
   // Unlike first-hit probabilities, per-step visiting probabilities are
   // not a sub-distribution: the walk can occupy the target many times.
+  // With alpha = 1 and beta = 0, h_l - h_{l-1} = lambda^l * S_l, read
+  // off the forward engine level by level.
   Graph g = CycleGraph(3);
-  DhtParams p = DhtParams::PersonalizedPageRank(0.9);
-  ForwardWalker w(g);
-  w.Reset(p, ExtNodeId(0), ExtNodeId(2));
-  w.Advance(30);
+  const DhtParams p{
+      .alpha = 1.0, .beta = 0.0, .lambda = 0.9, .first_hit = false};
+  ForwardWalkerBatch batch(g);
+  ForwardBatchStates states;
+  const ExtNodeId u(0);
+  const std::size_t slot = 0;
   double total = 0.0;
-  for (int i = 1; i <= 30; ++i) total += w.HitProbability(i);
+  double prev = p.beta;
+  double lambda_pow = 1.0;
+  for (int l = 1; l <= 30; ++l) {
+    double h = 0.0;
+    batch.AdvancePairs(p, l, {&u, 1}, {&slot, 1}, ExtNodeId(2), states,
+                       [&](std::size_t, double score) { h = score; });
+    lambda_pow *= p.lambda;
+    total += (h - prev) / lambda_pow;
+    prev = h;
+  }
   EXPECT_GT(total, 1.5);  // visited on steps 2, 5, 8, ...
 }
 
@@ -105,19 +127,16 @@ TEST(PprBoundsTest, XAndYBracketRemainder) {
   NodeSet P = Range("P", 0, 10);
   NodeSet Q = Range("Q", 20, 30);
   YBoundTable ytable(g, p, d, P, Q);
-  BackwardWalker partial(g), full(g);
   for (std::size_t qi = 0; qi < Q.size(); ++qi) {
     ExtNodeId q = Q[qi];
-    full.Reset(p, q);
-    full.Advance(d);
-    partial.Reset(p, q);
+    const std::vector<double> full = RefBackwardSweep(g, p, d, q);
     for (int l = 1; l <= d; ++l) {
-      partial.Advance(1);
+      const std::vector<double> partial = RefBackwardSweep(g, p, l, q);
       for (ExtNodeId u : P) {
         if (u == q) continue;
-        EXPECT_LE(full.Score(u), partial.Score(u) + p.XBound(l) + 1e-12);
-        EXPECT_LE(full.Score(u),
-                  partial.Score(u) + ytable.Bound(l, qi) + 1e-12);
+        const auto ui = static_cast<std::size_t>(u.value());
+        EXPECT_LE(full[ui], partial[ui] + p.XBound(l) + 1e-12);
+        EXPECT_LE(full[ui], partial[ui] + ytable.Bound(l, qi) + 1e-12);
       }
     }
   }
@@ -216,11 +235,10 @@ TEST(PprJoinTest, RankingDiffersFromDht) {
   const int d = 140;  // c^d remainder well below the 1e-6 tolerance
   DhtParams ppr = DhtParams::PersonalizedPageRank(c);
   DhtParams dht = DhtParams::Lambda(0.9);
-  ForwardWalker w(g);
-  EXPECT_GT(w.Compute(dht, d, ExtNodeId(0), ExtNodeId(1)),
-            w.Compute(dht, d, ExtNodeId(0), ExtNodeId(3)));  // A > B
-  double ppr_a = w.Compute(ppr, d, ExtNodeId(0), ExtNodeId(1));
-  double ppr_b = w.Compute(ppr, d, ExtNodeId(0), ExtNodeId(3));
+  EXPECT_GT(ForwardScore(g, dht, d, ExtNodeId(0), ExtNodeId(1)),
+            ForwardScore(g, dht, d, ExtNodeId(0), ExtNodeId(3)));  // A > B
+  double ppr_a = ForwardScore(g, ppr, d, ExtNodeId(0), ExtNodeId(1));
+  double ppr_b = ForwardScore(g, ppr, d, ExtNodeId(0), ExtNodeId(3));
   EXPECT_LT(ppr_a, ppr_b);  // B > A: ranking reversed
   // And both match their closed forms.
   EXPECT_NEAR(ppr_a, (1 - c) * c / 2, 1e-6);

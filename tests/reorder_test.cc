@@ -21,11 +21,8 @@
 #include "core/nl_join.h"
 #include "core/partial_join.h"
 #include "datasets/perturb.h"
-#include "dht/backward.h"
 #include "dht/backward_batch.h"
-#include "dht/forward.h"
 #include "dht/forward_batch.h"
-#include "dht/propagate.h"
 #include "graph/graph_builder.h"
 #include "graph/graph_io.h"
 #include "graph/reorder.h"
@@ -112,38 +109,65 @@ TEST(ReorderTest, ReorderOfReorderedComposesToOriginalExternalIds) {
   EXPECT_EQ(direct.layout_epoch(), twice.layout_epoch());
 }
 
-/// Walks `d` steps from `seed` (external) and returns the mass vector
-/// indexed by EXTERNAL node id.
-std::vector<double> MassAfter(const Graph& g, Propagator::Direction dir,
-                              PropagationMode mode, NodeId seed, int d) {
-  Propagator engine(g, dir, mode);
-  engine.Reset(g.ToInternal(ExtNodeId(seed)));
-  for (int i = 0; i < d; ++i) engine.Step();
-  std::vector<double> mass(static_cast<std::size_t>(g.num_nodes()), 0.0);
-  engine.ForEachMass([&](NodeId u, double m) {
-    mass[static_cast<std::size_t>(g.ToExternal(IntNodeId(u)).value())] = m;
-  });
-  return mass;
+struct Walk {
+  std::vector<double> mass;  // indexed by EXTERNAL node id
+  int64_t edges_relaxed = 0;
+};
+
+/// Walks `d` steps of the non-absorbing (visiting) walk from `seed`
+/// (external) on the single-lane engine of one direction, and returns
+/// its saved mass and its edge bill.
+Walk WalkAfter(const Graph& g, bool forward, PropagationMode mode,
+               NodeId seed, int d, bool restrict_dense = true) {
+  const DhtParams p = DhtParams::PersonalizedPageRank(0.5);
+  const ExtNodeId s(seed);
+  const std::size_t slot = 0;
+  Walk out;
+  auto read = [&](const batch_core::SparseMass& mass) {
+    out.mass.assign(static_cast<std::size_t>(g.num_nodes()), 0.0);
+    for (std::size_t i = 0; i < mass.size(); ++i) {
+      out.mass[static_cast<std::size_t>(
+          g.ToExternal(IntNodeId(mass.nodes[i])).value())] = mass.values[i];
+    }
+  };
+  if (forward) {
+    ForwardWalkerBatchT<1> batch(
+        g, {.mode = mode, .restrict_dense = restrict_dense});
+    ForwardBatchStates states;
+    batch.AdvancePairs(p, d, {&s, 1}, {&slot, 1}, s, states,
+                       [](std::size_t, double) {});
+    read(*states.mass(slot));
+    out.edges_relaxed = batch.edges_relaxed();
+  } else {
+    BackwardWalkerBatchT<1> batch(
+        g, {.mode = mode, .restrict_dense = restrict_dense});
+    BackwardBatchStates states(1);
+    batch.AdvanceChunked(p, d, {&s, 1}, {&slot, 1}, {&s, 1}, states,
+                         [](std::size_t, const double*) {});
+    read(states.Saved(slot)->mass);
+    out.edges_relaxed = batch.edges_relaxed();
+  }
+  return out;
 }
 
 TEST(ReorderTest, PropagatorBitIdenticalAcrossLayoutsAndModes) {
   Graph g = RandomGraph(120, 500, 21, true, true);
   Graph deg = Reordered(g, ReorderKind::kDegree);
   Graph rcm = Reordered(g, ReorderKind::kRcm);
-  for (auto dir :
-       {Propagator::Direction::kForward, Propagator::Direction::kBackward}) {
+  for (bool forward : {true, false}) {
     for (NodeId seed : {0, 17, 63, 119}) {
       std::vector<double> want =
-          MassAfter(g, dir, PropagationMode::kAdaptive, seed, 6);
+          WalkAfter(g, forward, PropagationMode::kAdaptive, seed, 6).mass;
       for (const Graph* other : {&g, &deg, &rcm}) {
         for (auto mode : {PropagationMode::kDense, PropagationMode::kSparse,
                           PropagationMode::kAdaptive}) {
-          std::vector<double> got = MassAfter(*other, dir, mode, seed, 6);
+          std::vector<double> got =
+              WalkAfter(*other, forward, mode, seed, 6).mass;
           ASSERT_EQ(want.size(), got.size());
           for (std::size_t u = 0; u < want.size(); ++u) {
             // Bit-identical, not approximately equal.
             ASSERT_EQ(want[u], got[u])
-                << "dir=" << static_cast<int>(dir) << " seed=" << seed
+                << "forward=" << forward << " seed=" << seed
                 << " node=" << u;
           }
         }
@@ -246,24 +270,16 @@ TEST(ReorderTest, RestrictedSweepBitIdenticalAndCheaper) {
   Graph g = ClusteredGraph(4, 50, 300, 77);
   ASSERT_GT(g.Reachability().num_components(), 1);
 
-  for (auto dir :
-       {Propagator::Direction::kForward, Propagator::Direction::kBackward}) {
-    Propagator restricted(g, dir, PropagationMode::kDense,
-                          /*restrict_dense=*/true);
-    Propagator full(g, dir, PropagationMode::kDense,
-                    /*restrict_dense=*/false);
-    restricted.Reset(g.ToInternal(ExtNodeId(7)));
-    full.Reset(g.ToInternal(ExtNodeId(7)));
-    for (int i = 0; i < 6; ++i) {
-      restricted.Step();
-      full.Step();
-    }
-    for (NodeId u = 0; u < g.num_nodes(); ++u) {
-      ASSERT_EQ(restricted.Mass(IntNodeId(u)), full.Mass(IntNodeId(u))) << u;
+  for (bool forward : {true, false}) {
+    const Walk restricted = WalkAfter(g, forward, PropagationMode::kDense,
+                                      7, 6, /*restrict_dense=*/true);
+    const Walk full = WalkAfter(g, forward, PropagationMode::kDense, 7, 6,
+                                /*restrict_dense=*/false);
+    for (std::size_t u = 0; u < restricted.mass.size(); ++u) {
+      ASSERT_EQ(restricted.mass[u], full.mass[u]) << u;
     }
     // The restricted plan covers one cluster: ~1/4 of the edge bill.
-    EXPECT_LT(restricted.edges_relaxed(), full.edges_relaxed() / 2);
-    EXPECT_FALSE(restricted.plan().full);
+    EXPECT_LT(restricted.edges_relaxed, full.edges_relaxed / 2);
   }
 
   // Batch engines: same rows, restricted vs full. The targets share a
@@ -288,14 +304,22 @@ TEST(ReorderTest, RestrictedSweepBitIdenticalAndCheaper) {
 
   // The adaptive policy flips a saturated-but-local walk to the
   // restricted dense sweep (against the old global threshold it would
-  // have stayed sparse and paid the frontier penalty forever).
-  Propagator adaptive(g, Propagator::Direction::kBackward,
-                      PropagationMode::kAdaptive);
-  adaptive.Reset(g.ToInternal(ExtNodeId(7)));
+  // have stayed sparse and paid the frontier penalty forever). Under
+  // first-hit the target's row is dark after every step, so a push
+  // never bills the whole cluster; only a gather bills exactly its
+  // plan's edges. Each depth's walk is a prefix of the next one's.
+  const ExtNodeId q(7);
+  const int64_t cluster_edges =
+      g.PlanDenseSweep(std::vector<NodeId>{g.ToInternal(q).value()}).edges;
+  BackwardWalkerBatchT<1> adaptive(g, {.mode = PropagationMode::kAdaptive});
   bool went_dense = false;
-  for (int i = 0; i < 8; ++i) {
-    adaptive.Step();
-    went_dense = went_dense || adaptive.last_step_dense();
+  int64_t before = 0;
+  for (int d = 1; d <= 8; ++d) {
+    const int64_t start = adaptive.edges_relaxed();
+    adaptive.Run(params, d, {&q, 1}, {&q, 1});
+    const int64_t bill = adaptive.edges_relaxed() - start;
+    went_dense = went_dense || bill - before == cluster_edges;
+    before = bill;
   }
   EXPECT_TRUE(went_dense);
 }
@@ -304,16 +328,15 @@ TEST(ReorderTest, RestrictedSweepOnReorderedClusteredGraph) {
   Graph g = ClusteredGraph(3, 40, 200, 99);
   Graph rg = Reordered(g, ReorderKind::kRcm);
   DhtParams params = DhtParams::Lambda(0.25);
-  BackwardWalker a(g);
-  BackwardWalker b(rg);
+  const std::vector<ExtNodeId> sources = testing::AllNodes(g);
+  BackwardWalkerBatchT<1> a(g);
+  BackwardWalkerBatchT<1> b(rg);
   for (NodeId q : {1, 45, 90}) {
-    a.Reset(params, ExtNodeId(q));
-    b.Reset(params, ExtNodeId(q));
-    a.Advance(7);
-    b.Advance(7);
-    for (NodeId u = 0; u < g.num_nodes(); ++u) {
-      ASSERT_EQ(a.Score(ExtNodeId(u)), b.Score(ExtNodeId(u)))
-          << "q=" << q << " u=" << u;
+    const ExtNodeId target(q);
+    const std::vector<double> want = a.Run(params, 7, {&target, 1}, sources);
+    const std::vector<double> got = b.Run(params, 7, {&target, 1}, sources);
+    for (std::size_t u = 0; u < sources.size(); ++u) {
+      ASSERT_EQ(want[u], got[u]) << "q=" << q << " u=" << u;
     }
   }
 }

@@ -1,10 +1,10 @@
 /// \file tests/resume_test.cc
-/// \brief Resume-equivalence property tests: continuing a walk from its
-/// current level (or from a saved/restored state, or from a batch
-/// engine's persistent per-target state) must be BIT-identical to a
-/// from-scratch walk of the same depth, under both first-hit (DHT) and
-/// visiting (PPR) semantics — the determinism contract of DESIGN.md §3
-/// that makes resumable deepening byte-safe.
+/// \brief Resume-equivalence property tests: continuing a walk from a
+/// batch engine's persistent per-target (or per-pair) state, or from a
+/// snapshot shared through Import/Take, must be BIT-identical to a
+/// from-scratch walk of the same depth, in every mode, under both
+/// first-hit (DHT) and visiting (PPR) semantics — the determinism
+/// contract of DESIGN.md §3 that makes resumable deepening byte-safe.
 
 #include <gtest/gtest.h>
 
@@ -14,9 +14,7 @@
 #include <string>
 #include <vector>
 
-#include "dht/backward.h"
 #include "dht/backward_batch.h"
-#include "dht/forward.h"
 #include "dht/forward_batch.h"
 #include "graph/reorder.h"
 #include "join2/b_idj.h"
@@ -35,152 +33,9 @@ std::vector<DhtParams> Semantics() {
           DhtParams::Exponential(), DhtParams::PersonalizedPageRank(0.7)};
 }
 
-// --------------------------------------------------- scalar walkers
-
-TEST(ResumeTest, BackwardSplitAdvanceIsBitIdentical) {
-  Graph g = RandomGraph(45, 140, 41, true, true);
-  for (const DhtParams& p : Semantics()) {
-    for (auto mode : {PropagationMode::kDense, PropagationMode::kSparse,
-                      PropagationMode::kAdaptive}) {
-      BackwardWalker whole(g, mode);
-      BackwardWalker split(g, mode);
-      for (int l : {1, 2, 4}) {
-        whole.Reset(p, ExtNodeId(7));
-        whole.Advance(2 * l);
-        split.Reset(p, ExtNodeId(7));
-        split.Advance(l);
-        split.Advance(l);
-        for (NodeId u = 0; u < g.num_nodes(); ++u) {
-          // Bit-identical, not merely close: resume must not perturb
-          // the floating-point trajectory.
-          EXPECT_EQ(whole.Score(ExtNodeId(u)), split.Score(ExtNodeId(u)))
-              << "first_hit=" << p.first_hit << " l=" << l << " u=" << u;
-        }
-      }
-    }
-  }
-}
-
-TEST(ResumeTest, ForwardSplitAdvanceIsBitIdentical) {
-  Graph g = RandomGraph(45, 140, 42, false, true);
-  for (const DhtParams& p : Semantics()) {
-    ForwardWalker whole(g);
-    ForwardWalker split(g);
-    for (int l : {1, 3, 4}) {
-      whole.Reset(p, ExtNodeId(2), ExtNodeId(31));
-      whole.Advance(2 * l);
-      split.Reset(p, ExtNodeId(2), ExtNodeId(31));
-      split.Advance(l);
-      split.Advance(l);
-      EXPECT_EQ(whole.Score(), split.Score())
-          << "first_hit=" << p.first_hit << " l=" << l;
-      for (int i = 1; i <= 2 * l; ++i) {
-        EXPECT_EQ(whole.HitProbability(i), split.HitProbability(i));
-      }
-    }
-  }
-}
-
-TEST(ResumeTest, BackwardSaveRestoreResumesExactly) {
-  Graph g = TwoCommunityGraph();
-  DhtParams p = DhtParams::Lambda(0.3);
-  BackwardWalker reference(g);
-  reference.Reset(p, ExtNodeId(7));
-  reference.Advance(8);
-
-  BackwardWalker walker(g);
-  walker.Reset(p, ExtNodeId(7));
-  walker.Advance(3);
-  BackwardWalkerState snapshot;
-  walker.Save(&snapshot);
-  EXPECT_EQ(snapshot.level, 3);
-  EXPECT_EQ(snapshot.target.value(), 7);
-  // Perturb the walker with unrelated targets, then restore.
-  walker.Reset(p, ExtNodeId(2));
-  walker.Advance(5);
-  walker.Restore(p, snapshot);
-  EXPECT_EQ(walker.level(), 3);
-  EXPECT_EQ(walker.target().value(), 7);
-  walker.Advance(5);
-  for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    EXPECT_EQ(walker.Score(ExtNodeId(u)), reference.Score(ExtNodeId(u)))
-        << "u=" << u;
-  }
-}
-
-TEST(ResumeTest, BackwardSaveEmitsDeltasAscendingByInternalId) {
-  // Save's deltas are exactly the touched set, strictly ascending by
-  // INTERNAL id, for shallow walks that touch a few nodes and deep ones
-  // that touch most. With beta = 0, Score(u) is u's delta itself, so
-  // the touched set is {u : Score != 0}.
-  const Graph base = RandomGraph(240, 480, 43);
-  for (const Graph& g : testing::AllLayouts(base)) {
-    auto expect_touched_ascending = [&](const BackwardWalker& walker,
-                                        const std::string& label) {
-      BackwardWalkerState state;
-      walker.Save(&state);
-      std::vector<std::pair<NodeId, double>> want;
-      for (NodeId u = 0; u < g.num_nodes(); ++u) {
-        const double delta = walker.Score(g.ToExternal(IntNodeId(u)));
-        if (delta != 0.0) want.emplace_back(u, delta);
-      }
-      ASSERT_EQ(state.score_delta.size(), want.size()) << label;
-      for (std::size_t i = 0; i < want.size(); ++i) {
-        EXPECT_EQ(state.score_delta[i].first, want[i].first) << label;
-        EXPECT_EQ(std::bit_cast<uint64_t>(state.score_delta[i].second),
-                  std::bit_cast<uint64_t>(want[i].second))
-            << label;
-      }
-    };
-    for (const DhtParams& p :
-         {DhtParams::Exponential(), DhtParams::PersonalizedPageRank(0.7)}) {
-      for (NodeId q : {3, 120, 231}) {
-        for (int level : {1, 2, 4, 8}) {
-          const std::string label = "first_hit=" +
-                                    std::to_string(p.first_hit) +
-                                    " q=" + std::to_string(q) +
-                                    " level=" + std::to_string(level);
-          BackwardWalker walker(g);
-          walker.Reset(p, ExtNodeId(q));
-          walker.Advance(level);
-          expect_touched_ascending(walker, label);
-          // A restored walk lists the saved ids first and appends its
-          // new touches behind them; Save must still emit them in id
-          // order.
-          BackwardWalkerState saved;
-          walker.Save(&saved);
-          BackwardWalker resumed(g);
-          resumed.Restore(p, saved);
-          resumed.Advance(level);
-          expect_touched_ascending(resumed, label + " resumed");
-        }
-      }
-    }
-  }
-}
-
-TEST(ResumeTest, ForwardSaveRestoreResumesExactly) {
-  Graph g = TwoCommunityGraph();
-  DhtParams p = DhtParams::PersonalizedPageRank(0.8);  // PPR path too
-  ForwardWalker reference(g);
-  reference.Reset(p, ExtNodeId(0), ExtNodeId(9));
-  reference.Advance(9);
-
-  ForwardWalker walker(g);
-  walker.Reset(p, ExtNodeId(0), ExtNodeId(9));
-  walker.Advance(4);
-  ForwardWalkerState snapshot;
-  walker.Save(&snapshot);
-  walker.Reset(p, ExtNodeId(3), ExtNodeId(6));
-  walker.Advance(2);
-  walker.Restore(p, snapshot);
-  walker.Advance(5);
-  EXPECT_EQ(walker.Score(), reference.Score());
-  EXPECT_EQ(walker.level(), 9);
-  for (int i = 1; i <= 9; ++i) {
-    EXPECT_EQ(walker.HitProbability(i), reference.HitProbability(i));
-  }
-}
+constexpr PropagationMode kModes[] = {PropagationMode::kDense,
+                                      PropagationMode::kSparse,
+                                      PropagationMode::kAdaptive};
 
 TEST(ResumeTest, BatchWorkspacePoolCapDiscardsIdleWorkspaces) {
   Graph g = RandomGraph(60, 200, 91);
@@ -227,7 +82,8 @@ std::vector<Graph> ClusteredLayouts() {
 }
 
 // Walks `targets` through the IDJ deepening schedule on resumable
-// states; every row must equal a from-scratch Run bit for bit.
+// states, in every mode; every row must equal a from-scratch Run bit
+// for bit.
 void ExpectBackwardResumeMatchesScratch(const Graph& g,
                                         const std::vector<ExtNodeId>& targets,
                                         const std::vector<ExtNodeId>& sources,
@@ -235,25 +91,28 @@ void ExpectBackwardResumeMatchesScratch(const Graph& g,
   std::vector<std::size_t> slots;
   for (std::size_t i = 0; i < targets.size(); ++i) slots.push_back(i);
   for (const DhtParams& p : Semantics()) {
-    BackwardWalkerBatch batch(g);
-    std::vector<double> scratch = batch.Run(p, 8, targets, sources);
+    for (PropagationMode mode : kModes) {
+      BackwardWalkerBatch batch(g, {.mode = mode});
+      std::vector<double> scratch = batch.Run(p, 8, targets, sources);
 
-    BackwardBatchStates states(targets.size());
-    std::vector<double> resumed(scratch.size());
-    int64_t fresh_total = 0;
-    for (int l : {1, 2, 4, 8}) {  // the IDJ deepening schedule
-      fresh_total += batch.AdvanceChunked(
-          p, l, targets, slots, sources,
-          states, [&](std::size_t i, const double* row) {
-            std::copy(row, row + sources.size(),
-                      resumed.data() + i * sources.size());
-          });
-    }
-    // Every target walked from scratch exactly once, at level 1.
-    EXPECT_EQ(fresh_total, static_cast<int64_t>(targets.size())) << label;
-    for (std::size_t i = 0; i < scratch.size(); ++i) {
-      EXPECT_EQ(resumed[i], scratch[i])
-          << label << " first_hit=" << p.first_hit << " i=" << i;
+      BackwardBatchStates states(targets.size());
+      std::vector<double> resumed(scratch.size());
+      int64_t fresh_total = 0;
+      for (int l : {1, 2, 4, 8}) {  // the IDJ deepening schedule
+        fresh_total += batch.AdvanceChunked(
+            p, l, targets, slots, sources,
+            states, [&](std::size_t i, const double* row) {
+              std::copy(row, row + sources.size(),
+                        resumed.data() + i * sources.size());
+            });
+      }
+      // Every target walked from scratch exactly once, at level 1.
+      EXPECT_EQ(fresh_total, static_cast<int64_t>(targets.size())) << label;
+      for (std::size_t i = 0; i < scratch.size(); ++i) {
+        EXPECT_EQ(resumed[i], scratch[i])
+            << label << " first_hit=" << p.first_hit << " mode "
+            << static_cast<int>(mode) << " i=" << i;
+      }
     }
   }
 }
@@ -461,31 +320,6 @@ TEST(ResumeTest, AdvancingASharedSnapshotCommitsANewOne) {
 
 // -------------------------------------------------- batched forward
 
-TEST(ResumeTest, ForwardBatchMatchesScalarWalker) {
-  Graph g = RandomGraph(50, 160, 46, true, true);
-  std::vector<ExtNodeId> sources;
-  for (NodeId u = 0; u < 21; ++u) sources.push_back(ExtNodeId(u));
-  std::vector<ExtNodeId> targets = {
-      ExtNodeId(25), ExtNodeId(30), ExtNodeId(35), ExtNodeId(40),
-      ExtNodeId(45)};
-  for (const DhtParams& p : Semantics()) {
-    ForwardWalkerBatch batch(g);
-    std::vector<double> got = batch.Run(p, 8, sources, targets);
-    ASSERT_EQ(got.size(), sources.size() * targets.size());
-    ForwardWalker walker(g);
-    for (std::size_t s = 0; s < sources.size(); ++s) {
-      for (std::size_t t = 0; t < targets.size(); ++t) {
-        if (sources[s] == targets[t]) continue;
-        double want = walker.Compute(p, 8, sources[s], targets[t]);
-        // The sorted-support contract makes batch lanes bit-equal to
-        // the scalar engine, not merely 1e-12-close.
-        EXPECT_EQ(got[s * targets.size() + t], want)
-            << "first_hit=" << p.first_hit << " s=" << s << " t=" << t;
-      }
-    }
-  }
-}
-
 TEST(ResumeTest, ForwardBatchChunkedMatchesSingleRun) {
   Graph g = RandomGraph(40, 120, 47);
   DhtParams p = DhtParams::Lambda(0.3);
@@ -531,8 +365,8 @@ TEST(ResumeTest, ForwardBatchThreadCountDoesNotChangeResults) {
 }
 
 // Walks every (source, target) pair through the deepening schedule on
-// resumable states; every score must equal a from-scratch Run bit for
-// bit.
+// resumable states, in every mode; every score must equal a
+// from-scratch Run bit for bit.
 void ExpectForwardResumeMatchesScratch(const Graph& g,
                                        const std::vector<ExtNodeId>& sources,
                                        ExtNodeId target,
@@ -541,21 +375,24 @@ void ExpectForwardResumeMatchesScratch(const Graph& g,
   for (std::size_t i = 0; i < sources.size(); ++i) slots.push_back(i);
   const std::vector<ExtNodeId> target_vec = {target};
   for (const DhtParams& p : Semantics()) {
-    ForwardWalkerBatch batch(g);
-    std::vector<double> scratch = batch.Run(p, 8, sources, target_vec);
+    for (PropagationMode mode : kModes) {
+      ForwardWalkerBatch batch(g, {.mode = mode});
+      std::vector<double> scratch = batch.Run(p, 8, sources, target_vec);
 
-    ForwardBatchStates states;  // sparse map: no slot-count preallocation
-    std::vector<double> resumed(sources.size());
-    int64_t fresh_total = 0;
-    for (int l : {1, 2, 4, 8}) {
-      fresh_total += batch.AdvancePairs(
-          p, l, sources, slots, target, states,
-          [&](std::size_t i, double s) { resumed[i] = s; });
-    }
-    EXPECT_EQ(fresh_total, static_cast<int64_t>(sources.size())) << label;
-    for (std::size_t i = 0; i < sources.size(); ++i) {
-      EXPECT_EQ(resumed[i], scratch[i])
-          << label << " first_hit=" << p.first_hit << " i=" << i;
+      ForwardBatchStates states;  // sparse map: no slot-count preallocation
+      std::vector<double> resumed(sources.size());
+      int64_t fresh_total = 0;
+      for (int l : {1, 2, 4, 8}) {
+        fresh_total += batch.AdvancePairs(
+            p, l, sources, slots, target, states,
+            [&](std::size_t i, double s) { resumed[i] = s; });
+      }
+      EXPECT_EQ(fresh_total, static_cast<int64_t>(sources.size())) << label;
+      for (std::size_t i = 0; i < sources.size(); ++i) {
+        EXPECT_EQ(resumed[i], scratch[i])
+            << label << " first_hit=" << p.first_hit << " mode "
+            << static_cast<int>(mode) << " i=" << i;
+      }
     }
   }
 }
@@ -582,12 +419,12 @@ TEST(ResumeTest, ForwardBatchPairResumeMatchesFromScratchBitwise) {
 
 // ------------------------------------- fused multi-target scheduler
 
-TEST(ResumeTest, BackwardBatchMatchesScalarWalkerBitwise) {
+TEST(ResumeTest, BackwardBatchMatchesReferenceSweepBitwise) {
   // The batch engine accumulates beta-exclusive delta rows in the
-  // scalar walker's exact step order and adds beta at output, so the
-  // two engines are BIT-identical — the property that lets the
-  // incremental join's batch-driven initial schedule coexist with the
-  // scalar Next() path without perturbing a single result.
+  // plain-loop sweep's exact step order and adds beta at output, so the
+  // two are BIT-identical — the property that lets a walk resumed from
+  // any saved row, at any width, continue without perturbing a single
+  // result.
   Graph g = RandomGraph(50, 170, 61, true, true);
   std::vector<ExtNodeId> targets = {
       ExtNodeId(2), ExtNodeId(7), ExtNodeId(13), ExtNodeId(21),
@@ -597,13 +434,13 @@ TEST(ResumeTest, BackwardBatchMatchesScalarWalkerBitwise) {
   for (const DhtParams& p : Semantics()) {
     BackwardWalkerBatch batch(g);
     std::vector<double> got = batch.Run(p, 8, targets, sources);
-    BackwardWalker walker(g);
     for (std::size_t t = 0; t < targets.size(); ++t) {
-      walker.Reset(p, targets[t]);
-      walker.Advance(8);
+      const std::vector<double> want =
+          testing::RefBackwardSweep(g, p, 8, targets[t]);
       for (std::size_t s = 0; s < sources.size(); ++s) {
         if (sources[s] == targets[t]) continue;
-        EXPECT_EQ(got[t * sources.size() + s], walker.Score(sources[s]))
+        EXPECT_EQ(got[t * sources.size() + s],
+                  want[static_cast<std::size_t>(sources[s].value())])
             << "first_hit=" << p.first_hit << " t=" << t << " s=" << s;
       }
     }
@@ -828,8 +665,10 @@ TEST(ResumeTest, NarrowLaneWidthIsBitIdenticalToDefault) {
       }
     }
 
+    // The library instantiates only the 8-lane forward engine; the
+    // single-lane one is instantiated here.
     ForwardWalkerBatchT<8> fwide(g);
-    ForwardWalkerBatchT<4> fnarrow(g);
+    ForwardWalkerBatchT<1> fnarrow(g);
     EXPECT_EQ(fwide.Run(p, 8, sources, targets),
               fnarrow.Run(p, 8, sources, targets))
         << "first_hit=" << p.first_hit;
@@ -985,7 +824,7 @@ TEST(ResumeTest, ForwardStatesBillExactSizes) {
   for (const Graph& g : ClusteredLayouts()) {
     const std::string label = "layout " + std::to_string(layout++);
     ExpectForwardStatesBillExactSizes<8>(g, label + " W=8");
-    ExpectForwardStatesBillExactSizes<4>(g, label + " W=4");
+    ExpectForwardStatesBillExactSizes<1>(g, label + " W=1");
   }
 }
 

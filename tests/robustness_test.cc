@@ -24,7 +24,6 @@
 #include <string>
 #include <vector>
 
-#include "dht/backward.h"
 #include "graph/reorder.h"
 #include "join2/b_idj.h"
 #include "join2/f_idj.h"
@@ -223,11 +222,10 @@ void CheckEpsBounds(const Graph& g, const DhtParams& params, int d,
                     const std::vector<ScoredPair>& degraded,
                     double eps_bound) {
   ASSERT_GE(eps_bound, 0.0);
-  BackwardWalker walker(g);
   for (const ScoredPair& sp : degraded) {
-    walker.Reset(params, ExtNodeId(sp.q));
-    walker.Advance(d);
-    const double exact = walker.Score(ExtNodeId(sp.p));
+    // The exact h_d from the plain-loop sweep: no engine code.
+    const double exact = testing::RefBackwardSweep(
+        g, params, d, ExtNodeId(sp.q))[static_cast<std::size_t>(sp.p)];
     EXPECT_LE(sp.score, exact + 1e-12)
         << "pair (" << sp.p << ", " << sp.q << ")";
     EXPECT_LE(exact, sp.score + eps_bound + 1e-12)

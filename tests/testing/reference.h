@@ -3,10 +3,11 @@
 /// byte-exact answer comparisons for tests.
 ///
 /// RefFirstHitProb enumerates every walk explicitly (exponential in d;
-/// only for tiny graphs) — a genuinely independent check of both the
-/// forward and backward propagation engines. RefVisitSweep is the Y
-/// bound's S_i(P, q) sweep and RefBackwardSweep the backward first-hit
-/// walk, both as plain loops over the out-edge lists. RefTwoWayJoin and
+/// only for tiny graphs) — a genuinely independent check of both
+/// directions of the walk engine. RefVisitSweep is the Y bound's
+/// S_i(P, q) sweep, RefForwardSweep the forward walk of one pair and
+/// RefBackwardSweep the backward first-hit walk, all as plain loops
+/// over the out-edge lists. RefTwoWayJoin and
 /// RefNwayJoin are brute-force joins on RefBackwardSweep, so they share
 /// no code with the engines they judge, and RefBIdjLive replays
 /// Algorithm 2's pruning on it. ExpectSamePairs and ExpectSameTuples
@@ -77,7 +78,7 @@ inline double RefHd(const Graph& g, const DhtParams& params, int d, NodeId u,
 /// S_i(P, v), the probability that a NON-absorbing walk started at
 /// every node of P (unit mass each; duplicates count once) occupies v
 /// at step i, for i = 1..d — indexed by EXTERNAL id. Plain loops over
-/// the edge list, no Propagator: each step pushes from sources in
+/// the edge list, no engine code: each step pushes from sources in
 /// ascending external id, so every destination adds its terms in the
 /// canonical order the engines promise (DESIGN.md §3) — and an engine
 /// that keeps that promise matches bit for bit.
@@ -102,6 +103,40 @@ inline std::vector<std::vector<double>> RefVisitSweep(const Graph& g,
     cur = std::move(next);
   }
   return out;
+}
+
+/// The forward walk from `u` absorbed at `v` as plain loops: h_d(u, v)
+/// (under PPR, of the visiting walk, which is not absorbed). Each step
+/// takes the frontier sources w in ascending external id and adds
+/// p_wx * cur[w] to next[x] for every edge w -> x, so each next[x] adds
+/// its terms in the canonical order the engines promise (DESIGN.md §3).
+/// The score starts at beta and adds alpha * lambda^i * next[v] each
+/// step, as the engine adds it; then the mass that reached v is
+/// absorbed. An engine that keeps its promise matches bit for bit.
+inline double RefForwardSweep(const Graph& g, const DhtParams& params, int d,
+                              ExtNodeId u, ExtNodeId v) {
+  const auto n = static_cast<std::size_t>(g.num_nodes());
+  const auto target = static_cast<std::size_t>(v.value());
+  std::vector<double> cur(n, 0.0);
+  cur[static_cast<std::size_t>(u.value())] = 1.0;
+  double score = params.beta;
+  double lambda_pow = 1.0;
+  for (int i = 1; i <= d; ++i) {
+    std::vector<double> next(n, 0.0);
+    for (NodeId w = 0; w < g.num_nodes(); ++w) {
+      const double m = cur[static_cast<std::size_t>(w)];
+      if (m == 0.0) continue;
+      for (const OutEdge& e : g.OutEdges(g.ToInternal(ExtNodeId(w)))) {
+        const NodeId x = g.ToExternal(IntNodeId(e.to)).value();
+        next[static_cast<std::size_t>(x)] += e.prob * m;
+      }
+    }
+    lambda_pow *= params.lambda;
+    score += params.alpha * lambda_pow * next[target];
+    if (params.first_hit) next[target] = 0.0;
+    cur = std::move(next);
+  }
+  return score;
 }
 
 /// The backward first-hit walk from `q` as plain loops: h_d(u, q) for
@@ -474,6 +509,13 @@ inline std::vector<Graph> AllLayouts(const Graph& g) {
     DHTJOIN_CHECK(r.ok());
     out.push_back(std::move(r).value());
   }
+  return out;
+}
+
+/// Every node of `g`, by external id.
+inline std::vector<ExtNodeId> AllNodes(const Graph& g) {
+  std::vector<ExtNodeId> out;
+  for (NodeId u = 0; u < g.num_nodes(); ++u) out.push_back(ExtNodeId(u));
   return out;
 }
 

@@ -1,25 +1,26 @@
 /// \file tests/walkers_test.cc
-/// \brief Forward and backward first-hit walkers vs the path-enumeration
+/// \brief Both directions of the walk engine vs the path-enumeration
 /// oracle, plus the analytic invariants of h_d, and the plain-loop
-/// reference sweep behind the brute-force joins vs both.
+/// reference sweeps behind the brute-force joins vs both.
 
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
-#include "dht/backward.h"
 #include "dht/backward_batch.h"
-#include "dht/forward.h"
+#include "dht/forward_batch.h"
 #include "testing/reference.h"
 
 namespace dhtjoin {
 namespace {
 
 using testing::AllLayouts;
+using testing::AllNodes;
 using testing::ClusteredGraph;
 using testing::CompleteGraph;
 using testing::CycleGraph;
@@ -27,9 +28,51 @@ using testing::PathGraph;
 using testing::RandomGraph;
 using testing::RefBackwardSweep;
 using testing::RefFirstHitProb;
+using testing::RefForwardSweep;
 using testing::RefHd;
 using testing::StarGraph;
 using testing::TwoCommunityGraph;
+
+/// h_d(u, v) of one pair on the forward engine.
+double ForwardScore(const Graph& g, const DhtParams& p, int d, ExtNodeId u,
+                    ExtNodeId v) {
+  ForwardWalkerBatch batch(g, {.num_threads = 1});
+  return batch.Run(p, d, {&u, 1}, {&v, 1})[0];
+}
+
+/// h_d(u, q) for every node u (indexed by external id) on the
+/// single-target backward engine.
+std::vector<double> BackwardScores(const Graph& g, const DhtParams& p, int d,
+                                   ExtNodeId q) {
+  BackwardWalkerBatchT<1> batch(g, {.num_threads = 1});
+  return batch.Run(p, d, {&q, 1}, AllNodes(g));
+}
+
+/// The first-hit probabilities P_i(u, v) for i = 1..steps, read off the
+/// forward engine's h_l, resumed level by level: h_l - h_{l-1} =
+/// alpha * lambda^l * P_l. The probe measure (alpha = 1, beta = 0,
+/// lambda near 1) keeps lambda^l far from underflow, so each P_l comes
+/// back within a few ulps, and exactly where P_l is 0 or the only
+/// nonzero step so far.
+std::vector<double> StepProbs(const Graph& g, ExtNodeId u, ExtNodeId v,
+                              int steps) {
+  const DhtParams probe{.alpha = 1.0, .beta = 0.0, .lambda = 0.99};
+  ForwardWalkerBatch batch(g, {.num_threads = 1});
+  ForwardBatchStates states;
+  const std::size_t slot = 0;
+  std::vector<double> out;
+  double prev = probe.beta;
+  double lambda_pow = 1.0;
+  for (int l = 1; l <= steps; ++l) {
+    double h = 0.0;
+    batch.AdvancePairs(probe, l, {&u, 1}, {&slot, 1}, v, states,
+                       [&](std::size_t, double score) { h = score; });
+    lambda_pow *= probe.lambda;
+    out.push_back((h - prev) / (probe.alpha * lambda_pow));
+    prev = h;
+  }
+  return out;
+}
 
 // --------------------------------------------------- analytic examples
 
@@ -37,12 +80,11 @@ TEST(ForwardWalkerTest, PathGraphExactValues) {
   // On 0->1->2, P_i(0,2) = 1 exactly at i = 2; h_d = a*l^2 + b for d >= 2.
   Graph g = PathGraph(3);
   DhtParams p = DhtParams::Lambda(0.2);
-  ForwardWalker w(g);
-  EXPECT_DOUBLE_EQ(w.Compute(p, 1, ExtNodeId(0), ExtNodeId(2)), p.beta);
+  EXPECT_DOUBLE_EQ(ForwardScore(g, p, 1, ExtNodeId(0), ExtNodeId(2)), p.beta);
   double expect = p.alpha * p.lambda * p.lambda + p.beta;
-  EXPECT_DOUBLE_EQ(w.Compute(p, 2, ExtNodeId(0), ExtNodeId(2)), expect);
+  EXPECT_DOUBLE_EQ(ForwardScore(g, p, 2, ExtNodeId(0), ExtNodeId(2)), expect);
   // No longer paths exist past depth 2.
-  EXPECT_DOUBLE_EQ(w.Compute(p, 8, ExtNodeId(0), ExtNodeId(2)), expect);
+  EXPECT_DOUBLE_EQ(ForwardScore(g, p, 8, ExtNodeId(0), ExtNodeId(2)), expect);
 }
 
 TEST(ForwardWalkerTest, CycleFirstReturnIsExactlyN) {
@@ -50,12 +92,10 @@ TEST(ForwardWalkerTest, CycleFirstReturnIsExactlyN) {
   // probability 1 and never earlier; first-hit at the predecessor takes
   // n-1 steps.
   Graph g = CycleGraph(5);
-  ForwardWalker w(g);
-  DhtParams p = DhtParams::Lambda(0.5);
-  w.Reset(p, ExtNodeId(0), ExtNodeId(4));
-  w.Advance(8);
+  const std::vector<double> hit = StepProbs(g, ExtNodeId(0), ExtNodeId(4), 8);
   for (int i = 1; i <= 8; ++i) {
-    EXPECT_DOUBLE_EQ(w.HitProbability(i), i == 4 ? 1.0 : 0.0);
+    EXPECT_DOUBLE_EQ(hit[static_cast<std::size_t>(i) - 1],
+                     i == 4 ? 1.0 : 0.0);
   }
 }
 
@@ -63,29 +103,26 @@ TEST(ForwardWalkerTest, StarHubOscillation) {
   // From leaf 1 of a star: step 1 reaches hub w.p. 1. First-hit on leaf
   // 2 happens at even steps: P_2 = 1/(n-1), P_4 = (n-2)/(n-1) * 1/(n-1).
   Graph g = StarGraph(4);  // hub 0, leaves 1..3
-  ForwardWalker w(g);
-  DhtParams p = DhtParams::Exponential();
-  w.Reset(p, ExtNodeId(1), ExtNodeId(2));
-  w.Advance(4);
-  EXPECT_DOUBLE_EQ(w.HitProbability(1), 0.0);
-  EXPECT_NEAR(w.HitProbability(2), 1.0 / 3.0, 1e-12);
-  EXPECT_DOUBLE_EQ(w.HitProbability(3), 0.0);
-  EXPECT_NEAR(w.HitProbability(4), (2.0 / 3.0) * (1.0 / 3.0), 1e-12);
+  const std::vector<double> hit = StepProbs(g, ExtNodeId(1), ExtNodeId(2), 4);
+  EXPECT_DOUBLE_EQ(hit[0], 0.0);
+  EXPECT_NEAR(hit[1], 1.0 / 3.0, 1e-12);
+  EXPECT_DOUBLE_EQ(hit[2], 0.0);
+  EXPECT_NEAR(hit[3], (2.0 / 3.0) * (1.0 / 3.0), 1e-12);
 }
 
 // ------------------------------------------------ oracle cross-checks
 
 TEST(ForwardWalkerTest, MatchesPathEnumerationOracle) {
   Graph g = TwoCommunityGraph();
-  ForwardWalker w(g);
   const int d = 6;
   for (NodeId u : {0, 3, 7}) {
     for (NodeId v : {2, 5, 9}) {
       if (u == v) continue;
-      w.Reset(DhtParams::Lambda(0.2), ExtNodeId(u), ExtNodeId(v));
-      w.Advance(d);
+      const std::vector<double> hit =
+          StepProbs(g, ExtNodeId(u), ExtNodeId(v), d);
       for (int i = 1; i <= d; ++i) {
-        EXPECT_NEAR(w.HitProbability(i), RefFirstHitProb(g, u, v, i), 1e-10)
+        EXPECT_NEAR(hit[static_cast<std::size_t>(i) - 1],
+                    RefFirstHitProb(g, u, v, i), 1e-10)
             << "u=" << u << " v=" << v << " i=" << i;
       }
     }
@@ -94,15 +131,13 @@ TEST(ForwardWalkerTest, MatchesPathEnumerationOracle) {
 
 TEST(BackwardWalkerTest, MatchesPathEnumerationOracle) {
   Graph g = TwoCommunityGraph();
-  BackwardWalker w(g);
   const int d = 6;
   DhtParams p = DhtParams::Lambda(0.3);
   for (NodeId v : {2, 5, 9}) {
-    w.Reset(p, ExtNodeId(v));
-    w.Advance(d);
+    const std::vector<double> h = BackwardScores(g, p, d, ExtNodeId(v));
     for (NodeId u = 0; u < g.num_nodes(); ++u) {
       if (u == v) continue;
-      EXPECT_NEAR(w.Score(ExtNodeId(u)), RefHd(g, p, d, u, v), 1e-10)
+      EXPECT_NEAR(h[static_cast<std::size_t>(u)], RefHd(g, p, d, u, v), 1e-10)
           << "u=" << u << " v=" << v;
     }
   }
@@ -122,16 +157,19 @@ TEST_P(WalkerAgreement, ForwardEqualsBackward) {
   DhtParams p = c.lambda > 0 ? DhtParams::Lambda(c.lambda)
                              : DhtParams::Exponential();
   const int d = 8;
-  ForwardWalker fw(g);
-  BackwardWalker bw(g);
-  for (NodeId v : {0, 7, 19}) {
-    bw.Reset(p, ExtNodeId(v));
-    bw.Advance(d);
-    for (NodeId u : {1, 3, 11, 25}) {
-      if (u == v) continue;
-      EXPECT_NEAR(fw.Compute(p, d, ExtNodeId(u), ExtNodeId(v)),
-                  bw.Score(ExtNodeId(u)), 1e-10)
-          << "u=" << u << " v=" << v;
+  const std::vector<ExtNodeId> targets = {ExtNodeId(0), ExtNodeId(7),
+                                          ExtNodeId(19)};
+  const std::vector<ExtNodeId> sources = {ExtNodeId(1), ExtNodeId(3),
+                                          ExtNodeId(11), ExtNodeId(25)};
+  ForwardWalkerBatch fw(g);
+  BackwardWalkerBatch bw(g);
+  const std::vector<double> fwd = fw.Run(p, d, sources, targets);
+  const std::vector<double> bwd = bw.Run(p, d, targets, sources);
+  for (std::size_t t = 0; t < targets.size(); ++t) {
+    for (std::size_t s = 0; s < sources.size(); ++s) {
+      EXPECT_NEAR(fwd[s * targets.size() + t], bwd[t * sources.size() + s],
+                  1e-10)
+          << "u=" << sources[s].value() << " v=" << targets[t].value();
     }
   }
 }
@@ -150,12 +188,16 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(WalkerInvariants, ScoreMonotoneInD) {
   Graph g = RandomGraph(25, 60, 21);
   DhtParams p = DhtParams::Lambda(0.4);
-  BackwardWalker w(g);
-  w.Reset(p, ExtNodeId(5));
+  BackwardWalkerBatchT<1> batch(g);
+  BackwardBatchStates states(1);
+  const ExtNodeId q(5);
+  const ExtNodeId u(17);
+  const std::size_t slot = 0;
   double prev = -1e100;
-  for (int step = 0; step < 10; ++step) {
-    w.Advance(1);
-    double s = w.Score(ExtNodeId(17));
+  for (int level = 1; level <= 10; ++level) {
+    double s = 0.0;
+    batch.AdvanceChunked(p, level, {&q, 1}, {&slot, 1}, {&u, 1}, states,
+                         [&](std::size_t, const double* row) { s = row[0]; });
     EXPECT_GE(s, prev - 1e-15);
     prev = s;
   }
@@ -165,13 +207,11 @@ TEST(WalkerInvariants, ScoresWithinFloorAndCeiling) {
   Graph g = RandomGraph(25, 60, 22, true, true);
   for (double lambda : {0.2, 0.8}) {
     DhtParams p = DhtParams::Lambda(lambda);
-    BackwardWalker w(g);
-    w.Reset(p, ExtNodeId(3));
-    w.Advance(10);
+    const std::vector<double> h = BackwardScores(g, p, 10, ExtNodeId(3));
     for (NodeId u = 0; u < g.num_nodes(); ++u) {
       if (u == 3) continue;
-      EXPECT_GE(w.Score(ExtNodeId(u)), p.FloorScore());
-      EXPECT_LE(w.Score(ExtNodeId(u)), p.MaxScore() + 1e-12);
+      EXPECT_GE(h[static_cast<std::size_t>(u)], p.FloorScore());
+      EXPECT_LE(h[static_cast<std::size_t>(u)], p.MaxScore() + 1e-12);
     }
   }
 }
@@ -179,12 +219,11 @@ TEST(WalkerInvariants, ScoresWithinFloorAndCeiling) {
 TEST(WalkerInvariants, FirstHitProbsFormSubDistribution) {
   // Sum over i of P_i(u, v) <= 1 (the walk may never hit v).
   Graph g = TwoCommunityGraph();
-  ForwardWalker w(g);
-  w.Reset(DhtParams::Lambda(0.2), ExtNodeId(0), ExtNodeId(9));
   const int steps = 300;  // two sparse bridges: mixing is slow
-  w.Advance(steps);
+  const std::vector<double> hit =
+      StepProbs(g, ExtNodeId(0), ExtNodeId(9), steps);
   double total = 0.0;
-  for (int i = 1; i <= steps; ++i) total += w.HitProbability(i);
+  for (double h : hit) total += h;
   EXPECT_LE(total, 1.0 + 1e-9);
   EXPECT_GT(total, 0.9);  // connected graph: the walk almost surely hits
 }
@@ -195,19 +234,17 @@ TEST(WalkerInvariants, DhtLambdaRecurrenceHolds) {
   Graph g = TwoCommunityGraph();
   DhtParams p = DhtParams::Lambda(0.3);
   int d = p.StepsForEpsilon(1e-10);
-  BackwardWalker w(g);
   const NodeId v = 6;
-  w.Reset(p, ExtNodeId(v));
-  w.Advance(d);
+  const std::vector<double> h = BackwardScores(g, p, d, ExtNodeId(v));
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
     if (u == v) continue;
     double rhs = -1.0;
     for (const OutEdge& e : g.OutEdges(IntNodeId(u))) {
       // DHT(v, v) = 0; fresh fixture, so internal == external ids.
-      double hw = e.to == v ? 0.0 : w.Score(ExtNodeId(e.to));
+      double hw = e.to == v ? 0.0 : h[static_cast<std::size_t>(e.to)];
       rhs += p.lambda * e.prob * hw;
     }
-    EXPECT_NEAR(w.Score(ExtNodeId(u)), rhs, 1e-8) << "u=" << u;
+    EXPECT_NEAR(h[static_cast<std::size_t>(u)], rhs, 1e-8) << "u=" << u;
   }
 }
 
@@ -215,8 +252,7 @@ TEST(WalkerInvariants, SinkNodeNeverReachesAnything) {
   // Node 2 of the path graph has no out-edges.
   Graph g = PathGraph(3);
   DhtParams p = DhtParams::Lambda(0.2);
-  ForwardWalker w(g);
-  EXPECT_DOUBLE_EQ(w.Compute(p, 8, ExtNodeId(2), ExtNodeId(0)), p.beta);
+  EXPECT_DOUBLE_EQ(ForwardScore(g, p, 8, ExtNodeId(2), ExtNodeId(0)), p.beta);
 }
 
 TEST(WalkerInvariants, AbsorptionStopsMassAtTarget) {
@@ -224,42 +260,49 @@ TEST(WalkerInvariants, AbsorptionStopsMassAtTarget) {
   // first-hit of 3 from 0 when absorbed at... instead check: forward to
   // target 1 must put zero hit probability at steps > 1.
   Graph g = PathGraph(4);
-  ForwardWalker w(g);
-  w.Reset(DhtParams::Lambda(0.5), ExtNodeId(0), ExtNodeId(1));
-  w.Advance(5);
-  EXPECT_DOUBLE_EQ(w.HitProbability(1), 1.0);
+  const std::vector<double> hit = StepProbs(g, ExtNodeId(0), ExtNodeId(1), 5);
+  EXPECT_DOUBLE_EQ(hit[0], 1.0);
   for (int i = 2; i <= 5; ++i) {
-    EXPECT_DOUBLE_EQ(w.HitProbability(i), 0.0);
+    EXPECT_DOUBLE_EQ(hit[static_cast<std::size_t>(i) - 1], 0.0);
   }
 }
 
 TEST(WalkerInvariants, ResumableAdvanceMatchesOneShot) {
   Graph g = RandomGraph(25, 70, 23);
   DhtParams p = DhtParams::Lambda(0.5);
-  BackwardWalker a(g), b(g);
-  a.Reset(p, ExtNodeId(4));
-  a.Advance(8);
-  b.Reset(p, ExtNodeId(4));
-  b.Advance(3);
-  b.Advance(5);  // resumed
-  for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    EXPECT_DOUBLE_EQ(a.Score(ExtNodeId(u)), b.Score(ExtNodeId(u)));
+  const ExtNodeId q(4);
+  const std::vector<ExtNodeId> sources = AllNodes(g);
+  BackwardWalkerBatchT<1> batch(g);
+  const std::vector<double> a = batch.Run(p, 8, {&q, 1}, sources);
+  BackwardBatchStates states(1);
+  const std::size_t slot = 0;
+  std::vector<double> b;
+  for (int level : {3, 8}) {  // 3 steps, then 5 more resumed
+    batch.AdvanceChunked(p, level, {&q, 1}, {&slot, 1}, sources, states,
+                         [&](std::size_t, const double* row) {
+                           b.assign(row, row + sources.size());
+                         });
   }
-  EXPECT_EQ(b.level(), 8);
+  for (std::size_t u = 0; u < sources.size(); ++u) {
+    EXPECT_DOUBLE_EQ(a[u], b[u]);
+  }
+  EXPECT_EQ(states.level(0), 8);
 }
 
 TEST(WalkerInvariants, ResetReusesWorkspaceCleanly) {
   Graph g = TwoCommunityGraph();
   DhtParams p = DhtParams::Lambda(0.2);
-  BackwardWalker w(g);
-  w.Reset(p, ExtNodeId(0));
-  w.Advance(8);
-  double first = w.Score(ExtNodeId(9));
-  w.Reset(p, ExtNodeId(5));  // different target
-  w.Advance(8);
-  w.Reset(p, ExtNodeId(0));  // back to the first target
-  w.Advance(8);
-  EXPECT_DOUBLE_EQ(w.Score(ExtNodeId(9)), first);
+  // One thread: every run reuses the one pooled workspace.
+  BackwardWalkerBatchT<1> batch(g, {.num_threads = 1});
+  const ExtNodeId u(9);
+  auto score = [&](NodeId q) {
+    const ExtNodeId target(q);
+    return batch.Run(p, 8, {&target, 1}, {&u, 1})[0];
+  };
+  const double first = score(0);
+  score(5);  // different target
+  EXPECT_DOUBLE_EQ(score(0), first);  // back to the first target
+  EXPECT_GT(batch.pooled_workspaces(), 0u);
 }
 
 TEST(WalkerInvariants, WeightsChangeScores) {
@@ -272,9 +315,34 @@ TEST(WalkerInvariants, WeightsChangeScores) {
   Graph even = std::move(b1.Build()).value();
   Graph skew = std::move(b2.Build()).value();
   DhtParams p = DhtParams::Lambda(0.2);
-  ForwardWalker we(even), ws(skew);
-  EXPECT_LT(we.Compute(p, 4, ExtNodeId(0), ExtNodeId(1)),
-            ws.Compute(p, 4, ExtNodeId(0), ExtNodeId(1)));
+  EXPECT_LT(ForwardScore(even, p, 4, ExtNodeId(0), ExtNodeId(1)),
+            ForwardScore(skew, p, 4, ExtNodeId(0), ExtNodeId(1)));
+}
+
+// ------------------------------------------ the reference forward sweep
+
+TEST(RefForwardSweepTest, MatchesPathEnumerationOracle) {
+  // The forward plain-loop walk against the walk enumeration, which
+  // shares nothing with it.
+  std::vector<Graph> graphs;
+  graphs.push_back(TwoCommunityGraph());
+  graphs.push_back(PathGraph(5));
+  graphs.push_back(CycleGraph(6));
+  graphs.push_back(RandomGraph(8, 16, 71, /*undirected=*/false,
+                               /*weighted=*/true));
+  const int d = 6;
+  for (const Graph& g : graphs) {
+    for (const DhtParams& p : {DhtParams::Lambda(0.3), DhtParams::Exponential()}) {
+      for (NodeId u = 0; u < g.num_nodes(); ++u) {
+        for (NodeId v = 0; v < g.num_nodes(); v += 2) {
+          if (u == v) continue;
+          EXPECT_NEAR(RefForwardSweep(g, p, d, ExtNodeId(u), ExtNodeId(v)),
+                      RefHd(g, p, d, u, v), 1e-12)
+              << "n=" << g.num_nodes() << " u=" << u << " v=" << v;
+        }
+      }
+    }
+  }
 }
 
 // ----------------------------------------- the reference backward sweep

@@ -37,7 +37,7 @@
 ///     // dhtlint: allow(<rule>): <reason>
 /// The reason is REQUIRED — a bare allow() is itself a finding
 /// (bad-suppression). Whole-file waivers (for documented raw-interior
-/// headers like dht/propagate.h) use:
+/// headers like dht/batch_core.h) use:
 ///     // dhtlint: allow-file(<rule>): <reason>
 ///
 /// The scanner is line-based and intentionally conservative: it may
