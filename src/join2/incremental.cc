@@ -2,17 +2,18 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 
 #include "join2/b_idj.h"
 #include "obs/trace.h"
-#include "util/top_k.h"
 
 namespace dhtjoin {
 
 namespace {
 
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
+constexpr std::size_t kNotInF = static_cast<std::size_t>(-1);
 
 /// Margin below a score within which another pair's bound counts as a
 /// possible tie. The bounds are exact in real arithmetic (DESIGN.md §1)
@@ -68,8 +69,9 @@ IncrementalTwoWayJoin::IncrementalTwoWayJoin(const Graph& g,
   }
   cold_targets_ = static_cast<int64_t>(Q_.size()) - warm_targets_;
   q_level_.assign(Q_.size(), 0);
-  q_pmax_.assign(Q_.size(), params_.beta);
-  f_handles_.resize(Q_.size());
+  f_handle_.assign(Q_.size(), kNotInF);
+  cells_.resize(Q_.size() * P_.size());
+  runs_.resize(Q_.size());
   residual_handle_.resize(Q_.size());
   for (std::size_t qi = 0; qi < Q_.size(); ++qi) {
     residual_handle_[qi] =
@@ -162,67 +164,138 @@ void IncrementalTwoWayJoin::ApplyRow(std::size_t qi, const ScoreRow& row) {
   const int new_level = row.level;
   DHTJOIN_CHECK_GT(new_level, q_level_[qi]);
   DHTJOIN_CHECK_LE(new_level, d_);
+  // Only a target at depth d returns cells, and none is walked again.
+  DHTJOIN_DCHECK(runs_[qi].next == 0);
   ExtNodeId q = Q_[qi];
-  const double remainder = Remainder(new_level, qi);
-  // The row and the target's handle list both run in P order, so one
-  // merge pairs each score with its F entry, if it has one. Depth d is
-  // final (the target is never walked again), so there the merge only
-  // looks entries up and the list is released.
-  std::vector<MutableHeap<PairEntry>::Handle>& handles = f_handles_[qi];
-  const bool keep_handles = new_level < d_;
-  std::size_t next = 0;
-  merged_handles_.clear();
-  double pmax = params_.beta;
+  // The new row replaces the slot: its candidate cells (a deeper row only
+  // grows them), with the best and the runner-up moved to the front.
+  Cell* const cells = &cells_[qi * P_.size()];
+  uint32_t n = 0;
+  uint32_t best = 0;
+  uint32_t second = 0;
+  double best_lower = kNegInf;
+  double second_lower = kNegInf;
   for (std::size_t pi = 0; pi < P_.size(); ++pi) {
-    ExtNodeId p = P_[pi];
-    if (p == q) continue;
     const double s = row.Score(pi, params_.beta);
-    if (s <= params_.beta) continue;
-    pmax = std::max(pmax, s);
-    double upper = s + remainder;
-    // An entry the row skips would keep its bounds (none does: a
-    // deeper row only grows).
-    for (; next < handles.size() && f_.Get(handles[next]).pi < pi; ++next) {
-      if (keep_handles) merged_handles_.push_back(handles[next]);
+    // Written whether kept or not (n <= pi): a dropped cell is
+    // overwritten by the next one.
+    cells[n] = Cell{s, static_cast<uint32_t>(pi)};
+    const bool keep = s > params_.beta && P_[pi] != q;
+    if (keep && s > second_lower) {
+      if (s > best_lower) {
+        second = best;
+        second_lower = best_lower;
+        best = n;
+        best_lower = s;
+      } else {
+        second = n;
+        second_lower = s;
+      }
     }
-    MutableHeap<PairEntry>::Handle handle;
-    if (next < handles.size() && f_.Get(handles[next]).pi == pi) {
-      handle = handles[next++];
-      PairEntry& entry = f_.GetMutable(handle);
-      // Deeper walks only tighten: lower grows, upper shrinks
-      // (monotonicity of h_l and of h_l + U_l^+; see DESIGN.md).
-      entry.lower = s;
-      entry.level = new_level;
-      f_.Update(handle, upper);
-    } else {
-      handle = f_.Push(upper, PairEntry{p.value(), qi, s, new_level,
-                                        static_cast<uint32_t>(pi)});
-    }
-    if (keep_handles) merged_handles_.push_back(handle);
+    n += keep ? 1 : 0;
   }
+  if (n > 0) {
+    std::swap(cells[0], cells[best]);
+    if (second == 0) second = best;  // the swap moved it
+    if (n > 1) std::swap(cells[1], cells[second]);
+  }
+  runs_[qi] = CellRun{.next = 0, .sorted = std::min<uint32_t>(n, 2), .end = n};
 
   q_level_[qi] = new_level;
-  q_pmax_[qi] = pmax;
-  if (keep_handles) {
-    merged_handles_.insert(merged_handles_.end(),
-                          handles.begin() + static_cast<std::ptrdiff_t>(next),
-                          handles.end());
-    handles.swap(merged_handles_);
+  Rekey(qi);
+  if (new_level < d_) {
     residual_.Update(residual_handle_[qi],
                      params_.beta + Remainder(new_level, qi));
   } else {
-    std::vector<MutableHeap<PairEntry>::Handle>().swap(handles);
     residual_.Erase(residual_handle_[qi]);
   }
 }
 
+double IncrementalTwoWayJoin::RunnerUpBound(std::size_t qi) const {
+  const CellRun& run = runs_[qi];
+  if (run.next + 1 >= run.end) return kNegInf;
+  return cells_[qi * P_.size() + run.next + 1].lower +
+         Remainder(q_level_[qi], qi);
+}
+
+void IncrementalTwoWayJoin::Rekey(std::size_t qi) {
+  MutableHeap<std::size_t>::Handle& handle = f_handle_[qi];
+  if (runs_[qi].next == runs_[qi].end) {
+    if (handle != kNotInF) f_.Erase(handle);
+    handle = kNotInF;
+    return;
+  }
+  // The same double the per-pair upper bound h_l + U_l^+ would be.
+  const double key = BestCell(qi).lower + Remainder(q_level_[qi], qi);
+  if (handle == kNotInF) {
+    handle = f_.Push(key, qi);
+  } else {
+    f_.Update(handle, key);
+  }
+}
+
+void IncrementalTwoWayJoin::PopBest(std::size_t qi) {
+  CellRun& run = runs_[qi];
+  ++run.next;
+  if (run.sorted < std::min(run.end, run.next + 2)) {
+    // The new runner-up is the largest of the unordered rest: one scan
+    // finds it. A fifth of the targets return no cell and most return a
+    // few, so no row is sorted at depth d. A target that keeps returning
+    // cells gets the rest sorted once, which caps its cost at
+    // kScannedPops scans and a sort; on nway_mix's 60-cell rows, sorting
+    // after 8 pops cost a third more per pop than after 32.
+    constexpr uint32_t kScannedPops = 32;
+    Cell* const cells = &cells_[qi * P_.size()];
+    if (run.next < kScannedPops) {
+      uint32_t best = run.sorted;
+      double best_lower = cells[best].lower;
+      for (uint32_t i = run.sorted + 1; i < run.end; ++i) {
+        if (cells[i].lower > best_lower) {
+          best = i;
+          best_lower = cells[i].lower;
+        }
+      }
+      std::swap(cells[run.sorted], cells[best]);
+      ++run.sorted;
+    } else {
+      std::sort(cells + run.sorted, cells + run.end,
+                [](const Cell& a, const Cell& b) { return a.lower > b.lower; });
+      run.sorted = run.end;
+    }
+  }
+  Rekey(qi);
+}
+
 double IncrementalTwoWayJoin::LowerThreshold(std::size_t m) const {
   if (m == 0) return kNegInf;
-  TopK<char> lowers(m);
-  f_.ForEach([&lowers](const PairEntry& e, double /*priority*/) {
-    lowers.Offer(e.lower, 0);
-  });
-  return lowers.size() < m ? kNegInf : lowers.MinKey();
+  // The m-th largest of a subset bounds the m-th largest of all from
+  // below, so take the subset of each target's two front cells (its best
+  // and runner-up), then select among the cells that reach its m-th.
+  std::vector<double> lowers;
+  lowers.reserve(2 * Q_.size());
+  for (std::size_t qi = 0; qi < Q_.size(); ++qi) {
+    const CellRun& run = runs_[qi];
+    const Cell* const cells = &cells_[qi * P_.size()];
+    for (uint32_t i = run.next; i < std::min(run.end, run.next + 2); ++i) {
+      lowers.push_back(cells[i].lower);
+    }
+  }
+  const auto mth = [&lowers, m] {
+    const auto it = lowers.begin() + static_cast<std::ptrdiff_t>(m - 1);
+    std::nth_element(lowers.begin(), it, lowers.end(), std::greater<>());
+    return *it;
+  };
+  const double floor = lowers.size() < m ? kNegInf : mth();
+  lowers.clear();
+  for (std::size_t qi = 0; qi < Q_.size(); ++qi) {
+    const CellRun& run = runs_[qi];
+    const Cell* const cells = &cells_[qi * P_.size()];
+    if (run.next == run.end || cells[run.next].lower < floor) continue;
+    for (uint32_t i = run.next; i < run.end; ++i) {
+      if (cells[i].lower >= floor) lowers.push_back(cells[i].lower);
+    }
+  }
+  return lowers.size() < m ? kNegInf : mth();
 }
 
 void IncrementalTwoWayJoin::RunInitialSchedule(std::size_t m) {
@@ -248,22 +321,28 @@ void IncrementalTwoWayJoin::RunInitialSchedule(std::size_t m) {
     return !need.empty();
   };
 
+  // The m-th best lower bound; it moves only when a round applies rows.
+  double tm = kNegInf;
   for (int l = 1; l < d_; l *= 2) {
     obs::ScopedSpan round_span(trace, "round");
     round_span.SetAttr("level", int64_t{l});
     round_span.SetAttr("frontier", static_cast<int64_t>(live.size()));
     if (below(l)) {
       stats_.barriers_per_iteration.push_back(Deepen(need, l, batch));
+      tm = LowerThreshold(m);
     }
     // A target survives while max_p h + U^+ at its current level (>= l
     // when a stored state put it deeper — a valid, tighter bound by
-    // DESIGN.md §1) reaches the m-th best lower bound. A pruned target
-    // keeps its state: Next() resumes it if it re-activates the target.
-    const double tm = LowerThreshold(m);
+    // DESIGN.md §1) reaches the m-th best lower bound; max_p h is its
+    // best cell (no cell is returned before Next()), or beta without one.
+    // A pruned target keeps its state: Next() resumes it if it
+    // re-activates the target.
     std::vector<std::size_t> survivors;
     survivors.reserve(live.size());
     for (std::size_t qi : live) {
-      if (q_pmax_[qi] + Remainder(q_level_[qi], qi) >= tm) {
+      const double pmax =
+          runs_[qi].end > 0 ? BestCell(qi).lower : params_.beta;
+      if (pmax + Remainder(q_level_[qi], qi) >= tm) {
         survivors.push_back(qi);
       }
     }
@@ -288,10 +367,10 @@ void IncrementalTwoWayJoin::RunInitialSchedule(std::size_t m) {
 ScoredPair IncrementalTwoWayJoin::EmitTieRun(double s) {
   const double floor = s - TieMargin(s, params_.beta);
   // Pull every pair whose bound still reaches the floor: deepen the
-  // blocking residual targets and the inexact F entries until all that
-  // remain above the floor are exact, then take those out of F.
-  std::vector<PairEntry> run;
-  std::vector<PairEntry> below;  // exact, within the margin under s
+  // blocking residual targets and the targets below depth d until all
+  // that remain above the floor are exact, then take those out of F.
+  tie_run_.clear();
+  std::vector<std::size_t> below;  // target of each exact cell under s
   while (true) {
     const double unseen =
         residual_.empty() ? kNegInf : residual_.TopPriority();
@@ -302,20 +381,26 @@ ScoredPair IncrementalTwoWayJoin::EmitTieRun(double s) {
       continue;
     }
     if (top < floor) break;
-    const PairEntry e = f_.Get(f_.TopHandle());
-    if (e.level < d_) {
-      DeepenTarget(e.qi, d_);
+    const std::size_t qi = f_.Get(f_.TopHandle());
+    if (q_level_[qi] < d_) {
+      DeepenTarget(qi, d_);
       continue;
     }
-    f_.Pop();
-    (e.lower >= s ? run : below).push_back(e);
+    const Cell cell = BestCell(qi);
+    PopBest(qi);
+    if (cell.lower >= s) {
+      tie_run_.push_back(
+          ScoredPair{P_[cell.pi].value(), Q_[qi].value(), cell.lower});
+    } else {
+      below.push_back(qi);
+    }
   }
-  // Exact pairs under s wait in F for their own turn (their targets are
-  // at depth d, so no later walk touches them).
-  for (const PairEntry& e : below) f_.Push(e.lower, e);
-  tie_run_.clear();
-  for (const PairEntry& e : run) {
-    tie_run_.push_back(ScoredPair{e.p, Q_[e.qi].value(), e.lower});
+  // Exact cells under s wait in F for their own turn. A target's cells
+  // leave in descending order, so those under s are its latest: putting
+  // them back steps its run back over them.
+  for (std::size_t qi : below) {
+    --runs_[qi].next;
+    Rekey(qi);
   }
   std::sort(tie_run_.begin(), tie_run_.end(), ScoredPairGreater);
   tie_pos_ = 1;
@@ -341,16 +426,19 @@ std::optional<ScoredPair> IncrementalTwoWayJoin::Next() {
       continue;
     }
 
-    auto top_handle = f_.TopHandle();
-    const PairEntry e1 = f_.Get(top_handle);
-    const double second = f_.SecondPriority();
+    // The top pair is the top target's best cell. The best of the other
+    // pairs is the next target's key or the top target's own runner-up:
+    // together they are the per-pair heap's second priority.
+    const std::size_t qi = f_.Get(f_.TopHandle());
+    const Cell e1 = BestCell(qi);
+    const double second = std::max(f_.SecondPriority(), RunnerUpBound(qi));
     const double blocker = std::max(second, unseen);
 
     if (e1.lower >= blocker) {
-      if (e1.level < d_) {
+      if (q_level_[qi] < d_) {
         // Order is decided but the exact score is not known yet; the
         // paper exactifies with a d-step walk before emitting.
-        DeepenTarget(e1.qi, d_);
+        DeepenTarget(qi, d_);
         continue;
       }
       // A blocker within the margin may hide a pair of equal score:
@@ -358,21 +446,20 @@ std::optional<ScoredPair> IncrementalTwoWayJoin::Next() {
       if (blocker >= e1.lower - TieMargin(e1.lower, params_.beta)) {
         return EmitTieRun(e1.lower);
       }
-      f_.Pop();
+      PopBest(qi);
       ++num_returned_;
-      return ScoredPair{e1.p, Q_[e1.qi].value(), e1.lower};
+      return ScoredPair{P_[e1.pi].value(), Q_[qi].value(), e1.lower};
     }
 
-    // Blocked. When the top entry is exact, the heap property makes
-    // second <= e1.lower, so the blocker must be a residual target.
+    // Blocked. When the top pair is exact, its bound is its lower bound
+    // and tops every other pair's, so the blocker must be a residual
+    // target.
     if (unseen >= second && unseen > e1.lower) {
-      std::size_t qi = residual_.Get(residual_.TopHandle());
-      DeepenTarget(qi, NextLevel(q_level_[qi]));
+      std::size_t rq = residual_.Get(residual_.TopHandle());
+      DeepenTarget(rq, NextLevel(q_level_[rq]));
     } else {
       // Refine the top pair's target (paper rule: min(2 l, d) steps).
-      // q_level_[e1.qi] == e1.level by construction (every walk of a
-      // target refreshes all of its entries); read the authoritative one.
-      DeepenTarget(e1.qi, NextLevel(q_level_[e1.qi]));
+      DeepenTarget(qi, NextLevel(q_level_[qi]));
     }
   }
 }

@@ -7,18 +7,19 @@
 /// join from scratch.
 ///
 /// IncrementalTwoWayJoin runs a B-IDJ-style deepening schedule once, but
-/// records every bound it computes in a mutable priority queue F of
-/// entries  <(p, q), h-, h+, l>  ordered by the upper bound h+ — the
-/// structure the paper describes. A target still below depth d keeps
-/// the heap handles of its entries in P order, so a deeper walk of it
-/// tightens them in one merge with its new row, hashing nothing.
-/// Next() then repeatedly resolves the top of F:
-///   * if the top entry's lower bound dominates both the runner-up's
-///     upper bound and every not-yet-materialized pair, it is the next
-///     result (exactified by a d-step walk from its q first if needed);
+/// records every bound it computes. The paper's F orders entries
+/// <(p, q), h-, h+, l> by the upper bound h+; all of a target's pairs
+/// share its level l and remainder U_l^+(q), so here F holds one entry
+/// per target, keyed by the h+ of its best unreturned pair, and the
+/// pairs themselves are the target's row of cells, ordered lazily.
+/// Next() then repeatedly resolves the top target's best pair:
+///   * if its lower bound dominates every other pair's upper bound (the
+///     next target's key, its own target's runner-up, and every
+///     not-yet-materialized pair), it is the next result (exactified by
+///     a d-step walk from its q first if needed);
 ///   * otherwise the blocking target q is walked deeper
-///     (l -> min(2l, d), the paper's refinement rule) and its entries
-///     are tightened in place.
+///     (l -> min(2l, d), the paper's refinement rule) and its row
+///     replaces its cells.
 ///
 /// Pairs invisible to F (their q was pruned early, or they were not
 /// reachable within the walked depth) are covered by a per-target
@@ -49,6 +50,7 @@
 #ifndef DHTJOIN_JOIN2_INCREMENTAL_H_
 #define DHTJOIN_JOIN2_INCREMENTAL_H_
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <span>
@@ -173,12 +175,22 @@ class IncrementalTwoWayJoin {
   bool ybound_cached() const { return ybound_cached_; }
 
  private:
-  struct PairEntry {
-    NodeId p;
-    std::size_t qi;    // index into Q
-    double lower;      // h_l(p, q)
-    int level;         // l at which `lower` was computed
-    uint32_t pi;       // index of p in P
+  /// One candidate pair (P[pi], q) of a target: its lower bound
+  /// h_l(P[pi], q) at the target's level l.
+  struct Cell {
+    double lower;
+    uint32_t pi;
+  };
+
+  /// Where target qi's candidate cells stand in its |P|-wide slot of
+  /// cells_: [0, next) were returned, in emission order; [next, sorted)
+  /// run in descending order, none below a cell of [sorted, end), which
+  /// are unordered. sorted >= min(end, next + 2): the best unreturned
+  /// cell and its runner-up are always in place.
+  struct CellRun {
+    uint32_t next = 0;
+    uint32_t sorted = 0;
+    uint32_t end = 0;
   };
 
   IncrementalTwoWayJoin(const Graph& g, const DhtParams& params, int d,
@@ -204,17 +216,34 @@ class IncrementalTwoWayJoin {
   int64_t Deepen(std::span<const std::size_t> targets, int level,
                  BackwardWalkerBatchT<W>& engine);
 
-  /// The F-maintenance half of a deepening: folds target qi's score row
-  /// over P (h_{row.level}(P[pi], Q[qi]) at cell pi, read in place from
-  /// a stored row's deltas) into the candidate heap — merging it with
-  /// the target's handle list — and residual bound, and records the new
-  /// level and the row's best score.
+  /// The F-maintenance half of a deepening: replaces target qi's cells
+  /// with its score row over P (h_{row.level}(P[pi], Q[qi]) at cell pi,
+  /// read in place from a stored row's deltas), with the best two in
+  /// front, re-keys its F entry and residual bound, and records the new
+  /// level.
   void ApplyRow(std::size_t qi, const ScoreRow& row);
+
+  /// Target qi's best unreturned cell; its run must not be empty.
+  const Cell& BestCell(std::size_t qi) const {
+    return cells_[qi * P_.size() + runs_[qi].next];
+  }
+
+  /// Upper bound of target qi's runner-up cell, -inf when it has none.
+  double RunnerUpBound(std::size_t qi) const;
+
+  /// Sets target qi's F entry to its best unreturned cell's upper bound,
+  /// or removes it when every cell was returned.
+  void Rekey(std::size_t qi);
+
+  /// Marks target qi's best cell returned (qi is at depth d) and orders
+  /// the next chunk of its cells when the runner-up is not in place.
+  void PopBest(std::size_t qi);
 
   /// Resolves every pair whose bound still reaches `s` (the exact top
   /// pair's score, which its blocker ties) less a rounding margin, then
   /// emits the pairs scoring >= s in ScoredPairGreater order — the
   /// first now, the rest from tie_run_ on the following Next() calls.
+  /// The exact cells it took out below s go back to their targets.
   ScoredPair EmitTieRun(double s);
 
   /// Runs the B-IDJ deepening schedule with pruning threshold from the
@@ -225,7 +254,8 @@ class IncrementalTwoWayJoin {
   /// for Next().
   void RunInitialSchedule(std::size_t m);
 
-  /// m-th largest lower bound currently in F (-inf when |F| < m).
+  /// m-th largest lower bound among the unreturned cells (-inf when
+  /// there are fewer than m).
   double LowerThreshold(std::size_t m) const;
 
   const Graph& g_;
@@ -254,24 +284,22 @@ class IncrementalTwoWayJoin {
   int64_t warm_targets_ = 0;
   int64_t cold_targets_ = 0;
 
-  MutableHeap<PairEntry> f_;  // keyed by upper bound h+
-  // Per target below depth d: the handles of its F entries, ascending
-  // by P index. Released at depth d, after which the target is never
-  // walked again — and only then can its pairs leave F (every pair is
-  // emitted exact), so a returned pair needs no record.
-  std::vector<std::vector<MutableHeap<PairEntry>::Handle>> f_handles_;
-  // ApplyRow's merge output below depth d, swapped into the target's
-  // list; the buffer it gets back is reused by the next call.
-  std::vector<MutableHeap<PairEntry>::Handle> merged_handles_;
+  // F: one entry per target with an unreturned cell, keyed by that
+  // cell's upper bound h_l + U_l^+(q) — so F holds at most |Q| entries.
+  MutableHeap<std::size_t> f_;
+  std::vector<MutableHeap<std::size_t>::Handle> f_handle_;  // or kNotInF
+  // |Q| slots of |P| cells, slot qi holding target qi's candidate pairs
+  // (p != q, h_l > beta) as runs_[qi] describes. A row replaces a slot
+  // whole, and only at depth d, where the target is never walked again,
+  // does a cell leave F (every pair is emitted exact).
+  std::vector<Cell> cells_;
+  std::vector<CellRun> runs_;
 
   // Residual heap over target indices, keyed by beta + U_l^+(q): the
   // bound on any pair of that target not represented in F.
   MutableHeap<std::size_t> residual_;
   std::vector<MutableHeap<std::size_t>::Handle> residual_handle_;
   std::vector<int> q_level_;  // walked depth per target (0 = never)
-  // max(beta, max_{p != q} h(p, q)) of each target's latest row: the
-  // schedule's per-target upper bound is this plus U^+ at q_level_.
-  std::vector<double> q_pmax_;
 
   // The rest of the current run of equal scores, in emission order.
   std::vector<ScoredPair> tie_run_;

@@ -1,9 +1,10 @@
 /// \file util/mutable_heap.h
 /// \brief Addressable binary max-heap with decrease/increase-key.
 ///
-/// Backs the `F` structure of the PJ-i algorithm (paper Sec VI-D): entries
-/// are ordered by their DHT upper bound and must be updatable in place
-/// when a backward walk tightens the bound. Keys are located through a
+/// Backs the per-target heaps of the PJ-i enumerator (paper Sec VI-D,
+/// join2/incremental.h): F and the residual heap order targets by a DHT
+/// upper bound that must be updatable in place when a backward walk
+/// tightens it or a pair is returned. Keys are located through a
 /// caller-supplied handle returned at push time.
 
 #ifndef DHTJOIN_UTIL_MUTABLE_HEAP_H_
@@ -73,14 +74,6 @@ class MutableHeap {
       second = std::max(second, nodes_[heap_[2]].priority);
     }
     return second;
-  }
-
-  /// Visits every live entry as fn(payload, priority); unordered.
-  template <typename Fn>
-  void ForEach(Fn&& fn) const {
-    for (Handle h : heap_) {
-      fn(nodes_[h].payload, nodes_[h].priority);
-    }
   }
 
   const T& Get(Handle h) const {

@@ -10,6 +10,8 @@
 #include <string>
 #include <vector>
 
+#include "datasets/yeast_like.h"
+#include "graph/graph_builder.h"
 #include "join2/incremental.h"
 #include "testing/reference.h"
 
@@ -316,6 +318,239 @@ TEST(IncrementalTest, DrainStartsEveryTargetOnce) {
   EXPECT_EQ(st.state_evictions, 0);
   EXPECT_EQ(st.walks_started, static_cast<int64_t>(Q.size()));
   EXPECT_EQ(st.state_misses, static_cast<int64_t>(Q.size()));
+}
+
+// ----------------------------------------- F's blocker and tie put-back
+
+TEST(IncrementalTest, BlockerCountsTheTopTargetsRunnerUp) {
+  // Only target 10 has pairs, so F holds one entry and no other target's
+  // key blocks anything: (1, 10) leads at level 1, and only its own
+  // runner-up (0, 10) can block it. At lambda = 0.2 both pairs score
+  // exactly the same, so the tie run must emit (0, 10) first. At 0.6
+  // (0, 10) wins outright; the runner-up blocks (1, 10) at level 1, so
+  // target 10 is resumed at level 2 and then at d. A blocker without
+  // the runner-up leaves the tie at 0.2 to the order of the row's equal
+  // cells, and at 0.6 jumps target 10 straight to d, resuming it once.
+  GraphBuilder b(12, /*undirected=*/false);
+  ASSERT_TRUE(b.AddEdge(1, 10, 0.6).ok());
+  ASSERT_TRUE(b.AddEdge(1, 6, 0.4).ok());
+  ASSERT_TRUE(b.AddEdge(0, 10, 0.5).ok());
+  ASSERT_TRUE(b.AddEdge(0, 5, 0.5).ok());
+  ASSERT_TRUE(b.AddEdge(5, 10, 1.0).ok());
+  auto g = b.Build();
+  ASSERT_TRUE(g.ok());
+  const NodeSet P("P", std::vector<NodeId>{0, 1});
+  const NodeSet Q("Q", std::vector<NodeId>{10, 11});
+  const int d = 8;
+
+  const DhtParams tie = DhtParams::Lambda(0.2);
+  auto join = IncrementalTwoWayJoin::Create(*g, tie, d, P, Q, 0);
+  ASSERT_TRUE(join.ok());
+  const std::vector<ScoredPair> got = Drain(**join);
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(got[0].score, got[1].score);
+  EXPECT_EQ(got[0].p, NodeId{0});
+  EXPECT_EQ(got[1].p, NodeId{1});
+  EXPECT_EQ(got, RefTwoWayJoin(*g, tie, d, P, Q, static_cast<std::size_t>(-1)));
+
+  const DhtParams apart = DhtParams::Lambda(0.6);
+  join = IncrementalTwoWayJoin::Create(*g, apart, d, P, Q, 0);
+  ASSERT_TRUE(join.ok());
+  EXPECT_EQ(Drain(**join),
+            RefTwoWayJoin(*g, apart, d, P, Q, static_cast<std::size_t>(-1)));
+  EXPECT_EQ((*join)->stats().state_hits, 2);
+  EXPECT_EQ((*join)->stats().state_misses, 1);
+}
+
+TEST(IncrementalTest, TieRunPutsBackExactPairsBelowItsScore) {
+  // EmitTieRun takes out of F every exact pair within the rounding
+  // margin under the run's score s; those scoring under s must go back
+  // and wait for their own turn. These directed weighted graphs reach
+  // that put-back: a drain that dropped it would lose pairs.
+  struct Case {
+    uint64_t seed;
+    double lambda;
+  };
+  const int d = 8;
+  const NodeSet P = Range("P", 0, 16);
+  const NodeSet Q = Range("Q", 8, 24);
+  for (const Case c : {Case{306, 0.2}, Case{420, 0.2}, Case{752, 0.2},
+                       Case{1367, 0.2}, Case{1680, 0.2}, Case{1724, 0.2},
+                       Case{1960, 0.2}, Case{2776, 0.2}, Case{2227, 0.6}}) {
+    Graph g = RandomGraph(24, 60, c.seed, /*undirected=*/false,
+                          /*weighted=*/true);
+    const DhtParams p = DhtParams::Lambda(c.lambda);
+    const auto want = RefTwoWayJoin(g, p, d, P, Q, static_cast<std::size_t>(-1));
+    for (std::size_t m : {std::size_t{0}, std::size_t{5}}) {
+      SCOPED_TRACE("seed=" + std::to_string(c.seed) +
+                   " m=" + std::to_string(m));
+      auto join = IncrementalTwoWayJoin::Create(g, p, d, P, Q, m);
+      ASSERT_TRUE(join.ok());
+      EXPECT_EQ(Drain(**join), want);
+    }
+  }
+}
+
+// ------------------------------------------------ pinned walk work
+
+/// The Yeast-like fixture of the pinned-work tests: a 1,200-node graph
+/// and the top-40 sets by degree of its partitions a and a + 1.
+struct YeastEdges {
+  datasets::YeastLikeDataset ds;
+
+  YeastEdges() {
+    auto r = datasets::GenerateYeastLike(
+        {.num_nodes = 1200, .num_edges = 3600, .seed = 13});
+    DHTJOIN_CHECK(r.ok());
+    ds = std::move(r).value();
+  }
+  NodeSet P(int a) const {
+    return ds.partitions[static_cast<std::size_t>(a)].TopByDegree(ds.graph,
+                                                                   40);
+  }
+  NodeSet Q(int a) const { return P(a + 1); }
+};
+
+TEST(IncrementalTest, WalkWorkIsPinned) {
+  // How F is kept must not move a deepening: each case's counters after
+  // its first 300 pairs are the ones the per-pair heap recorded. A
+  // budget that evicts nothing keeps them independent of thread timing.
+  struct Pinned {
+    int a;
+    double lambda;
+    UpperBoundKind bound;
+    std::size_t m;
+    int64_t walk_steps;
+    int64_t walks_started;
+    int64_t state_hits;
+    int64_t state_misses;
+    std::vector<int64_t> live;
+  };
+  constexpr UpperBoundKind kY = UpperBoundKind::kY;
+  constexpr UpperBoundKind kX = UpperBoundKind::kX;
+  const std::vector<Pinned> pinned = {
+    {0, 0.2, kY, 0, 1410305, 40, 120, 40, {}},
+    {0, 0.2, kY, 5, 1479438, 40, 120, 40, {40, 9, 7, 5}},
+    {0, 0.2, kY, 50, 1704821, 40, 120, 40, {40, 40, 33, 27}},
+    {0, 0.2, kX, 0, 1359526, 40, 120, 40, {}},
+    {0, 0.2, kX, 5, 1506293, 40, 120, 40, {40, 40, 17, 6}},
+    {0, 0.2, kX, 50, 1730794, 40, 120, 40, {40, 40, 40, 37}},
+    {0, 0.6, kY, 0, 1410305, 40, 120, 40, {}},
+    {0, 0.6, kY, 5, 1556921, 40, 120, 40, {40, 19, 16, 10}},
+    {0, 0.6, kY, 50, 1781573, 40, 120, 40, {40, 40, 40, 38}},
+    {0, 0.6, kX, 0, 1359526, 40, 120, 40, {}},
+    {0, 0.6, kX, 5, 1730794, 40, 120, 40, {40, 40, 40, 40}},
+    {0, 0.6, kX, 50, 1730794, 40, 120, 40, {40, 40, 40, 40}},
+    {1, 0.2, kY, 0, 1437698, 40, 120, 40, {}},
+    {1, 0.2, kY, 5, 1449217, 40, 120, 40, {40, 10, 5, 5}},
+    {1, 0.2, kY, 50, 1655368, 40, 120, 40, {40, 40, 35, 30}},
+    {1, 0.2, kX, 0, 1386915, 40, 120, 40, {}},
+    {1, 0.2, kX, 5, 1555599, 40, 120, 40, {40, 40, 20, 5}},
+    {1, 0.2, kX, 50, 1675935, 40, 120, 40, {40, 40, 40, 34}},
+    {1, 0.6, kY, 0, 1437698, 40, 120, 40, {}},
+    {1, 0.6, kY, 5, 1606382, 40, 120, 40, {40, 21, 20, 11}},
+    {1, 0.6, kY, 50, 1726718, 40, 120, 40, {40, 40, 40, 37}},
+    {1, 0.6, kX, 0, 1386915, 40, 120, 40, {}},
+    {1, 0.6, kX, 5, 1675935, 40, 120, 40, {40, 40, 40, 40}},
+    {1, 0.6, kX, 50, 1675935, 40, 120, 40, {40, 40, 40, 40}},
+    {2, 0.2, kY, 0, 1440550, 40, 120, 40, {}},
+    {2, 0.2, kY, 5, 1493102, 40, 120, 40, {40, 13, 7, 5}},
+    {2, 0.2, kY, 50, 1711482, 40, 120, 40, {40, 40, 35, 29}},
+    {2, 0.2, kX, 0, 1395363, 40, 120, 40, {}},
+    {2, 0.2, kX, 5, 1519505, 40, 120, 40, {40, 40, 16, 6}},
+    {2, 0.2, kX, 50, 1731174, 40, 120, 40, {40, 40, 40, 36}},
+    {2, 0.6, kY, 0, 1440550, 40, 120, 40, {}},
+    {2, 0.6, kY, 5, 1564692, 40, 120, 40, {40, 19, 16, 12}},
+    {2, 0.6, kY, 50, 1776361, 40, 120, 40, {40, 40, 40, 39}},
+    {2, 0.6, kX, 0, 1395363, 40, 120, 40, {}},
+    {2, 0.6, kX, 5, 1731174, 40, 120, 40, {40, 40, 40, 40}},
+    {2, 0.6, kX, 50, 1731174, 40, 120, 40, {40, 40, 40, 40}},
+    {3, 0.2, kY, 0, 1347653, 40, 120, 40, {}},
+    {3, 0.2, kY, 5, 1400719, 40, 120, 40, {40, 8, 7, 5}},
+    {3, 0.2, kY, 50, 1624660, 40, 120, 40, {40, 40, 32, 22}},
+    {3, 0.2, kX, 0, 1302297, 40, 120, 40, {}},
+    {3, 0.2, kX, 5, 1384867, 40, 120, 40, {40, 40, 13, 6}},
+    {3, 0.2, kX, 50, 1620618, 40, 120, 40, {40, 40, 40, 34}},
+    {3, 0.6, kY, 0, 1347653, 40, 120, 40, {}},
+    {3, 0.6, kY, 5, 1430161, 40, 120, 40, {40, 13, 12, 9}},
+    {3, 0.6, kY, 50, 1605583, 40, 120, 40, {40, 40, 39, 37}},
+    {3, 0.6, kX, 0, 1302297, 40, 120, 40, {}},
+    {3, 0.6, kX, 5, 1620618, 40, 120, 40, {40, 40, 40, 40}},
+    {3, 0.6, kX, 50, 1620618, 40, 120, 40, {40, 40, 40, 40}},
+  };
+  const YeastEdges y;
+  const int d = 8;
+  for (const Pinned& c : pinned) {
+    SCOPED_TRACE("a=" + std::to_string(c.a) +
+                 " lambda=" + std::to_string(c.lambda) +
+                 (c.bound == kY ? " Y" : " X") + " m=" + std::to_string(c.m));
+    const DhtParams p = DhtParams::Lambda(c.lambda);
+    const NodeSet P = y.P(c.a);
+    const NodeSet Q = y.Q(c.a);
+    auto join = IncrementalTwoWayJoin::Create(
+        y.ds.graph, p, d, P, Q, c.m,
+        IncrementalTwoWayJoin::Options{
+            .bound = c.bound, .state_budget_bytes = std::size_t{1} << 30});
+    ASSERT_TRUE(join.ok());
+    std::vector<ScoredPair> got;
+    while (got.size() < 300) {
+      auto next = (*join)->Next();
+      if (!next) break;
+      got.push_back(*next);
+    }
+    EXPECT_EQ(got, RefTwoWayJoin(y.ds.graph, p, d, P, Q, 300));
+    const TwoWayJoinStats& st = (*join)->stats();
+    EXPECT_EQ(st.walk_steps, c.walk_steps);
+    EXPECT_EQ(st.walks_started, c.walks_started);
+    EXPECT_EQ(st.state_hits, c.state_hits);
+    EXPECT_EQ(st.state_misses, c.state_misses);
+    EXPECT_EQ(st.live_per_iteration, c.live);
+  }
+}
+
+TEST(IncrementalTest, NextStaysExactAfterWriteBack) {
+  // WriteBackStates() hands the deeper states to the provider mid-stream;
+  // the targets it took restart from scratch, and the rest of the drain
+  // must still be the full join's.
+  const YeastEdges y;
+  const int d = 8;
+  for (int a = 0; a < 4; ++a) {
+    const NodeSet P = y.P(a);
+    const NodeSet Q = y.Q(a);
+    for (double lambda : {0.2, 0.6}) {
+      const DhtParams p = DhtParams::Lambda(lambda);
+      const auto want = RefTwoWayJoin(y.ds.graph, p, d, P, Q,
+                                      static_cast<std::size_t>(-1));
+      for (UpperBoundKind bound : {UpperBoundKind::kY, UpperBoundKind::kX}) {
+        for (std::size_t m : {std::size_t{0}, std::size_t{5}, std::size_t{50}}) {
+          for (std::size_t before : {std::size_t{1}, std::size_t{7},
+                                     std::size_t{30}}) {
+            SCOPED_TRACE("a=" + std::to_string(a) +
+                         " lambda=" + std::to_string(lambda) +
+                         (bound == UpperBoundKind::kY ? " Y" : " X") +
+                         " m=" + std::to_string(m) +
+                         " before=" + std::to_string(before));
+            MapProvider provider;
+            auto join = IncrementalTwoWayJoin::Create(
+                y.ds.graph, p, d, P, Q, m,
+                IncrementalTwoWayJoin::Options{.bound = bound,
+                                               .snapshots = &provider});
+            ASSERT_TRUE(join.ok());
+            std::vector<ScoredPair> got;
+            for (std::size_t i = 0; i < before; ++i) {
+              auto next = (*join)->Next();
+              ASSERT_TRUE(next.has_value());
+              got.push_back(*next);
+            }
+            (*join)->WriteBackStates();
+            const std::vector<ScoredPair> rest = Drain(**join);
+            got.insert(got.end(), rest.begin(), rest.end());
+            EXPECT_EQ(got, want);
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(IncrementalTest, TieHeavyStreamsAreCanonical) {

@@ -368,6 +368,53 @@ TEST(DhtJoinServiceTest, ColdAndWarmMatchFreshRunBitIdentical) {
   EXPECT_LT(warm_stats.join.walk_steps, cold_stats.join.walk_steps);
 }
 
+TEST(DhtJoinServiceTest, ZipfianStreamWarmEqualsColdAndRepeatsWalkLess) {
+  // A Zipfian stream of interleaved templates over shared sets: every
+  // answer of a warm service equals the same request's answer on a
+  // budget-0 (always cold) service and a fresh B-IDJ run of its
+  // template, byte for byte; and every repeat of a template walks
+  // strictly fewer steps warm than the same request does cold.
+  Graph g = RandomGraph(90, 320, 29, /*undirected=*/true, /*weighted=*/true);
+  const DhtParams p = DhtParams::Lambda(0.2);
+  const int d = 8;
+  const std::vector<NodeSet> sets = {Range("A", 0, 22), Range("B", 22, 45),
+                                     Range("C", 45, 68), Range("D", 68, 90)};
+  serve::WorkloadOptions wopts;
+  wopts.num_requests = 40;
+  wopts.num_templates = 6;
+  wopts.set_size = 16;
+  wopts.k = 12;
+  wopts.seed = 29;
+  auto workload = serve::GenerateZipfianTwoWayWorkload(g, sets, wopts);
+  ASSERT_TRUE(workload.ok());
+
+  DhtJoinService cold(g, p, d, {.cache_budget_bytes = 0, .num_threads = 1});
+  DhtJoinService warm(g, p, d, {.num_threads = 1});
+  std::vector<char> seen(workload->num_templates, 0);
+  int repeats = 0;
+  for (const serve::TwoWayRequest& req : workload->requests) {
+    const std::string label = "template " + std::to_string(req.template_id);
+    serve::QueryStats cold_stats, warm_stats;
+    auto cold_answer = cold.TwoWay(req.P, req.Q, req.k, &cold_stats);
+    auto warm_answer = warm.TwoWay(req.P, req.Q, req.k, &warm_stats);
+    ASSERT_TRUE(cold_answer.ok());
+    ASSERT_TRUE(warm_answer.ok());
+    BIdjJoin fresh;
+    auto reference = fresh.Run(g, p, d, req.P, req.Q, req.k);
+    ASSERT_TRUE(reference.ok());
+    ExpectSamePairs(*cold_answer, *reference, label + " cold");
+    ExpectSamePairs(*warm_answer, *reference, label + " warm");
+    if (seen[req.template_id]) {
+      ++repeats;
+      EXPECT_LT(warm_stats.join.walk_steps, cold_stats.join.walk_steps)
+          << label;
+    }
+    seen[req.template_id] = 1;
+  }
+  EXPECT_GT(repeats, 0);
+  EXPECT_GT(warm.cache_stats().hits, 0);
+}
+
 TEST(DhtJoinServiceTest, ZeroBudgetCacheIsBitIdenticalToFresh) {
   TwoWayFixture f;
   std::vector<ScoredPair> reference = f.Reference();

@@ -227,17 +227,6 @@ TEST(MutableHeapTest, StressAgainstSortedVector) {
   EXPECT_TRUE(heap.empty());
 }
 
-TEST(MutableHeapTest, ForEachVisitsAllLiveEntries) {
-  MutableHeap<int> heap;
-  heap.Push(1.0, 10);
-  auto h = heap.Push(2.0, 20);
-  heap.Push(3.0, 30);
-  heap.Erase(h);
-  std::set<int> seen;
-  heap.ForEach([&seen](int item, double) { seen.insert(item); });
-  EXPECT_EQ(seen, (std::set<int>{10, 30}));
-}
-
 // ------------------------------------------------------------------ Rng
 
 TEST(RngTest, DeterministicPerSeed) {
