@@ -1,13 +1,23 @@
 #include "rankjoin/pbrj.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <limits>
+#include <string>
 
 namespace dhtjoin {
 
 namespace {
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 constexpr double kPosInf = std::numeric_limits<double>::infinity();
+constexpr std::size_t kNoEdge = static_cast<std::size_t>(-1);
+
+/// A score in a status message, to the last bit.
+std::string FormatScore(double score) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.17g", score);
+  return buf;
+}
 }  // namespace
 
 bool TupleAnswerGreater(const TupleAnswer& a, const TupleAnswer& b) {
@@ -89,10 +99,7 @@ void Pbrj::ExpandRec(const std::vector<std::size_t>& order,
                      std::size_t depth, TupleTopK& output) {
   if (depth == order.size()) {
     stats_.tuples_generated++;
-    const double f = aggregate_->Apply(edge_scores_);
-    if (!output.Rejects(f, bindings_)) {
-      output.Offer(f, TupleAnswer{bindings_, edge_scores_, f});
-    }
+    ScoreCandidate(output);
     return;
   }
   const std::size_t e = order[depth];
@@ -110,55 +117,74 @@ void Pbrj::ExpandRec(const std::vector<std::size_t>& order,
     return;
   }
   if (lb != kInvalidNode) {
-    for (const ScoredPair& entry : buf.ByLeft(lb)) {
-      bindings_[right_attr] = entry.q;
-      edge_scores_[e] = entry.score;
-      ExpandRec(order, depth + 1, output);
-    }
-    bindings_[right_attr] = kInvalidNode;
+    ScanChain(buf.ByLeft(lb), e, right_attr, /*bind_left=*/false, order,
+              depth, output);
     return;
   }
   if (rb != kInvalidNode) {
-    for (const ScoredPair& entry : buf.ByRight(rb)) {
-      bindings_[left_attr] = entry.p;
-      edge_scores_[e] = entry.score;
-      ExpandRec(order, depth + 1, output);
-    }
-    bindings_[left_attr] = kInvalidNode;
+    ScanChain(buf.ByRight(rb), e, left_attr, /*bind_left=*/true, order,
+              depth, output);
     return;
   }
   // Disconnected query graph: no endpoint bound yet.
-  for (const ScoredPair& entry : buf.All()) {
-    bindings_[left_attr] = entry.p;
-    bindings_[right_attr] = entry.q;
-    edge_scores_[e] = entry.score;
+  for (const CandidateBuffer::Entry& entry : buf.All()) {
+    bindings_[left_attr] = entry.pair.p;
+    bindings_[right_attr] = entry.pair.q;
+    edge_scores_[e] = entry.pair.score;
     ExpandRec(order, depth + 1, output);
   }
   bindings_[left_attr] = kInvalidNode;
   bindings_[right_attr] = kInvalidNode;
 }
 
-double Pbrj::CornerBound(std::size_t* arg_edge) {
-  // tau = max over edges e (with unseen pairs remaining) of
-  //   f(top_1, ..., last_e, ..., top_1)
-  // — an upper bound on the score of any tuple not yet generated, valid
-  // for monotone f over descending streams (HRJN corner bound).
+void Pbrj::ScanChain(CandidateBuffer::Chain chain, std::size_t e,
+                     std::size_t attr, bool bind_left,
+                     const std::vector<std::size_t>& order,
+                     std::size_t depth, TupleTopK& output) {
+  const bool last = depth + 1 == order.size();
+  std::size_t unscanned = chain.size();
+  for (const ScoredPair& entry : chain) {
+    bindings_[attr] = bind_left ? entry.p : entry.q;
+    edge_scores_[e] = entry.score;
+    --unscanned;
+    if (!last) {
+      ExpandRec(order, depth + 1, output);
+      continue;
+    }
+    stats_.tuples_generated++;
+    if (!ScoreCandidate(output)) {
+      stats_.tuples_generated += static_cast<int64_t>(unscanned);
+      break;
+    }
+  }
+  bindings_[attr] = kInvalidNode;
+}
+
+bool Pbrj::ScoreCandidate(TupleTopK& output) {
+  stats_.candidates_scored++;
+  const double f = aggregate_->Apply(edge_scores_);
+  if (f < output.Threshold()) return false;
+  if (!output.Rejects(f, bindings_)) {
+    output.Offer(f, TupleAnswer{bindings_, edge_scores_, f});
+  }
+  return true;
+}
+
+void Pbrj::RefreshCorner(std::size_t e) {
+  for (std::size_t i = 0; i < edges_.size(); ++i) {
+    corner_[i] = i == e ? last_score_[i] : top_score_[i];
+  }
+  corner_bound_[e] = aggregate_->Apply(corner_);
+}
+
+double Pbrj::CornerBound(std::size_t* arg_edge) const {
   double tau = kNegInf;
-  if (arg_edge != nullptr) *arg_edge = static_cast<std::size_t>(-1);
+  *arg_edge = kNoEdge;
   for (std::size_t e = 0; e < edges_.size(); ++e) {
     if (exhausted_[e]) continue;  // no unseen pair can come from e
-    for (std::size_t i = 0; i < edges_.size(); ++i) {
-      if (i == e) {
-        corner_[i] = pulled_any_[i] ? last_score_[i] : kPosInf;
-      } else {
-        corner_[i] = pulled_any_[i] ? top_score_[i] : kPosInf;
-      }
-    }
-    double bound = aggregate_->Apply(corner_);
-    if (bound > tau || (arg_edge != nullptr &&
-                        *arg_edge == static_cast<std::size_t>(-1))) {
-      tau = std::max(tau, bound);
-      if (arg_edge != nullptr) *arg_edge = e;
+    if (corner_bound_[e] > tau || *arg_edge == kNoEdge) {
+      tau = std::max(tau, corner_bound_[e]);
+      *arg_edge = e;
     }
   }
   return tau;
@@ -177,9 +203,9 @@ Result<std::vector<TupleAnswer>> Pbrj::Run(
 
   buffers_.assign(edges_.size(), CandidateBuffer());
   top_score_.assign(edges_.size(), kNegInf);
-  last_score_.assign(edges_.size(), kNegInf);
+  last_score_.assign(edges_.size(), kPosInf);
+  corner_bound_.assign(edges_.size(), kNegInf);
   exhausted_.assign(edges_.size(), false);
-  pulled_any_.assign(edges_.size(), false);
   bindings_.assign(static_cast<std::size_t>(num_attrs_), kInvalidNode);
   edge_scores_.assign(edges_.size(), 0.0);
   corner_.assign(edges_.size(), 0.0);
@@ -190,54 +216,63 @@ Result<std::vector<TupleAnswer>> Pbrj::Run(
   // enumeration-order independent, matching NL and the 2-way joins.
   TupleTopK output(k_);
 
-  auto pull = [&](std::size_t e) {
+  // A pull that breaks the stream contract Run documents.
+  auto broken = [&](std::size_t e, const std::string& what) {
+    return Status::Internal(
+        "rank join: the stream of edge " + std::to_string(e) +
+        " (attribute " + std::to_string(edges_[e].left) + " -> " +
+        std::to_string(edges_[e].right) + ") " + what);
+  };
+  auto pull = [&](std::size_t e) -> Status {
     auto pair = streams[e]->Next();
     if (!pair.has_value()) {
       exhausted_[e] = true;
-      return;
+      return Status::OK();
     }
-    stats_.pulls_per_edge[e]++;
-    if (!pulled_any_[e]) {
-      pulled_any_[e] = true;
-      top_score_[e] = pair->score;
+    if (!(pair->score <= last_score_[e])) {
+      return broken(e, "rose from " + FormatScore(last_score_[e]) + " to " +
+                           FormatScore(pair->score));
     }
+    if (!buffers_[e].Insert(pair->p, pair->q, pair->score)) {
+      return broken(e, "repeated the pair (" + std::to_string(pair->p) +
+                           ", " + std::to_string(pair->q) + ")");
+    }
+    if (stats_.pulls_per_edge[e]++ == 0) top_score_[e] = pair->score;
     last_score_[e] = pair->score;
-    buffers_[e].Insert(pair->p, pair->q, pair->score);
     ExpandCandidates(e, *pair, output);
+    return Status::OK();
   };
 
   // Prime every stream once so top_1 scores exist for the corner bound.
-  for (std::size_t e = 0; e < edges_.size(); ++e) pull(e);
-
   // An edge with no pairs at all means no complete tuple can exist.
   bool any_empty = false;
   for (std::size_t e = 0; e < edges_.size(); ++e) {
-    if (exhausted_[e] && !pulled_any_[e]) any_empty = true;
+    DHTJOIN_RETURN_NOT_OK(pull(e));
+    any_empty = any_empty || exhausted_[e];
+  }
+  if (!any_empty) {
+    for (std::size_t e = 0; e < edges_.size(); ++e) RefreshCorner(e);
   }
 
   std::size_t rr = 0;
   while (!any_empty) {
-    bool all_exhausted = true;
-    for (std::size_t e = 0; e < edges_.size(); ++e) {
-      if (!exhausted_[e]) all_exhausted = false;
-    }
-    std::size_t corner_edge = static_cast<std::size_t>(-1);
-    double tau = CornerBound(&corner_edge);
+    std::size_t corner_edge = kNoEdge;
+    const double tau = CornerBound(&corner_edge);
     stats_.final_threshold = tau;
     // Stop once k answers are held and none below tau (Alg. 1 Step 6).
     if (output.size() >= k_ && output.MinKey() >= tau) break;
-    if (all_exhausted) break;
-    if (options_.strategy == PullStrategy::kAdaptive &&
-        corner_edge != static_cast<std::size_t>(-1)) {
-      // HRJN*: pull the stream whose corner defines tau — the only pull
-      // that can lower the threshold.
-      pull(corner_edge);
-    } else {
-      // Round-robin over non-exhausted streams (plain HRJN).
+    if (corner_edge == kNoEdge) break;  // every stream exhausted
+    std::size_t e = corner_edge;
+    if (options_.strategy != PullStrategy::kAdaptive) {
+      // Round-robin over non-exhausted streams (plain HRJN). HRJN*
+      // pulls the stream whose corner defines tau instead: the only
+      // pull that can lower the threshold.
       while (exhausted_[rr]) rr = (rr + 1) % edges_.size();
-      pull(rr);
+      e = rr;
       rr = (rr + 1) % edges_.size();
     }
+    DHTJOIN_RETURN_NOT_OK(pull(e));
+    if (!exhausted_[e]) RefreshCorner(e);
   }
 
   // The heap holds at most k answers and hands them back in

@@ -74,7 +74,10 @@ using TupleTopK = TopK<TupleAnswer, TupleAnswerPrefer>;
 struct PbrjStats {
   std::vector<int64_t> pulls_per_edge;  ///< pairs consumed per stream
   int64_t tuples_generated = 0;         ///< candidate answers formed
-  double final_threshold = 0.0;         ///< tau at termination
+  /// Candidates f was applied to: tuples_generated less those a scan
+  /// skipped because none could enter the top k (Pbrj::ScanChain).
+  int64_t candidates_scored = 0;
+  double final_threshold = 0.0;  ///< tau at termination
 };
 
 /// Which stream the engine pulls from next.
@@ -103,7 +106,11 @@ class Pbrj {
        const Aggregate* aggregate, std::size_t k);
 
   /// Drives the streams to completion. `streams` supplies one stream per
-  /// edge, in the same order as `edges`; entries are not owned.
+  /// edge, in the same order as `edges`; entries are not owned. A stream
+  /// must never raise its score (NaN counts as a rise) nor repeat a
+  /// pair: the corner bound and ScanChain's stop rest on that. Run
+  /// returns Status::Internal, naming the edge, on the first pull that
+  /// breaks it.
   Result<std::vector<TupleAnswer>> Run(
       const std::vector<PairStream*>& streams);
 
@@ -116,7 +123,9 @@ class Pbrj {
   /// scratch bindings_ / edge_scores_ while it is scored and tested with
   /// TopK::Rejects; a TupleAnswer is built only for one the heap keeps.
   /// The heap sees the same offers in the same order as if every
-  /// candidate were built, so the answer bytes do not change.
+  /// candidate were built, so the answer bytes do not change. A last
+  /// step that scans a chain stops early (ScanChain); the candidates it
+  /// skips are ones the heap would reject.
   void ExpandCandidates(std::size_t edge_index, const ScoredPair& pair,
                         TupleTopK& output);
 
@@ -126,10 +135,34 @@ class Pbrj {
   void ExpandRec(const std::vector<std::size_t>& order, std::size_t depth,
                  TupleTopK& output);
 
-  /// HRJN corner bound over current stream positions. When `arg_edge`
-  /// is non-null it receives the edge index attaining the bound (the
-  /// adaptive pull target), or SIZE_MAX when every stream is exhausted.
-  double CornerBound(std::size_t* arg_edge = nullptr);
+  /// Binds attribute `attr` to each pair of `chain` in turn (its left
+  /// endpoint when `bind_left`, else its right), sets edge `e`'s score,
+  /// and expands on. When this is the last step every candidate is
+  /// complete, and the scan stops at the first one whose f is strictly
+  /// below the k-th key: the chain is in pull order, so its scores never
+  /// rise; f is monotone; and the k-th key only rises. So Offer would
+  /// reject every candidate skipped. They still count in
+  /// tuples_generated, not in candidates_scored.
+  void ScanChain(CandidateBuffer::Chain chain, std::size_t e,
+                 std::size_t attr, bool bind_left,
+                 const std::vector<std::size_t>& order, std::size_t depth,
+                 TupleTopK& output);
+
+  /// Scores the complete candidate in bindings_ / edge_scores_ and
+  /// offers it. Returns false when its f is strictly below the k-th key.
+  bool ScoreCandidate(TupleTopK& output);
+
+  /// Recomputes edge `e`'s HRJN corner f(top_1, ..., last_e, ..., top_n).
+  /// The tops are fixed once every stream is primed, so a pull moves
+  /// only the pulled edge's corner.
+  void RefreshCorner(std::size_t e);
+
+  /// HRJN corner bound tau: the largest corner among edges with unseen
+  /// pairs left, an upper bound on the score of any tuple not yet
+  /// generated (valid for monotone f over descending streams). Sets
+  /// `arg_edge` to the first edge attaining it (the adaptive pull
+  /// target), or SIZE_MAX when every stream is exhausted.
+  double CornerBound(std::size_t* arg_edge) const;
 
   int num_attrs_;
   std::vector<JoinEdge> edges_;
@@ -143,10 +176,10 @@ class Pbrj {
   std::vector<std::vector<std::size_t>> expand_order_;
 
   std::vector<CandidateBuffer> buffers_;
-  std::vector<double> top_score_;   // first pulled score per edge
-  std::vector<double> last_score_;  // most recent pulled score per edge
+  std::vector<double> top_score_;     // first pulled score per edge
+  std::vector<double> last_score_;    // latest pulled score (+inf before)
+  std::vector<double> corner_bound_;  // RefreshCorner's result per edge
   std::vector<bool> exhausted_;
-  std::vector<bool> pulled_any_;
 
   // Per-run scratch, reused on every pull: the candidate being expanded
   // (one node per attribute, one score per edge) and the corner-bound

@@ -15,6 +15,7 @@
 #include "core/nl_join.h"
 #include "core/partial_join.h"
 #include "core/query_graph.h"
+#include "datasets/yeast_like.h"
 #include "testing/reference.h"
 #include "util/rng.h"
 
@@ -362,6 +363,98 @@ TEST(NwayJoinTest, PartialJoinStatsShowFractionUsed) {
   ASSERT_EQ(pji.stats().pulls_per_edge.size(), 1u);
   EXPECT_LT(pji.stats().pulls_per_edge[0],
             static_cast<int64_t>(25 * 25));  // far less than all pairs
+}
+
+/// One of nway_mix's PJ-i shapes, with its rank join's work pinned.
+struct ServedShape {
+  const char* name;
+  bool sum;
+  int num_sets;
+  std::vector<JoinEdge> edges;
+  std::vector<int64_t> pulls_per_edge;
+  std::vector<int64_t> beyond_m_per_edge;
+  int64_t tuples_generated;
+  int64_t candidates_scored;
+};
+
+TEST(NwayJoinTest, RankJoinWorkIsPinnedOnServedShapes) {
+  // nway_mix's five PJ-i shapes, cold, on a smaller Yeast-like graph.
+  // Pulls, getNextNodePair traffic and candidates formed follow from the
+  // streams and the corner bound alone: how the buffer finds a candidate,
+  // and where a final scan stops, must not change which candidates are
+  // formed or offered. candidates_scored pins where those scans stop.
+  auto ds = datasets::GenerateYeastLike(datasets::YeastLikeConfig{
+      .num_nodes = 1200, .num_edges = 3600, .seed = 13});
+  ASSERT_TRUE(ds.ok()) << ds.status().ToString();
+  const Graph& g = ds->graph;
+  std::vector<NodeSet> sets;
+  for (std::size_t i = 0; i < 4; ++i) {
+    sets.push_back(ds->partitions[i].TopByDegree(g, 40));
+  }
+  const DhtParams p = DhtParams::Lambda(0.2);
+  const std::vector<ServedShape> shapes = {
+      {"3-chain min", false, 3, {{0, 1}, {1, 2}}, {51, 51}, {1, 1}, 52, 52},
+      {"3-chain sum",
+       true,
+       3,
+       {{0, 1}, {1, 2}},
+       {1568, 1567},
+       {1518, 1517},
+       61411,
+       3171},  // scored < formed: the final scans stop early
+      {"3-star",
+       false,
+       4,
+       {{0, 1}, {0, 2}, {0, 3}},
+       {77, 76, 76},
+       {27, 26, 26},
+       318,
+       170},
+      {"bidirectional triangle",
+       false,
+       3,
+       {{0, 1}, {1, 0}, {1, 2}, {2, 1}, {0, 2}, {2, 0}},
+       {141, 141, 141, 140, 140, 140},
+       {91, 91, 91, 90, 90, 90},
+       88,
+       88},
+      {"4-chain",
+       false,
+       4,
+       {{0, 1}, {1, 2}, {2, 3}},
+       {57, 57, 57},
+       {7, 7, 7},
+       65,
+       64},
+  };
+  SumAggregate sum;
+  MinAggregate min;
+  for (const ServedShape& shape : shapes) {
+    QueryGraph query;
+    for (int i = 0; i < shape.num_sets; ++i) {
+      query.AddNodeSet(sets[static_cast<std::size_t>(i)]);
+    }
+    for (const JoinEdge& e : shape.edges) {
+      ASSERT_TRUE(query.AddEdge(e.left, e.right).ok()) << shape.name;
+    }
+    const Aggregate& f = shape.sum ? static_cast<const Aggregate&>(sum)
+                                   : static_cast<const Aggregate&>(min);
+    PartialJoin pji(PartialJoin::Options{.m = 50, .incremental = true});
+    auto got = pji.Run(g, p, 8, query, f, 50);
+    ASSERT_TRUE(got.ok()) << shape.name << ": " << got.status().ToString();
+    testing::ExpectSameTuples(
+        *got, RefNwayJoin(g, p, 8, query.sets(), query.edges(), f, 50),
+        shape.name);
+    const PartialJoin::Stats& st = pji.stats();
+    EXPECT_EQ(st.pulls_per_edge, shape.pulls_per_edge) << shape.name;
+    EXPECT_EQ(st.beyond_m_per_edge, shape.beyond_m_per_edge) << shape.name;
+    EXPECT_EQ(st.rank_join.tuples_generated, shape.tuples_generated)
+        << shape.name;
+    EXPECT_EQ(st.rank_join.candidates_scored, shape.candidates_scored)
+        << shape.name;
+    EXPECT_LE(st.rank_join.candidates_scored, st.rank_join.tuples_generated)
+        << shape.name;
+  }
 }
 
 TEST(QueryGraphTest, ValidationErrors) {

@@ -22,6 +22,7 @@
 #include <bit>
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <string>
 #include <unordered_set>
 #include <utility>
@@ -262,50 +263,58 @@ inline std::vector<TupleAnswer> RefNwayJoin(
     const Graph& g, const DhtParams& params, int d,
     const std::vector<NodeSet>& sets, const std::vector<JoinEdge>& edges,
     const Aggregate& f, std::size_t k) {
-  // Pair score tables per edge.
-  struct Table {
-    std::vector<ScoredPair> pairs;
-    double Get(NodeId p, NodeId q) const {
-      for (const auto& sp : pairs) {
-        if (sp.p == p && sp.q == q) return sp.score;
-      }
-      return -std::numeric_limits<double>::infinity();  // invalid pair
-    }
-  };
-  std::vector<Table> tables(edges.size());
+  // Pair score table per edge, dense over the two sets' positions; -inf
+  // marks an invalid pair (one RefTwoWayJoin does not return).
+  constexpr double kInvalid = -std::numeric_limits<double>::infinity();
+  std::vector<std::vector<double>> tables(edges.size());
   for (std::size_t e = 0; e < edges.size(); ++e) {
-    tables[e].pairs = RefTwoWayJoin(
-        g, params, d, sets[static_cast<std::size_t>(edges[e].left)],
-        sets[static_cast<std::size_t>(edges[e].right)],
-        static_cast<std::size_t>(-1));
+    const NodeSet& L = sets[static_cast<std::size_t>(edges[e].left)];
+    const NodeSet& R = sets[static_cast<std::size_t>(edges[e].right)];
+    std::map<std::pair<NodeId, NodeId>, double> valid;
+    for (const ScoredPair& sp :
+         RefTwoWayJoin(g, params, d, L, R, static_cast<std::size_t>(-1))) {
+      valid.emplace(std::make_pair(sp.p, sp.q), sp.score);
+    }
+    tables[e].assign(L.size() * R.size(), kInvalid);
+    for (std::size_t i = 0; i < L.size(); ++i) {
+      for (std::size_t j = 0; j < R.size(); ++j) {
+        auto it = valid.find({L[i].value(), R[j].value()});
+        if (it != valid.end()) tables[e][i * R.size() + j] = it->second;
+      }
+    }
   }
 
+  // Every tuple, by set positions. TupleAnswerGreater orders distinct
+  // tuples totally, so cutting the kept ones back to the best k whenever
+  // they pile up leaves the final top k as it was.
   std::vector<TupleAnswer> all;
+  auto cut_to_k = [&] {
+    std::sort(all.begin(), all.end(), TupleAnswerGreater);
+    if (all.size() > k) all.resize(k);
+  };
+  std::vector<std::size_t> pos(sets.size(), 0);
   std::vector<NodeId> tuple(sets.size(), kInvalidNode);
+  std::vector<double> scores(edges.size());
   auto enumerate = [&](auto&& self, std::size_t attr) -> void {
     if (attr == sets.size()) {
-      TupleAnswer a;
-      a.nodes = tuple;
-      a.edge_scores.resize(edges.size());
       for (std::size_t e = 0; e < edges.size(); ++e) {
-        double s = tables[e].Get(
-            tuple[static_cast<std::size_t>(edges[e].left)],
-            tuple[static_cast<std::size_t>(edges[e].right)]);
-        if (s == -std::numeric_limits<double>::infinity()) return;
-        a.edge_scores[e] = s;
+        const auto l = static_cast<std::size_t>(edges[e].left);
+        const auto r = static_cast<std::size_t>(edges[e].right);
+        scores[e] = tables[e][pos[l] * sets[r].size() + pos[r]];
+        if (scores[e] == kInvalid) return;
       }
-      a.f = f.Apply(a.edge_scores);
-      all.push_back(std::move(a));
+      all.push_back(TupleAnswer{tuple, scores, f.Apply(scores)});
+      if (all.size() > k && all.size() - k >= 4096) cut_to_k();
       return;
     }
-    for (ExtNodeId r : sets[attr]) {
-      tuple[attr] = r.value();
+    for (std::size_t i = 0; i < sets[attr].size(); ++i) {
+      pos[attr] = i;
+      tuple[attr] = sets[attr][i].value();
       self(self, attr + 1);
     }
   };
   enumerate(enumerate, 0);
-  std::sort(all.begin(), all.end(), TupleAnswerGreater);
-  if (all.size() > k) all.resize(k);
+  cut_to_k();
   return all;
 }
 
